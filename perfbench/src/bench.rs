@@ -12,13 +12,15 @@ use crate::spans::{Ledger, Span, Split, Tracer};
 /// enough for a p90 with ten samples beyond it.
 pub const MIN_OPS: usize = 100;
 
-/// Gap between calibration samples in the measured window: several per
-/// host speed mode, which last seconds.
-pub const CALIB_EVERY: Duration = Duration::from_millis(250);
+/// Gap between calibration samples in the measured window: the host's
+/// speed modes last from a twentieth of a second to seconds, and each
+/// operation is converted with the samples nearest it.
+pub const CALIB_EVERY: Duration = Duration::from_millis(50);
 
-/// Gap between set-up repetitions in the measured window. `setup_s` is
-/// the median of the first set-up and these repetitions.
-pub const SETUP_EVERY: Duration = Duration::from_secs(2);
+/// Gap between set-up repetitions in the measured window. Each runs in a
+/// fresh process, so every one is as cold as the first; `setup_s` is the
+/// median of the run's own set-up and these repetitions.
+pub const SETUP_EVERY: Duration = Duration::from_secs(1);
 
 /// Guest work one operation completed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -106,13 +108,11 @@ pub struct Layers {
 /// Everything one run measured.
 #[derive(Default)]
 pub struct Outcome {
-    /// Duration of each set-up repetition, s.
+    /// Duration of each set-up, s: the run's own first.
     pub setup_s: Vec<f64>,
-    /// When each set-up repetition ran (midpoint, s since run start).
-    pub setup_at_s: Vec<f64>,
     /// Wall latency of each timed operation, ms.
     pub latency_ms: Vec<f64>,
-    /// When each timed operation ran (midpoint, s since run start).
+    /// Midpoint of each timed operation, s since the window started.
     pub op_at_s: Vec<f64>,
     /// Measured window with calibration samples taken out, s.
     pub window_s: f64,
@@ -123,7 +123,7 @@ pub struct Outcome {
     pub failed: u64,
     /// First few failure messages, for the log.
     pub failures: Vec<String>,
-    /// Calibration samples: (s since run start, ms).
+    /// Calibration samples: s since the window started, and ms.
     pub calib: Vec<(f64, f64)>,
     /// Per-layer records; traced runs only.
     pub layers: Option<Layers>,
@@ -160,6 +160,9 @@ pub fn guarded(f: impl FnOnce() -> OpResult) -> OpResult {
 
 /// A single-threaded workload: set up, then operations by index.
 pub trait Workload: Sized {
+    /// The workload's name on the command line.
+    const NAME: &'static str;
+
     /// Build every input and warm up. Warm-up results go through `out`
     /// like any other operation's. With a tracer, set-up calls are
     /// spanned.
@@ -186,7 +189,6 @@ pub trait Workload: Sized {
 /// interleaved with the operations, so both sample the host's speed across
 /// the whole run, and their time is kept out of the window.
 pub struct Window {
-    epoch: Instant,
     start: Instant,
     excluded: Duration,
     last_calib: Instant,
@@ -195,23 +197,15 @@ pub struct Window {
 }
 
 impl Window {
-    /// Open the window; times are recorded relative to `epoch`, the
-    /// start of the run.
-    pub fn start(epoch: Instant) -> Self {
+    pub fn start() -> Self {
         let now = Instant::now();
         Window {
-            epoch,
             start: now,
             excluded: Duration::ZERO,
             last_calib: now,
             last_setup: now,
-            calib: Calibrator::new(epoch),
+            calib: Calibrator::new(),
         }
-    }
-
-    /// Seconds since the start of the run.
-    pub fn at(&self, t: Instant) -> f64 {
-        t.duration_since(self.epoch).as_secs_f64()
     }
 
     /// Measured time so far, interleaved work excluded, s.
@@ -219,41 +213,111 @@ impl Window {
         (self.start.elapsed() - self.excluded).as_secs_f64()
     }
 
-    /// Take a calibration sample if one is due.
+    /// Wall time since the window started, interleaved work included, s:
+    /// the time axis of the calibration samples.
+    pub fn now_s(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// The start of the window, the zero of [`Window::now_s`].
+    pub fn axis(&self) -> Instant {
+        self.start
+    }
+
+    /// Add calibration samples taken elsewhere on the window's time axis
+    /// (between serve's builds), and the time they took.
+    pub fn record(&mut self, samples: &[(f64, f64)], took_s: f64) {
+        self.calib.samples.extend_from_slice(samples);
+        self.excluded += Duration::from_secs_f64(took_s);
+    }
+
+    /// Take the calibration samples that are due: one per
+    /// [`CALIB_EVERY`] since the last, so that an operation longer than
+    /// that (a serve round) is sampled for its whole length.
     pub fn tick(&mut self) {
-        if self.last_calib.elapsed() >= CALIB_EVERY {
+        let due = self.last_calib.elapsed().as_secs_f64() / CALIB_EVERY.as_secs_f64();
+        if due >= 1.0 {
             let c = Instant::now();
-            self.calib.sample();
+            for _ in 0..due as usize {
+                self.calib.sample(self.now_s());
+            }
             self.excluded += c.elapsed();
             self.last_calib = Instant::now();
         }
     }
 
-    /// Run `setup` if a set-up repetition is due, recording its duration.
+    /// Set `workload` up in a fresh process if a set-up repetition is due,
+    /// recording its duration and counting its warm-up operations.
     pub fn setup_sample(
         &mut self,
+        workload: &str,
+        seed: u64,
         out: &mut Outcome,
-        setup: impl FnOnce(&mut Outcome) -> Result<(), String>,
     ) -> Result<(), String> {
         if self.last_setup.elapsed() < SETUP_EVERY {
             return Ok(());
         }
         let t = Instant::now();
-        setup(out)?;
+        let (setup_s, attempted, failed) = cold_setup(workload, seed)?;
         let took = t.elapsed();
         self.excluded += took;
         self.last_setup = Instant::now();
-        out.setup_s.push(took.as_secs_f64());
-        out.setup_at_s.push(self.at(t + took / 2));
+        out.setup_s.push(setup_s);
+        out.attempted += attempted;
+        out.failed += failed;
+        if failed > 0 && out.failures.len() < 8 {
+            out.failures.push(format!("{failed} warm-up operation(s) of a set-up repetition"));
+        }
         Ok(())
     }
 
     pub fn close(mut self, out: &mut Outcome) {
         out.window_s = self.elapsed_s();
         if self.calib.samples.is_empty() {
-            self.calib.sample();
+            self.calib.sample(self.now_s());
         }
+        self.calib.samples.sort_by(|a, b| a.0.total_cmp(&b.0));
         out.calib = self.calib.samples;
+    }
+}
+
+/// Time `setup`, the first work of its process: one cold set-up sample,
+/// with its warm-up operations counted. The state it builds is dropped
+/// after the clock stops, as the run's own set-up keeps its state.
+pub fn setup_only<S>(
+    setup: impl FnOnce(&mut Outcome) -> Result<S, String>,
+) -> Result<Outcome, String> {
+    let mut out = Outcome::default();
+    let t = Instant::now();
+    let state = setup(&mut out)?;
+    out.setup_s.push(t.elapsed().as_secs_f64());
+    drop(state);
+    Ok(out)
+}
+
+/// The line a `--setup-only` process prints last.
+pub fn setup_line(out: &Outcome) -> String {
+    let setup_s = out.setup_s.first().copied().unwrap_or(f64::NAN);
+    format!("setup_s {setup_s} attempted {} failed {}", out.attempted, out.failed)
+}
+
+/// Set `workload` up in a fresh process: (set-up s, attempted, failed).
+fn cold_setup(workload: &str, seed: u64) -> Result<(f64, u64, u64), String> {
+    let child = crate::self_command()?
+        .args(["--workload", workload, "--seed", &seed.to_string(), "--setup-only", "1"])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("set-up repetition: {e}"))?;
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    let last = stdout.lines().last().unwrap_or_default();
+    let f: Vec<&str> = last.split_whitespace().collect();
+    match (child.status.success(), f.as_slice()) {
+        (true, ["setup_s", s, "attempted", a, "failed", n]) => {
+            let bad = || format!("set-up repetition printed {last:?}");
+            let (s, a, n) = (s.parse(), a.parse(), n.parse());
+            Ok((s.map_err(|_| bad())?, a.map_err(|_| bad())?, n.map_err(|_| bad())?))
+        }
+        _ => Err(format!("set-up repetition exited {} with {last:?}", child.status)),
     }
 }
 
@@ -267,9 +331,9 @@ fn count_work(out: &mut Outcome, r: &OpResult) {
 }
 
 /// Measure workload `W`. Untraced: set up, then run operations for
-/// `seconds`, repeating the set-up every [`SETUP_EVERY`]. Traced: set up
-/// once under spans, then alternate each traced operation with its
-/// untraced twin.
+/// `seconds`, repeating the set-up in a fresh process every
+/// [`SETUP_EVERY`]. Traced: set up once under spans, then alternate each
+/// traced operation with its untraced twin.
 pub fn run<W: Workload>(seed: u64, seconds: f64, trace: bool) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let epoch = Instant::now();
@@ -282,7 +346,7 @@ pub fn run<W: Workload>(seed: u64, seconds: f64, trace: bool) -> Result<Outcome,
         layers.setup.fold(tr.spans(), root, &[]);
         out.setup_s.push(tr.duration_ms(root) / 1e3);
 
-        let mut win = Window::start(epoch);
+        let mut win = Window::start();
         let mut i = 0u64;
         while win.elapsed_s() < seconds || (i as usize) < MIN_OPS {
             let t = Instant::now();
@@ -316,20 +380,18 @@ pub fn run<W: Workload>(seed: u64, seconds: f64, trace: bool) -> Result<Outcome,
     }
 
     let mut w = W::setup(seed, &mut out, None)?;
-    let took = epoch.elapsed();
-    out.setup_s.push(took.as_secs_f64());
-    out.setup_at_s.push(took.as_secs_f64() / 2.0);
-    let mut win = Window::start(epoch);
+    out.setup_s.push(epoch.elapsed().as_secs_f64());
+    let mut win = Window::start();
     let mut i = 0u64;
     while win.elapsed_s() < seconds || (i as usize) < MIN_OPS {
-        let t = Instant::now();
+        let (t, at_s) = (Instant::now(), win.now_s());
         let r = guarded(|| w.op(i));
-        let took = t.elapsed();
-        out.latency_ms.push(took.as_secs_f64() * 1e3);
-        out.op_at_s.push(win.at(t + took / 2));
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        out.latency_ms.push(ms);
+        out.op_at_s.push(at_s + ms / 2e3);
         count_work(&mut out, &r);
         win.tick();
-        win.setup_sample(&mut out, |out| W::setup(seed, out, None).map(drop))?;
+        win.setup_sample(W::NAME, seed, &mut out)?;
         i += 1;
     }
     win.close(&mut out);

@@ -12,98 +12,175 @@ const CALIB_LEN: usize = 200_000;
 /// calibration sample had taken this long.
 pub const CALIB_REF_MS: f64 = 5.0;
 
-/// Calibration samples this close (s) to an operation give the host's
-/// speed during it. Speed modes last seconds, so the window is short.
-const LOCAL_S: f64 = 1.0;
-
 /// A fixed, seeded, cache-bound kernel timed between operations. Its time
 /// moves with the host's speed, not with raceline.
 pub struct Calibrator {
-    epoch: Instant,
     input: Vec<u64>,
     scratch: Vec<u64>,
-    /// (seconds since `epoch` at the sample's midpoint, sort time in ms).
+    /// Each sample: when it was taken (s since the window started) and
+    /// its sort time (ms).
     pub samples: Vec<(f64, f64)>,
 }
 
 impl Calibrator {
-    pub fn new(epoch: Instant) -> Self {
+    pub fn new() -> Self {
         let mut rng = vexec::SplitMix64::new(0xCA1B_2007);
         let input: Vec<u64> = (0..CALIB_LEN).map(|_| rng.next_u64()).collect();
-        Calibrator { epoch, scratch: input.clone(), input, samples: Vec::new() }
+        Calibrator { scratch: input.clone(), input, samples: Vec::new() }
     }
 
-    /// Sort a fresh copy of the fixed input; records the sort time.
-    pub fn sample(&mut self) {
+    /// Sort a fresh copy of the fixed input; records the sort time as
+    /// taken at `at_s`.
+    pub fn sample(&mut self, at_s: f64) {
         self.scratch.copy_from_slice(&self.input);
         let t = Instant::now();
         self.scratch.sort_unstable();
         let took = t.elapsed();
         std::hint::black_box(&self.scratch);
-        let mid = (t + took / 2).duration_since(self.epoch).as_secs_f64();
-        self.samples.push((mid, took.as_secs_f64() * 1e3));
+        self.samples.push((at_s, took.as_secs_f64() * 1e3));
     }
 }
 
-/// The host's speed over a run, from time-ordered calibration samples,
-/// and the factors that convert wall time measured on it to time at the
-/// reference speed [`CALIB_REF_MS`].
-pub struct HostSpeed<'a> {
-    samples: &'a [(f64, f64)],
+/// Median sort time of `samples`, ms.
+pub fn calib_median(samples: &[(f64, f64)]) -> Option<f64> {
+    crate::stats::median(&samples.iter().map(|s| s.1).collect::<Vec<_>>())
 }
 
-impl<'a> HostSpeed<'a> {
-    pub fn new(samples: &'a [(f64, f64)]) -> Result<Self, String> {
-        if samples.is_empty() {
-            return Err("no calibration samples".to_string());
+/// The factor that converts wall time measured during a run to time at
+/// the reference host speed: [`CALIB_REF_MS`] over the run's median
+/// calibration sample. Set-up time is converted with it.
+pub fn ref_factor(samples: &[(f64, f64)]) -> Result<f64, String> {
+    let median = calib_median(samples).ok_or("no calibration samples")?;
+    Ok(CALIB_REF_MS / median)
+}
+
+/// Calibration samples whose median converts one operation.
+const LOCAL_SAMPLES: usize = 3;
+
+/// The factor that converts the wall time of an operation run around
+/// `t` (s since the window started) to the reference host speed:
+/// [`CALIB_REF_MS`] over the median of the [`LOCAL_SAMPLES`] samples
+/// nearest `t`. `samples` are in time order. The host's speed modes last
+/// from a twentieth of a second to seconds, so the samples next to an
+/// operation tell its mode better than the run's median does.
+pub fn local_factor(samples: &[(f64, f64)], t: f64) -> Result<f64, String> {
+    let mut lo = samples.partition_point(|s| s.0 < t);
+    let mut hi = lo;
+    while hi - lo < LOCAL_SAMPLES && (lo > 0 || hi < samples.len()) {
+        let earlier = lo > 0 && (hi == samples.len() || t - samples[lo - 1].0 <= samples[hi].0 - t);
+        if earlier {
+            lo -= 1;
+        } else {
+            hi += 1;
         }
-        Ok(HostSpeed { samples })
+    }
+    let median = calib_median(&samples[lo..hi]).ok_or("no calibration samples")?;
+    Ok(CALIB_REF_MS / median)
+}
+
+/// An affinity mask: glibc's `cpu_set_t`, 1,024 bits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CpuSet([u64; 16]);
+
+impl CpuSet {
+    fn only(cpu: usize) -> Self {
+        let mut m = [0; 16];
+        m[cpu / 64] = 1 << (cpu % 64);
+        CpuSet(m)
     }
 
-    /// Calibration time around `t`: the median of the samples within
-    /// [`LOCAL_S`], or the nearest sample when none is that close.
-    pub fn local_ms(&self, t: f64) -> f64 {
-        let lo = self.samples.partition_point(|s| s.0 < t - LOCAL_S);
-        let hi = self.samples.partition_point(|s| s.0 <= t + LOCAL_S);
-        if lo < hi {
-            let near: Vec<f64> = self.samples[lo..hi].iter().map(|s| s.1).collect();
-            return crate::stats::median(&near).expect("non-empty");
+    fn highest(&self) -> Option<usize> {
+        (0..1024).rev().find(|&c| self.0[c / 64] >> (c % 64) & 1 == 1)
+    }
+}
+
+#[cfg(target_os = "linux")]
+mod affinity {
+    use super::CpuSet;
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut [u64; 16]) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const [u64; 16]) -> i32;
+    }
+
+    /// The calling thread's CPU set.
+    pub fn get() -> Result<CpuSet, String> {
+        let mut m = CpuSet([0; 16]);
+        // SAFETY: `m.0` is a live, writable `cpu_set_t` of exactly the
+        // size passed; pid 0 names the calling thread.
+        if unsafe { sched_getaffinity(0, std::mem::size_of_val(&m.0), &mut m.0) } != 0 {
+            return Err(format!("sched_getaffinity: {}", std::io::Error::last_os_error()));
         }
-        // No sample in the window: the nearest on either side.
-        let before = lo.checked_sub(1).map(|i| self.samples[i]);
-        let after = self.samples.get(hi).copied();
-        match (before, after) {
-            (Some(b), Some(a)) => {
-                if t - b.0 <= a.0 - t {
-                    b.1
-                } else {
-                    a.1
-                }
+        Ok(m)
+    }
+
+    /// Set the calling thread's CPU set; threads and processes it starts
+    /// later inherit it.
+    pub fn set(m: &CpuSet) -> Result<(), String> {
+        // SAFETY: `m.0` is a live `cpu_set_t` of exactly the size passed;
+        // pid 0 names the calling thread.
+        if unsafe { sched_setaffinity(0, std::mem::size_of_val(&m.0), &m.0) } != 0 {
+            return Err(format!("sched_setaffinity: {}", std::io::Error::last_os_error()));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    use super::CpuSet;
+
+    pub fn get() -> Result<CpuSet, String> {
+        Err("CPU affinity is implemented for Linux only".to_string())
+    }
+
+    pub fn set(_: &CpuSet) -> Result<(), String> {
+        Err("CPU affinity is implemented for Linux only".to_string())
+    }
+}
+
+/// The calling thread's CPU set before [`pin_to_one_cpu`] narrowed it.
+static STARTED_ON: std::sync::OnceLock<CpuSet> = std::sync::OnceLock::new();
+
+/// What [`pin_to_one_cpu`] did, for the stamp.
+static PINNED: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+
+/// Pin the calling thread, and every thread and process it starts from
+/// then on, to one CPU: the highest-numbered one it may run on. Returns
+/// that CPU.
+pub fn pin_to_one_cpu() -> Result<usize, String> {
+    nproc();
+    let pinned = affinity::get().and_then(|all| {
+        let cpu = all.highest().ok_or("the affinity mask is empty")?;
+        affinity::set(&CpuSet::only(cpu))?;
+        let _ = STARTED_ON.set(all);
+        Ok(cpu)
+    });
+    let _ = PINNED.set(match &pinned {
+        Ok(cpu) => format!("cpu {cpu}"),
+        Err(e) => format!("unpinned: {e}"),
+    });
+    pinned
+}
+
+/// How this process is pinned, for the stamp.
+pub fn pinned() -> &'static str {
+    PINNED.get().map_or("unpinned", String::as_str)
+}
+
+/// Run `f` on a thread of its own that may use every CPU the process
+/// started with, so threads `f` starts can spread over them.
+pub fn on_all_cpus<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            if let Some(all) = STARTED_ON.get() {
+                affinity::set(all).expect("return to the CPU set the process started with");
             }
-            (Some(s), None) | (None, Some(s)) => s.1,
-            (None, None) => unreachable!("samples are non-empty"),
-        }
-    }
-
-    /// Reference-speed length of a wall duration measured around `t`.
-    pub fn at_ref(&self, wall: f64, t: f64) -> f64 {
-        wall * CALIB_REF_MS / self.local_ms(t)
-    }
-
-    /// Reference-speed length of a whole window over which the samples
-    /// were taken at a steady rate: the wall length times the mean of
-    /// `CALIB_REF_MS / sample`.
-    pub fn window_at_ref(&self, wall: f64) -> f64 {
-        let mean_inv =
-            crate::stats::mean(&self.samples.iter().map(|s| 1.0 / s.1).collect::<Vec<_>>());
-        wall * CALIB_REF_MS * mean_inv
-    }
-
-    /// Median calibration time, ms.
-    pub fn median_ms(&self) -> f64 {
-        let ms: Vec<f64> = self.samples.iter().map(|s| s.1).collect();
-        crate::stats::median(&ms).expect("non-empty")
-    }
+            f()
+        })
+        .join()
+        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
 }
 
 /// Peak resident set size (`VmHWM`) of this process, in MiB.
@@ -118,8 +195,12 @@ pub fn peak_rss_mib() -> Result<f64, String> {
     Ok(kb / 1024.0)
 }
 
+/// CPUs the process could run on when it first asked: taken before
+/// [`pin_to_one_cpu`] narrows the set, so a pinned run still reports the
+/// host's count.
 pub fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static NPROC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *NPROC.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 pub fn profile() -> &'static str {
@@ -190,28 +271,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn local_speed_is_the_median_of_nearby_samples() {
-        let samples = [(0.5, 4.0), (1.0, 5.0), (1.5, 6.0), (5.0, 10.0)];
-        let speed = HostSpeed::new(&samples).unwrap();
-        assert_eq!(speed.local_ms(1.0), 5.0);
-        // Nothing within a second of t = 3.2: the nearest sample wins.
-        assert_eq!(speed.local_ms(3.2), 6.0);
-        assert_eq!(speed.local_ms(3.4), 10.0);
-        assert_eq!(speed.local_ms(-9.0), 4.0);
-        assert!(HostSpeed::new(&[]).is_err());
+    fn reference_time_scales_with_the_host() {
+        // On a host twice as slow as the reference (median sample), 10 ms
+        // of wall time is 5 ms at the reference speed.
+        let slow =
+            [(0.0, 2.0 * CALIB_REF_MS), (1.0, 1.5 * CALIB_REF_MS), (2.0, 9.0 * CALIB_REF_MS)];
+        assert_eq!(10.0 * ref_factor(&slow).unwrap(), 5.0);
+        assert_eq!(ref_factor(&[(0.0, CALIB_REF_MS)]).unwrap(), 1.0);
+        assert!(ref_factor(&[]).is_err());
     }
 
     #[test]
-    fn reference_time_scales_with_the_host() {
-        let slow = [(0.0, 2.0 * CALIB_REF_MS), (1.0, 2.0 * CALIB_REF_MS)];
-        let speed = HostSpeed::new(&slow).unwrap();
-        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
-        // On a host twice as slow as the reference, 10 ms of wall time is
-        // 5 ms at the reference speed.
-        assert!(close(speed.at_ref(10.0, 0.5), 5.0));
-        assert!(close(speed.window_at_ref(10.0), 5.0));
-        let mixed = [(0.0, CALIB_REF_MS), (1.0, 2.0 * CALIB_REF_MS)];
-        // Half the window at each speed: 4 × (0.5 × 1 + 0.5 × 0.5).
-        assert!(close(HostSpeed::new(&mixed).unwrap().window_at_ref(4.0), 3.0));
+    fn local_factor_takes_the_median_of_the_nearest_samples() {
+        // Sort times 1..=5 ms taken at 0..=4 s; a fast spell (1 ms) at 4 s.
+        let s: Vec<(f64, f64)> =
+            [5.0, 4.0, 2.0, 3.0, 1.0].iter().enumerate().map(|(k, &ms)| (k as f64, ms)).collect();
+        let at = |t: f64| CALIB_REF_MS / local_factor(&s, t).unwrap();
+        // Nearest to 2.2 s: the samples at 2, 3 and 1 s (2, 3, 4 ms).
+        assert_eq!(at(2.2), 3.0);
+        // Nearest to 3.9 s: 4, 3 and 2 s (1, 3, 2 ms).
+        assert_eq!(at(3.9), 2.0);
+        // Before the first and after the last sample: the three at that end.
+        assert_eq!(at(-1.0), 4.0);
+        assert_eq!(at(9.0), 2.0);
+        // Fewer samples than asked for: all of them.
+        assert_eq!(CALIB_REF_MS / local_factor(&s[..2], 0.5).unwrap(), 4.5);
+        assert!(local_factor(&[], 0.0).is_err());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn pinning_leaves_one_cpu_and_keeps_nproc() {
+        // The harness runs each test on a thread of its own, and pinning
+        // applies to the calling thread, so no other test is pinned.
+        let before = nproc();
+        let all = affinity::get().expect("read the test thread's CPU set");
+        let cpu = pin_to_one_cpu().expect("pin the test thread");
+        assert_eq!(all.highest(), Some(cpu));
+        assert_eq!(affinity::get(), Ok(CpuSet::only(cpu)));
+        assert_eq!(std::thread::available_parallelism().map(|n| n.get()).ok(), Some(1));
+        assert_eq!(nproc(), before, "nproc keeps the count from before pinning");
+        let spread = on_all_cpus(|| std::thread::available_parallelism().map(|n| n.get()).ok());
+        assert_eq!(spread, Some(before), "on_all_cpus runs on every CPU the process started with");
+        assert_eq!(affinity::get(), Ok(CpuSet::only(cpu)), "the caller stays pinned");
     }
 }

@@ -19,6 +19,7 @@ use vexec::sched::RoundRobin;
 use vexec::vm::{run_program, RunResult, VmOptions};
 
 use crate::bench::{guarded, Counters, Layers, OpResult, Outcome, Work, Workload};
+use crate::host;
 use crate::spans::{Split, Tracer};
 use crate::stack;
 use crate::stats::{median, ratio};
@@ -93,6 +94,8 @@ fn check(r: &RunResult, reports: usize, expected_events: u64) -> OpResult {
 }
 
 impl Workload for Ladder {
+    const NAME: &'static str = "ladder";
+
     fn setup(_seed: u64, out: &mut Outcome, mut tr: Option<&mut Tracer>) -> Result<Self, String> {
         let progs = ITERATIONS
             .iter()
@@ -155,8 +158,11 @@ impl Workload for Ladder {
         stack::count_run(c, &r, &filter, &prog.code, &det.engine_stats(), &split);
         c.add("core.report.locations", reports.len() as f64);
 
-        // §4.5 reference: the same logical work on OS threads.
-        let (v, native) = tr.measure("ref.native", || native_workload(spec(ITERATIONS[size])));
+        // §4.5 reference: the same logical work on OS threads, free to use
+        // every vCPU while the benchmark itself stays pinned.
+        let (v, native) = host::on_all_cpus(|| {
+            tr.measure("ref.native", || native_workload(spec(ITERATIONS[size])))
+        });
         std::hint::black_box(v);
         self.native_ms.push(native);
         self.vm_x.push(ratio(split.refs[0].1, native));

@@ -2,9 +2,9 @@
 //! its unit, the stamp, and the final JSON line.
 
 use crate::bench::{Layers, Outcome};
-use crate::host::{self, HostSpeed, CALIB_REF_MS};
+use crate::host::{self, CALIB_REF_MS};
 use crate::spans::GLUE;
-use crate::stats::{mean, median, percentile};
+use crate::stats::{mean, median, percentile, ratio};
 use crate::Args;
 
 /// A metric as `BENCHMARK.json` declares it.
@@ -163,38 +163,43 @@ pub fn report(workload: &str, args: &Args, out: &Outcome) -> Result<Reported, St
     let mut metrics = Vec::new();
     match &out.layers {
         None => {
-            // Every time is converted to the reference host speed with the
-            // calibration samples taken around it; the wall value is
-            // printed next to it.
-            let speed = HostSpeed::new(&out.calib)?;
-            let pct = |lat: Vec<f64>, p: f64| -> Result<(f64, usize), String> {
-                let mut sorted = lat;
-                sorted.sort_by(f64::total_cmp);
-                percentile(&sorted, p).ok_or_else(|| format!("too few operations for a p{p}"))
-            };
-            let at_ref: Vec<f64> = out
+            // Times are converted to the reference host speed: each
+            // operation with the calibration samples nearest it, set-up
+            // with the run's median sample. The wall value is printed next
+            // to each.
+            let setup_factor = host::ref_factor(&out.calib)?;
+            if out.op_at_s.len() != out.latency_ms.len() {
+                return Err("an operation has no time to convert it at".to_string());
+            }
+            let ref_ms: Vec<f64> = out
                 .latency_ms
                 .iter()
                 .zip(&out.op_at_s)
-                .map(|(&l, &t)| speed.at_ref(l, t))
-                .collect();
-            let n = at_ref.len();
-            let (p50, beyond50) = pct(at_ref.clone(), 50.0)?;
-            let (p90, beyond90) = pct(at_ref, 90.0)?;
-            let (wall50, _) = pct(out.latency_ms.clone(), 50.0)?;
-            let (wall90, _) = pct(out.latency_ms.clone(), 90.0)?;
-            let setups: Vec<f64> = out
-                .setup_s
-                .iter()
-                .zip(&out.setup_at_s)
-                .map(|(&d, &t)| speed.at_ref(d, t))
-                .collect();
-            let setup = median(&setups).ok_or("no set-up measured")?;
+                .map(|(&ms, &t)| host::local_factor(&out.calib, t).map(|f| ms * f))
+                .collect::<Result<_, _>>()?;
+            let pct = |v: &[f64], p: f64| {
+                let mut sorted = v.to_vec();
+                sorted.sort_by(f64::total_cmp);
+                percentile(&sorted, p).ok_or_else(|| format!("too few operations for a p{p}"))
+            };
+            let n = ref_ms.len();
+            let ((p50, beyond50), (p90, beyond90)) = (pct(&ref_ms, 50.0)?, pct(&ref_ms, 90.0)?);
+            let (wall50, wall90) = (pct(&out.latency_ms, 50.0)?.0, pct(&out.latency_ms, 90.0)?.0);
             let wall_setup = median(&out.setup_s).ok_or("no set-up measured")?;
-            let window = speed.window_at_ref(out.window_s);
+            // The window at the reference speed: the wall window scaled as
+            // the operations' time was.
+            let busy_ms: f64 = out.latency_ms.iter().sum();
+            let window = out.window_s * ratio(ref_ms.iter().sum(), busy_ms);
             let (events, ops) = (out.work.events as f64, out.completed as f64);
             let values = [
-                (setup, format!("median of {} set-ups; wall {wall_setup}", setups.len())),
+                (
+                    wall_setup * setup_factor,
+                    format!(
+                        "median of {} cold set-ups; wall {wall_setup}; the run's own {}",
+                        out.setup_s.len(),
+                        out.setup_s[0] * setup_factor
+                    ),
+                ),
                 (p50, format!("n={n}, {beyond50} beyond; wall {wall50}")),
                 (p90, format!("n={n}, {beyond90} beyond; wall {wall90}")),
                 (
@@ -234,24 +239,13 @@ pub fn report(workload: &str, args: &Args, out: &Outcome) -> Result<Reported, St
             for neg in l.ops.negatives.iter().chain(&l.setup.negatives).take(8) {
                 println!("negative_layer {} {} ms", neg.layer, neg.ms);
             }
-            // Each operation's layer self times add up to its traced
-            // latency; so do their sums over the run.
-            let sum: f64 = l.ops.layer_ms.values().sum();
-            let ok = (sum - l.ops.latency_ms).abs() <= 1e-6 * l.ops.latency_ms.max(1.0);
-            println!(
-                "layer_sum {} ms per op = traced latency {} ms per op ({})",
-                sum / l.ops.ops.max(1) as f64,
-                l.ops.latency_ms / l.ops.ops.max(1) as f64,
-                if ok { "ok" } else { "MISMATCH" }
-            );
-            correct &= ok;
         }
     }
     Ok(Reported { correct, attempted: out.attempted, failed: out.failed, metrics })
 }
 
 fn calib_median(out: &Outcome) -> f64 {
-    HostSpeed::new(&out.calib).map_or(0.0, |s| s.median_ms())
+    host::calib_median(&out.calib).unwrap_or(0.0)
 }
 
 /// The stamp: code identity, host, build profile and sample counts.
@@ -262,7 +256,7 @@ fn stamp(workload: &str, args: &Args, out: &Outcome) {
     println!(
         "stamp {{\"workload\":{workload:?},\"seed\":{},\"trace\":{},\"rev\":{rev:?},\"source_fnv1a\":{digest:?},\
          \"nproc\":{},\"profile\":{:?},\"setup_reps\":{},\"latency_samples\":{},\"calib_samples\":{},\
-         \"host.calib_ms\":{},\"calib_ref_ms\":{CALIB_REF_MS}}}",
+         \"host.calib_ms\":{},\"calib_ref_ms\":{CALIB_REF_MS},\"pinned\":{:?}}}",
         args.seed,
         u8::from(args.trace),
         host::nproc(),
@@ -271,26 +265,22 @@ fn stamp(workload: &str, args: &Args, out: &Outcome) {
         out.latency_ms.len(),
         out.calib.len(),
         calib_median(out),
+        host::pinned(),
     );
 }
 
-/// The final JSON line. With several workloads, metric names are prefixed
-/// with the workload.
-pub fn result_json(results: &[(&str, Reported)]) -> String {
-    let correct = results.iter().all(|(_, r)| r.correct);
-    let attempted: u64 = results.iter().map(|(_, r)| r.attempted).sum();
-    let failed: u64 = results.iter().map(|(_, r)| r.failed).sum();
-    let metrics: Vec<String> = results
+/// The final JSON line.
+pub fn result_json(r: &Reported) -> String {
+    let metrics: Vec<String> = r
+        .metrics
         .iter()
-        .flat_map(|(w, r)| {
-            r.metrics.iter().map(move |(name, v, unit)| {
-                let key = if results.len() == 1 { name.to_string() } else { format!("{w}.{name}") };
-                format!("{key:?}:{{\"value\":{v},\"unit\":{unit:?}}}")
-            })
-        })
+        .map(|(name, v, unit)| format!("{name:?}:{{\"value\":{v},\"unit\":{unit:?}}}"))
         .collect();
     format!(
-        "{{\"correct\":{correct},\"attempted\":{attempted},\"failed\":{failed},\"metrics\":{{{}}}}}",
+        "{{\"correct\":{},\"attempted\":{},\"failed\":{},\"metrics\":{{{}}}}}",
+        r.correct,
+        r.attempted,
+        r.failed,
         metrics.join(",")
     )
 }
@@ -334,7 +324,7 @@ mod tests {
             metrics: vec![("setup_s", 0.5, "s")],
         };
         assert_eq!(
-            result_json(&[("ladder", r)]),
+            result_json(&r),
             r#"{"correct":true,"attempted":3,"failed":0,"metrics":{"setup_s":{"value":0.5,"unit":"s"}}}"#
         );
     }

@@ -1,13 +1,25 @@
 //! `serve`: an in-process warehouse service on `127.0.0.1:0`, driven
-//! closed-loop by two clients (CI uploaders wait for the reply) with a
-//! seeded mix of fresh-build submits, duplicate submits and catalogue
-//! queries. The T1–T8 traces are recorded during set-up, so the VM does
-//! nothing in the timed loop: trace decode and the warehouse do all the
-//! work, with writes next to reads.
+//! closed-loop by one client (CI uploaders wait for the reply). The
+//! traffic follows the per-build triage workflow the service is built for
+//! (README "Serve", DESIGN §14): a build uploads its T1–T8 traces under
+//! one build id, the upload round is repeated and answered from the
+//! dedup index (as `bench-snapshot --serve` measures it), and the build's
+//! catalogue is queried. One operation is one build. The traces are
+//! recorded during set-up, so the VM does nothing in the timed loop:
+//! trace decode and the warehouse do all the work, with writes next to
+//! reads.
 //!
 //! The request count of a round is fixed, so the warehouse ends every
 //! round at the same size; a run repeats rounds on a fresh warehouse until
 //! its time is up.
+//!
+//! The benchmark process is pinned to one vCPU, so client, server and
+//! handler threads hand requests over on one CPU. Unpinned, those
+//! hand-offs cross between vCPUs, and runs of the same code spread 1.4–2.8
+//! times as wide in build latency and throughput with two clients, and
+//! 3.4–3.6 times with one (perfbench/README.md, "The host"). The client
+//! times the calibration sort between builds, so each build is converted
+//! to the reference host speed with samples taken next to it.
 
 use std::collections::BTreeSet;
 use std::net::TcpListener;
@@ -29,19 +41,29 @@ use vexec::filter::FilterTool;
 use vexec::sched::RoundRobin;
 use vexec::vm::{run_program, VmOptions};
 
-use crate::bench::{guarded, Counters, Layers, OpResult, Outcome, Window, Work, MIN_OPS};
+use crate::bench::{
+    guarded, Counters, Layers, OpResult, Outcome, Window, Work, CALIB_EVERY, MIN_OPS,
+};
+use crate::host::Calibrator;
 use crate::spans::{append_spans, Ledger, Span, Split, Tracer};
 use crate::stack;
 use crate::stats::shuffle;
 
-/// Client connections: no more than the host's two vCPUs.
-pub const CLIENTS: usize = 2;
+/// Client connections: one, since the benchmark runs on one vCPU (two
+/// clients on one vCPU time-slice each other's builds).
+pub const CLIENTS: usize = 1;
 /// Concurrent analysis slots of the service (`serve --jobs`).
 pub const JOBS: usize = 2;
-/// Requests per client per round.
-pub const PER_CLIENT: usize = 150;
-/// Requests per client in the set-up warm-up round.
-const WARMUP_PER_CLIENT: usize = 12;
+/// Regression cases a build uploads: T1–T8.
+pub const CASES: usize = 8;
+/// Requests of one build: its upload, the repeated upload, one query.
+pub const PER_BUILD: usize = 2 * CASES + 1;
+/// Builds per client per round: 176 × 17 = 2,992 requests, the whole
+/// number of builds nearest the 3,000-request probe the workload was
+/// designed from.
+pub const BUILDS_PER_CLIENT: usize = 176;
+/// Builds per client in the set-up warm-up round.
+const WARMUP_BUILDS: usize = 1;
 const ENGINE: &str = "hwlc-dr";
 
 #[derive(Clone, Copy, Debug)]
@@ -101,53 +123,34 @@ pub struct Serve {
     rounds: u64,
 }
 
-/// Per-client request lists: a fixed mix (60% fresh-build submits, 20%
-/// duplicates, 20% queries; fresh submits spread evenly over the cases) in
-/// a seeded order. Build ids are disjoint between clients, and a duplicate
-/// always repeats an upload its own client already completed, so every
-/// answer is known whatever the interleaving.
-fn plan(seed: u64, cases: usize) -> Vec<Vec<Req>> {
-    let (fresh_n, dup_n) = (PER_CLIENT * 3 / 5, PER_CLIENT / 5);
+/// Per-client request lists, build by build: the build's T1–T8 uploads,
+/// the same eight uploaded again (each answered as a duplicate), then a
+/// catalogue query. The seed orders the cases within each upload round.
+/// Build ids are disjoint between clients and a duplicate repeats its own
+/// client's earlier upload, so every answer is known whatever the
+/// interleaving.
+fn plan(seed: u64) -> Vec<Vec<Req>> {
     (0..CLIENTS)
         .map(|c| {
-            let seed = seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            // 0 = fresh, 1 = duplicate, 2 = query.
-            let mut kinds: Vec<u8> = (0..PER_CLIENT)
-                .map(|k| {
-                    if k < fresh_n {
-                        0
-                    } else if k < fresh_n + dup_n {
-                        1
-                    } else {
-                        2
-                    }
-                })
-                .collect();
-            shuffle(&mut kinds, seed);
-            // A duplicate needs an earlier fresh submit to repeat.
-            let first_fresh =
-                kinds.iter().position(|&k| k == 0).expect("the mix has fresh submits");
-            kinds.swap(0, first_fresh);
-            let mut case_order: Vec<usize> = (0..fresh_n).map(|k| k % cases).collect();
-            shuffle(&mut case_order, seed ^ 0xCA5E);
-            let mut rng = vexec::SplitMix64::new(seed ^ 0xD0B);
-            let mut fresh: Vec<(u64, usize)> = Vec::new();
-            kinds
-                .into_iter()
-                .map(|kind| match kind {
-                    0 => {
-                        let build = 1 + c as u64 + (CLIENTS * fresh.len()) as u64;
-                        let case = case_order[fresh.len()];
-                        fresh.push((build, case));
-                        Req::Fresh { build, case }
-                    }
-                    1 => {
-                        let (build, case) = fresh[rng.pick(fresh.len() as u64) as usize];
-                        Req::Dup { build, case }
-                    }
-                    _ => Req::Query,
-                })
-                .collect()
+            let mut rng =
+                vexec::SplitMix64::new(seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut reqs = Vec::with_capacity(BUILDS_PER_CLIENT * PER_BUILD);
+            for k in 0..BUILDS_PER_CLIENT {
+                let build = 1 + (c + CLIENTS * k) as u64;
+                for dup in [false, true] {
+                    let mut cases: Vec<usize> = (0..CASES).collect();
+                    shuffle(&mut cases, rng.next_u64());
+                    reqs.extend(cases.into_iter().map(|case| {
+                        if dup {
+                            Req::Dup { build, case }
+                        } else {
+                            Req::Fresh { build, case }
+                        }
+                    }));
+                }
+                reqs.push(Req::Query);
+            }
+            reqs
         })
         .collect()
 }
@@ -174,15 +177,35 @@ fn decode_only(bytes: &[u8]) -> Result<usize, String> {
 /// What one client thread of one round produced.
 #[derive(Default)]
 struct ClientRun {
+    /// Latency of each build, ms.
     latency_ms: Vec<f64>,
-    /// When each request ran (midpoint, s since run start).
-    at_s: Vec<f64>,
+    /// Midpoint of each build, s on the window's time axis, when the
+    /// round calibrates.
+    build_at_s: Vec<f64>,
+    /// Calibration samples taken between builds: s on the window's time
+    /// axis, and sort ms.
+    calib: Vec<(f64, f64)>,
+    /// Time the client spent calibrating, s: kept out of the window.
+    calib_s: f64,
     results: Vec<OpResult>,
     ledger: Ledger,
     counters: Counters,
     dups: u64,
     submits: u64,
     spans: Vec<Span>,
+}
+
+impl ClientRun {
+    /// Record one request's answer.
+    fn tally(&mut self, req: &Req, r: OpResult) {
+        if matches!(req, Req::Fresh { .. } | Req::Dup { .. }) {
+            self.submits += 1;
+        }
+        if matches!(req, Req::Dup { .. }) && r.is_ok() {
+            self.dups += 1;
+        }
+        self.results.push(r);
+    }
 }
 
 /// What one round produced.
@@ -197,7 +220,7 @@ struct RoundRun {
 impl Serve {
     /// Record the cases, compute their known answers, plan the requests
     /// and warm up with one short round.
-    fn setup(
+    pub fn setup(
         seed: u64,
         out: &mut Outcome,
         mut tr: Option<(&mut Tracer, &mut Vec<Split>, &mut Counters)>,
@@ -278,19 +301,30 @@ impl Serve {
                 warnings,
             });
         }
-        let mut w =
-            Serve { plan: plan(seed, cases.len()), cases, tmp: TempDir::new("serve")?, rounds: 0 };
-        let warm = w.round(WARMUP_PER_CLIENT, Instant::now(), false);
+        if cases.len() != CASES {
+            return Err(format!("sipsim has {} regression cases, expected {CASES}", cases.len()));
+        }
+        let mut w = Serve { plan: plan(seed), cases, tmp: TempDir::new("serve")?, rounds: 0 };
+        let warm = w.round(WARMUP_BUILDS, Instant::now(), None, false);
         w.count_warmup(&warm, out);
         Ok(w)
     }
 
-    /// One round on a fresh warehouse: `per_client` requests from each
+    /// One round on a fresh warehouse: the first `builds` builds of each
     /// client's plan, then the final catalogue check against a sequential
-    /// fold of the same uploads. Times are kept relative to `epoch`, the
-    /// start of the run. Traced, clients span their requests and time the
-    /// reference calls against a twin service.
-    fn round(&mut self, per_client: usize, epoch: Instant, traced: bool) -> RoundRun {
+    /// fold of the same uploads. Traced, clients span their requests on
+    /// the time axis of `epoch`, the start of the run, and time the
+    /// reference calls against a twin service. With `axis`, the start of
+    /// the measured window, clients take calibration samples between
+    /// builds.
+    fn round(
+        &mut self,
+        builds: usize,
+        epoch: Instant,
+        axis: Option<Instant>,
+        traced: bool,
+    ) -> RoundRun {
+        let per_client = builds * PER_BUILD;
         let n = self.rounds;
         self.rounds += 1;
         let failed_round = |e: String| RoundRun {
@@ -328,14 +362,14 @@ impl Serve {
                 .map(|c| {
                     let (addr, twin) = (&addr, twin.as_ref());
                     s.spawn(move || {
-                        let reqs = &this.plan[c][..per_client.min(this.plan[c].len())];
+                        let reqs = &this.plan[c][..per_client];
                         let traced = traced.then(|| {
                             let mut tr = Tracer::new(epoch);
                             // Operation ids: client in the high half.
                             tr.set_op((c as u64) << 32);
                             (tr, twin.expect("traced rounds have a twin"))
                         });
-                        this.client(addr, reqs, epoch, traced)
+                        this.client(addr, reqs, traced, axis)
                     })
                 })
                 .collect();
@@ -377,14 +411,14 @@ impl Serve {
     fn final_check(&self, addr: &str, per_client: usize) -> (OpResult, usize) {
         let mut oracle = WarehouseLog::new(ENGINE, false);
         for reqs in &self.plan {
-            for req in &reqs[..per_client.min(reqs.len())] {
+            for req in &reqs[..per_client] {
                 if let Req::Fresh { build, case } = *req {
                     let c = &self.cases[case];
                     oracle.fold_ingest(build, c.hash, c.events, &c.warnings);
                 }
             }
         }
-        let builds = oracle.traces.len();
+        let builds = oracle.traces.keys().map(|&(b, _)| b).collect::<BTreeSet<_>>().len();
         let expected = render_catalogue(&oracle);
         let r = match client::request(addr, &client::cmd("query"), None) {
             Ok(r) if r.ok() && r.body == expected.as_bytes() => Ok(Work::default()),
@@ -395,36 +429,50 @@ impl Serve {
         (r, builds)
     }
 
-    /// One client's closed loop over its requests.
+    /// One client's closed loop over its builds. An operation is one
+    /// build: its latency runs from the first upload to the answer to the
+    /// build's query, the time a CI job spends in triage. With `axis`,
+    /// the client times the calibration sort between builds, at most one
+    /// per [`CALIB_EVERY`]: the process is pinned to one vCPU, so the
+    /// sort runs on the CPU the build ran on, next to it in time.
     fn client(
         &self,
         addr: &str,
         reqs: &[Req],
-        epoch: Instant,
         mut traced: Option<(Tracer, &Service)>,
+        axis: Option<Instant>,
     ) -> ClientRun {
         let mut run = ClientRun::default();
-        for (k, req) in reqs.iter().enumerate() {
+        let mut calib = axis.map(|axis| (axis, Calibrator::new(), Instant::now()));
+        for (b, build) in reqs.chunks(PER_BUILD).enumerate() {
             let t = Instant::now();
-            let (r, latency_ms) = match traced.as_mut() {
+            let latency_ms = match traced.as_mut() {
                 None => {
-                    let r = guarded(|| self.request(addr, req));
-                    (r, t.elapsed().as_secs_f64() * 1e3)
+                    for req in build {
+                        let r = guarded(|| self.request(addr, req));
+                        run.tally(req, r);
+                    }
+                    t.elapsed().as_secs_f64() * 1e3
                 }
                 Some((tr, twin)) => {
-                    tr.set_op((tr.op() & !0xFFFF_FFFF) | k as u64);
-                    self.traced_request(addr, req, tr, twin, &mut run.ledger)
+                    tr.set_op((tr.op() & !0xFFFF_FFFF) | b as u64);
+                    self.traced_build(addr, build, tr, twin, &mut run)
                 }
             };
-            if matches!(req, Req::Fresh { .. } | Req::Dup { .. }) {
-                run.submits += 1;
-            }
-            if matches!(req, Req::Dup { .. }) && r.is_ok() {
-                run.dups += 1;
-            }
             run.latency_ms.push(latency_ms);
-            run.at_s.push(t.duration_since(epoch).as_secs_f64() + latency_ms / 2e3);
-            run.results.push(r);
+            if let Some((axis, calibrator, last)) = calib.as_mut() {
+                let on_axis = |i: Instant| i.duration_since(*axis).as_secs_f64();
+                run.build_at_s.push(on_axis(t) + latency_ms / 2e3);
+                if last.elapsed() >= CALIB_EVERY {
+                    let c = Instant::now();
+                    calibrator.sample(on_axis(c));
+                    *last = Instant::now();
+                    run.calib_s += (*last - c).as_secs_f64();
+                }
+            }
+        }
+        if let Some((_, calibrator, _)) = calib {
+            run.calib = calibrator.samples;
         }
         run.counters.add_ratio("warehouse.dedup_hit_ratio", run.dups as f64, run.submits as f64);
         if let Some((tr, _)) = traced {
@@ -433,24 +481,51 @@ impl Serve {
         run
     }
 
-    /// One request under spans, then the same upload through the public
-    /// layers below the wire, back to back, to split it. Returns the
-    /// result and the traced latency.
-    fn traced_request(
+    /// One build under spans, a span per request, then each request's
+    /// upload again through the public layers below the wire, to split
+    /// it. Returns the traced latency.
+    fn traced_build(
         &self,
         addr: &str,
-        req: &Req,
+        build: &[Req],
         tr: &mut Tracer,
         twin: &Service,
-        ledger: &mut Ledger,
-    ) -> (OpResult, f64) {
+        run: &mut ClientRun,
+    ) -> f64 {
         let root = tr.begin("op");
-        let id = tr.begin("warehouse.request");
-        let r = guarded(|| self.request(addr, req));
-        tr.end(id);
+        let mut ids = Vec::with_capacity(build.len());
+        for req in build {
+            let id = tr.begin("warehouse.request");
+            let r = guarded(|| self.request(addr, req));
+            tr.end(id);
+            ids.push(id);
+            run.tally(req, r);
+        }
         tr.end(root);
+        // The reference calls run after the build's root span closes, so
+        // they are no part of its latency; a duplicate's reference still
+        // follows its fresh upload's, as on the wire.
+        let splits: Vec<Split> = build
+            .iter()
+            .zip(ids)
+            .map(|(req, span)| Split {
+                span,
+                refs: self.reference(req, tr, twin),
+                top: "warehouse.wire_ms",
+            })
+            .collect();
+        run.ledger.fold(tr.spans(), root, &splits);
+        tr.duration_ms(root)
+    }
+
+    /// Cumulative reference times of one request's layers below the wire,
+    /// for [`Split`]: the upload through `content_hash`, a decode-only
+    /// pass, `analyze_trace_bytes`, `analyze_for_warehouse` and
+    /// `Service::submit` on the twin warehouse; a query through
+    /// `Service::query`.
+    fn reference(&self, req: &Req, tr: &mut Tracer, twin: &Service) -> Vec<(&'static str, f64)> {
         let cfg = DetectorConfig::hwlc_dr();
-        let refs = match *req {
+        match *req {
             Req::Fresh { build, case } => {
                 let bytes = &self.cases[case].bytes;
                 let (_, hash) = tr.measure("ref.hash", || content_hash(bytes));
@@ -479,9 +554,7 @@ impl Serve {
                 let (_, query) = tr.measure("ref.query", || twin.query().len());
                 vec![("warehouse.query_ms", query)]
             }
-        };
-        ledger.fold(tr.spans(), root, &[Split { span: id, refs, top: "warehouse.wire_ms" }]);
-        (r, tr.duration_ms(root))
+        }
     }
 
     /// One request and its answer key.
@@ -551,9 +624,12 @@ impl Serve {
         out.record(&round.final_check);
         match layers {
             None => {
-                out.latency_ms
-                    .extend(round.clients.iter().flat_map(|c| c.latency_ms.iter().copied()));
-                out.op_at_s.extend(round.clients.iter().flat_map(|c| c.at_s.iter().copied()));
+                for c in &round.clients {
+                    out.latency_ms.extend_from_slice(&c.latency_ms);
+                    out.op_at_s.extend_from_slice(&c.build_at_s);
+                    // One client: its calibration paused the whole round.
+                    out.window_s -= c.calib_s;
+                }
                 out.window_s += round.window_s;
             }
             Some((layers, true)) => {
@@ -587,8 +663,9 @@ const NOT_ISOLATED: &[(&str, &str)] = &[
 ];
 
 /// Measure serve: untraced, set up and run rounds for `seconds`, repeating
-/// the set-up between rounds every [`crate::bench::SETUP_EVERY`]; traced,
-/// set up once under spans and alternate untraced and traced rounds.
+/// the set-up in a fresh process between rounds every
+/// [`crate::bench::SETUP_EVERY`]; traced, set up once under spans and
+/// alternate untraced and traced rounds.
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let epoch = Instant::now();
@@ -611,23 +688,28 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome, String> {
         }
         None => {
             let w = Serve::setup(seed, &mut out, None)?;
-            let took = epoch.elapsed().as_secs_f64();
-            out.setup_s.push(took);
-            out.setup_at_s.push(took / 2.0);
+            out.setup_s.push(epoch.elapsed().as_secs_f64());
             w
         }
     };
-    let mut win = Window::start(epoch);
+    let mut win = Window::start();
     let mut k = 0u64;
     while win.elapsed_s() < seconds || out.latency_ms.len() < MIN_OPS {
         let traced = layers.is_some() && k % 2 == 1;
-        let round = w.round(PER_CLIENT, epoch, traced);
+        // Untraced runs calibrate between builds; traced runs between
+        // rounds, for host.calib_ms only.
+        let axis = layers.is_none().then(|| win.axis());
+        let round = w.round(BUILDS_PER_CLIENT, epoch, axis, traced);
         out.notes.retain(|(n, _)| n != "warehouse.builds");
         out.notes.push(("warehouse.builds".to_string(), round.builds.to_string()));
+        for c in &round.clients {
+            win.record(&c.calib, c.calib_s);
+        }
         w.count(round, &mut out, layers.as_mut().map(|l| (l, traced)));
-        win.tick();
         if layers.is_none() {
-            win.setup_sample(&mut out, |out| Serve::setup(seed, out, None).map(drop))?;
+            win.setup_sample("serve", seed, &mut out)?;
+        } else {
+            win.tick();
         }
         k += 1;
     }
@@ -648,39 +730,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_has_the_fixed_mix_and_known_duplicates() {
+    fn plan_follows_the_per_build_workflow() {
         for seed in [0, 1, 0xDEAD_BEEF] {
-            let plan = plan(seed, 8);
+            let plan = plan(seed);
             let mut builds = BTreeSet::new();
             for reqs in &plan {
-                assert_eq!(reqs.len(), PER_CLIENT);
-                let mut fresh = Vec::new();
-                let (mut dups, mut queries) = (0, 0);
-                for req in reqs {
-                    match *req {
-                        Req::Fresh { build, case } => {
-                            assert!(builds.insert(build), "build ids are unique across clients");
-                            fresh.push((build, case));
+                assert_eq!(reqs.len(), BUILDS_PER_CLIENT * PER_BUILD);
+                for build_reqs in reqs.chunks(PER_BUILD) {
+                    let Req::Fresh { build, .. } = build_reqs[0] else {
+                        panic!("a build starts with its upload: {build_reqs:?}")
+                    };
+                    assert!(builds.insert(build), "build ids are unique across clients");
+                    let (mut fresh, mut dups) = (BTreeSet::new(), BTreeSet::new());
+                    for (k, req) in build_reqs.iter().enumerate() {
+                        match *req {
+                            Req::Fresh { build: b, case } if k < CASES && b == build => {
+                                assert!(fresh.insert(case))
+                            }
+                            Req::Dup { build: b, case } if (CASES..2 * CASES).contains(&k) => {
+                                assert_eq!(b, build, "a duplicate repeats its own build");
+                                assert!(dups.insert(case))
+                            }
+                            Req::Query => assert_eq!(k, 2 * CASES, "the query ends the build"),
+                            _ => panic!("request {k} of build {build} out of place: {req:?}"),
                         }
-                        Req::Dup { build, case } => {
-                            assert!(
-                                fresh.contains(&(build, case)),
-                                "a duplicate repeats an earlier upload"
-                            );
-                            dups += 1;
-                        }
-                        Req::Query => queries += 1,
                     }
+                    assert_eq!(fresh, (0..CASES).collect(), "the upload covers T1-T8");
+                    assert_eq!(dups, fresh, "the repeated upload covers the same cases");
                 }
-                assert_eq!(
-                    (fresh.len(), dups, queries),
-                    (PER_CLIENT * 3 / 5, PER_CLIENT / 5, PER_CLIENT / 5)
-                );
-                let mut per_case = [0usize; 8];
-                fresh.iter().for_each(|&(_, case)| per_case[case] += 1);
-                assert!(per_case.iter().all(|&n| n == fresh.len() / 8 || n == fresh.len() / 8 + 1));
             }
         }
-        assert_ne!(format!("{:?}", plan(1, 8)), format!("{:?}", plan(2, 8)));
+        assert_ne!(format!("{:?}", plan(1)), format!("{:?}", plan(2)), "the seed orders uploads");
     }
 }

@@ -86,6 +86,8 @@ fn hybrid() -> AnyDetector {
 }
 
 impl Workload for Soak {
+    const NAME: &'static str = "soak";
+
     fn setup(seed: u64, out: &mut Outcome, _tr: Option<&mut Tracer>) -> Result<Self, String> {
         let w = Soak { spec: spec(seed) };
         // Warm-up: two calm phases from the far end of the spec, which the

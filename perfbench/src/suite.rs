@@ -90,6 +90,8 @@ fn config(i: usize) -> DetectorConfig {
 }
 
 impl Workload for Suite {
+    const NAME: &'static str = "suite";
+
     fn setup(seed: u64, out: &mut Outcome, mut tr: Option<&mut Tracer>) -> Result<Self, String> {
         let cases = sipsim::testcases()
             .into_iter()
