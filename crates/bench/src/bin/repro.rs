@@ -262,8 +262,8 @@ fn e13(json: &Option<String>) {
     );
     println!("recording took {:.2} ms, post-mortem analysis {:.2} ms", r.record_ms, r.analyze_ms);
     println!(
-        "warning locations: online {} == offline {}\n",
-        r.online_locations, r.offline_locations
+        "warning locations: online {} == offline {} (reports byte-identical: {})\n",
+        r.online_locations, r.offline_locations, r.reports_identical
     );
     maybe_json(json, "e13-offline", &r);
 }

@@ -429,48 +429,61 @@ pub fn e11_pool() -> PoolResult {
 #[derive(Debug, Serialize)]
 pub struct OfflineResult {
     pub events: u64,
-    pub trace_bytes: usize,
+    pub trace_bytes: u64,
     pub bytes_per_event: f64,
     pub online_locations: usize,
     pub offline_locations: usize,
+    /// Every replayed report, stack and block note included, renders to
+    /// the same bytes as its on-the-fly twin.
+    pub reports_identical: bool,
     pub record_ms: f64,
     pub analyze_ms: f64,
 }
 
-/// Record a full T3 execution trace, analyse it post mortem, and compare
-/// the verdict with on-the-fly analysis — plus the log-volume cost the
-/// paper warns about ("offline techniques suffer from their need for
+/// Record a full T3 execution as an `.rltrace`, analyse it post mortem, and
+/// compare the verdict with on-the-fly analysis — plus the log-volume cost
+/// the paper warns about ("offline techniques suffer from their need for
 /// large amount of data").
 pub fn e13_offline() -> OfflineResult {
-    use helgrind_core::offline::analyze_trace;
-    use vexec::trace::TraceWriter;
+    use helgrind_core::replay::{analyze_trace_bytes, ReplayDetector};
+    use raceline_trace::writer::TraceWriter;
 
     let tc = &sipsim::testcases()[2]; // T3
     let built = tc.build();
 
     // On-the-fly.
-    let (online_locations, _) =
+    let (online_locations, online) =
         eraser_locations(&built.program, DetectorConfig::original(), &mut RoundRobin::new());
 
     // Record.
     let t0 = Instant::now();
-    let mut writer = TraceWriter::new();
+    let mut bytes = Vec::new();
+    let mut writer = TraceWriter::new(&mut bytes);
     let r = run_program(&built.program, &mut writer, &mut RoundRobin::new());
     assert!(r.termination.is_clean());
+    let summary = writer.finish(&r.termination, &r.stats, None).expect("in-memory trace write");
     let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let trace = writer.finish();
 
     // Analyse post mortem.
     let t1 = Instant::now();
-    let offline = analyze_trace(&trace, DetectorConfig::original(), false).unwrap();
+    let detector = ReplayDetector::Eraser(EraserDetector::new(DetectorConfig::original()));
+    let offline = analyze_trace_bytes(&bytes, detector, 1, 0).expect("well-formed trace");
     let analyze_ms = t1.elapsed().as_secs_f64() * 1e3;
 
+    let rendered = |reports: &[helgrind_core::Report]| -> Vec<String> {
+        reports.iter().map(|r| r.render()).collect()
+    };
     OfflineResult {
-        events: trace.event_count(),
-        trace_bytes: trace.bytes_len(),
-        bytes_per_event: trace.bytes_per_event(),
+        events: summary.events,
+        trace_bytes: summary.bytes,
+        bytes_per_event: summary.bytes as f64 / summary.events.max(1) as f64,
         online_locations,
-        offline_locations: offline.race_location_count(),
+        offline_locations: offline
+            .reports
+            .iter()
+            .filter(|r| matches!(r.kind, ReportKind::RaceRead | ReportKind::RaceWrite))
+            .count(),
+        reports_identical: rendered(&online) == rendered(&offline.reports),
         record_ms,
         analyze_ms,
     }
@@ -515,6 +528,7 @@ mod tests {
         let r = e13_offline();
         assert_eq!(r.online_locations, r.offline_locations);
         assert_eq!(r.online_locations, 252, "T3's Fig 6 Original count");
+        assert!(r.reports_identical);
         assert!(r.trace_bytes > 0 && r.bytes_per_event > 0.0);
     }
 

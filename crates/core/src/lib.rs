@@ -33,7 +33,6 @@ pub mod explore;
 pub mod hb;
 pub mod lockorder;
 pub mod locksets;
-pub mod offline;
 pub mod replay;
 pub mod report;
 pub mod segments;
@@ -52,7 +51,6 @@ pub use explore::{
 pub use hb::{EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
-pub use offline::{analyze_trace, OfflineAnalysis};
 pub use replay::{
     analyze_trace_bytes, analyze_trace_repair, warning_fingerprint, RepairInfo, ReplayCtx,
     ReplayDetector, ReplayOutcome,

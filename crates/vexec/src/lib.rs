@@ -58,7 +58,6 @@ pub mod ir;
 pub mod sched;
 pub mod sync;
 pub mod tool;
-pub mod trace;
 pub mod util;
 pub mod vm;
 
@@ -66,11 +65,10 @@ pub use event::{AccessKind, AcqMode, ClientEv, Event, SyncId, ThreadId};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultStats};
 pub use filter::{FilterCache, FilterStats, FilterTool};
 pub use ir::builder::{ProcBuilder, ProgramBuilder};
+pub use ir::compile::{compile, CompileStats, CompiledProgram};
 pub use ir::{Cond, Expr, Program, SrcLoc, SyncKind, SyncOp};
 pub use sched::{Pct, PriorityOrder, Quantum, RoundRobin, Scheduler, SeededRandom, SplitMix64};
 pub use tool::{CountingTool, FanoutTool, NullTool, RecordingTool, Tool};
-pub use trace::{Trace, TraceError, TraceWriter};
-pub use ir::compile::{compile, CompileStats, CompiledProgram};
 pub use vm::{
     run_flat, run_program, GuestError, GuestErrorKind, InterpStats, PreparedProgram, RunResult,
     RunStats, SlotMeter, Termination, Vm, VmMode, VmOptions, VmView,

@@ -4,15 +4,15 @@
 //! ```text
 //! raceline check app.mcpp [lib.mcpp ...] [options]
 //! raceline record app.mcpp [lib.mcpp ...] [--out <trace.rltrace>] [options]
-//! raceline record --case T1 [--out <trace.rltrace>] [options]
+//! raceline record --case <T1..T8> [--out <trace.rltrace>] [options]
 //! raceline analyze trace.rltrace [--detector <name>] [--jobs <n>] [options]
+//! raceline soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--kill <permille>] [options]
 //! raceline trace-diff old.rltrace new.rltrace [--detector <name>] [--json]
 //! raceline serve --listen <addr> --spool <dir> [--detector <name>] [--jobs <n>]
 //! raceline serve --fold [--detector <name>] <build>=<trace.rltrace>...
 //! raceline client --connect <addr> <submit|query|diff|suppress|stats|ping|shutdown> ...
 //! raceline lint  app.mcpp [lib.mcpp ...] [--raw <file>] [--json]
 //! raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3] [--jobs <n>] [options]
-//! raceline bench-snapshot [--out <file>] [--samples <n>] [--quick] [--trace] [--soak] [--serve]
 //!
 //! check options:
 //!   --detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue   (default hwlc-dr)
@@ -113,6 +113,9 @@ fn usage() -> ! {
          \x20      raceline record <file.mcpp>... [--out <trace.rltrace>] \
          [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
          [--no-filter] [--vm-reference] [--stats]\n\
+         \x20      raceline record --case <T1..T8> [--out <trace.rltrace>] \
+         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
+         [--no-filter] [--vm-reference] [--stats]\n\
          \x20      raceline analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
          [--from-epoch <k>] [--suppressions <file>] [--gen-suppressions] [--budget <spec>] \
          [--repair] [--hb-reference] [--stats] [--json]\n\
@@ -134,9 +137,7 @@ fn usage() -> ! {
          \x20      raceline lint <file.mcpp>... [--raw <file.mcpp>]... [--json]\n\
          \x20      raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
          [--detector <name>] [--max-slots <n>] [--jobs <n>] [--no-filter] \
-         [--hb-reference] [--vm-reference] [--json]\n\
-         \x20      raceline bench-snapshot [--out <file>] [--samples <n>] [--quick] [--trace] \
-         [--soak] [--serve]"
+         [--hb-reference] [--vm-reference] [--json]"
     );
     std::process::exit(2);
 }
@@ -283,9 +284,6 @@ fn main() {
         }
         Some("soak") => {
             run_soak(args.collect());
-        }
-        Some("bench-snapshot") => {
-            run_bench_snapshot(args.collect());
         }
         Some("serve") => {
             run_serve(args.collect());
@@ -1931,693 +1929,4 @@ fn run_indexed<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) ->
         }
     });
     out.into_iter().map(|v| v.expect("all indices claimed")).collect()
-}
-
-/// `raceline bench-snapshot`: measure the §4.5 overhead ladder (native <
-/// VM < VM+detector) with wall-clock medians and write a machine-readable
-/// snapshot. CI's bench smoke runs this in `--quick` mode; the README's
-/// performance table is regenerated from the full run.
-fn run_bench_snapshot(args: Vec<String>) -> ! {
-    use helgrind_core::{DjitDetector, EraserDetector, HybridDetector};
-    use sipsim::native::{native_workload, vm_workload_program, WorkloadSpec};
-    use vexec::sched::RoundRobin;
-    use vexec::tool::NullTool;
-    use vexec::vm::run_program;
-
-    let mut out_path: Option<String> = None;
-    let mut samples: usize = 15;
-    let mut trace_mode = false;
-    let mut soak_mode = false;
-    let mut serve_mode = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--samples" => {
-                samples = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--quick" => samples = 3,
-            "--trace" => trace_mode = true,
-            "--soak" => soak_mode = true,
-            "--serve" => serve_mode = true,
-            _ => usage(),
-        }
-    }
-    samples = samples.max(1);
-    if trace_mode {
-        run_bench_trace(samples, out_path.unwrap_or_else(|| "BENCH_trace.json".to_string()));
-    }
-    if soak_mode {
-        run_bench_soak(samples, out_path.unwrap_or_else(|| "BENCH_soak.json".to_string()));
-    }
-    if serve_mode {
-        run_bench_serve(samples, out_path.unwrap_or_else(|| "BENCH_serve.json".to_string()));
-    }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_overhead.json".to_string());
-
-    const SPEC: WorkloadSpec = WorkloadSpec { threads: 4, iterations: 1_000, parse_reads: 32 };
-    let prog = vm_workload_program(SPEC);
-    let flat = prog.lower();
-
-    // Every row as a closure so sampling can interleave them: one timed
-    // call per row per round, not all of row A before any of row B. The
-    // headline numbers are *ratios* between rows, and on a busy host
-    // sequential sampling lets clock-speed drift between rows masquerade
-    // as detector overhead; round-robin sampling gives each row the same
-    // exposure to the machine's moods.
-    let rows: Vec<BenchRow<'_>> = vec![
-        (
-            "native-threads",
-            Box::new(|| {
-                std::hint::black_box(native_workload(SPEC));
-            }),
-        ),
-        (
-            "vm-no-tool",
-            Box::new(|| {
-                let r = run_program(&prog, &mut NullTool, &mut RoundRobin::new());
-                std::hint::black_box(r.stats.events);
-            }),
-        ),
-        // Reference-interpreter twin of the bare-VM row: the tree-walking
-        // loop the compiled operand-specialized bytecode replaced
-        // (`--vm-reference`). Output is byte-identical; the
-        // vm-no-tool-reference/vm-no-tool multiple is the compile win.
-        (
-            "vm-no-tool-reference",
-            Box::new(|| {
-                let opts = VmOptions { mode: VmMode::Reference, ..Default::default() };
-                let r = run_flat(&flat, &mut NullTool, &mut RoundRobin::new(), opts);
-                std::hint::black_box(r.stats.events);
-            }),
-        ),
-        (
-            "vm-eraser-original",
-            Box::new(|| {
-                let mut det = EraserDetector::new(DetectorConfig::original());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-eraser-hwlc-dr",
-            Box::new(|| {
-                let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-djit",
-            Box::new(|| {
-                let mut det = DjitDetector::new(DetectorConfig::djit());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid",
-            Box::new(|| {
-                let mut det = HybridDetector::new(DetectorConfig::hybrid());
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        // Filter-on twins of the detector rows (the plain rows are
-        // filter-off, matching what earlier snapshots measured). `check`
-        // defaults to the filtered path, so these are what users get.
-        (
-            "vm-eraser-hwlc-dr-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(EraserDetector::new(DetectorConfig::hwlc_dr()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        (
-            "vm-djit-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(DjitDetector::new(DetectorConfig::djit()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid-filter",
-            Box::new(|| {
-                let mut tool = FilterTool::new(HybridDetector::new(DetectorConfig::hybrid()));
-                run_program(&prog, &mut tool, &mut RoundRobin::new());
-                std::hint::black_box(tool.inner().sink.location_count());
-            }),
-        ),
-        // Reference-VC twins of the HB rows: the same detectors with the
-        // adaptive epoch lattice disabled (`--hb-reference`), i.e. the
-        // full vector-clock read state the FastTrack representation
-        // replaced. Reports are byte-identical; only the per-access cost
-        // differs.
-        (
-            "vm-djit-reference",
-            Box::new(|| {
-                let cfg = DetectorConfig { hb_reference: true, ..DetectorConfig::djit() };
-                let mut det = DjitDetector::new(cfg);
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-        (
-            "vm-hybrid-reference",
-            Box::new(|| {
-                let cfg = DetectorConfig { hb_reference: true, ..DetectorConfig::hybrid() };
-                let mut det = HybridDetector::new(cfg);
-                run_program(&prog, &mut det, &mut RoundRobin::new());
-                std::hint::black_box(det.sink.location_count());
-            }),
-        ),
-    ];
-    let medians = median_ns_interleaved(samples, rows);
-
-    let ns_of = |name: &str| medians.iter().find(|(n, _)| *n == name).unwrap().1 as f64;
-    let native = ns_of("native-threads");
-    let vm = ns_of("vm-no-tool");
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-
-    // The two multiples the paper reports in §4.5: analysis vs native
-    // (20-30x there) and the bare VM tax (8-10x for uninstrumented
-    // Valgrind). Detector-over-VM isolates the shadow-memory cost this
-    // workspace's page table optimises.
-    let mut multiples: Vec<(String, Value)> =
-        vec![("vm-no-tool/native-threads".to_string(), Value::Float(ratio(vm, native)))];
-    for (name, ns) in &medians {
-        if name.starts_with("vm-") && *name != "vm-no-tool" {
-            multiples.push((format!("{name}/vm-no-tool"), Value::Float(ratio(*ns as f64, vm))));
-            multiples
-                .push((format!("{name}/native-threads"), Value::Float(ratio(*ns as f64, native))));
-        }
-    }
-    // Filter speedups: off/on per detector — the access-filter acceptance
-    // bar is ≥1.3x on vm-hybrid.
-    for base in ["vm-eraser-hwlc-dr", "vm-djit", "vm-hybrid"] {
-        multiples.push((
-            format!("{base}/{base}-filter"),
-            Value::Float(ratio(ns_of(base), ns_of(&format!("{base}-filter")))),
-        ));
-    }
-    // Epoch wins: reference-VC over adaptive per HB detector. >1.0 means
-    // the FastTrack lattice is paying for itself on this workload.
-    for base in ["vm-djit", "vm-hybrid"] {
-        multiples.push((
-            format!("{base}-reference/{base}"),
-            Value::Float(ratio(ns_of(&format!("{base}-reference")), ns_of(base))),
-        ));
-    }
-
-    // Micro-comparison of the per-access HB read check: one
-    // `Epoch::visible_to` (the O(1) fast path) against a full
-    // vector-clock clone+join+leq (the O(width) state update the epoch
-    // representation avoids). Measured over a fixed iteration count so
-    // the per-op cost is `ns / iterations`.
-    let vc_micro = {
-        use helgrind_core::{Epoch, VectorClock};
-        const ITERS: u32 = 100_000;
-        let e = Epoch { tid: 3, clock: 41 };
-        let mut tvc = VectorClock::new();
-        for t in 0..8usize {
-            tvc.set(t, 42 + t as u32);
-        }
-        let epoch_ns = median_ns(samples, || {
-            for _ in 0..ITERS {
-                std::hint::black_box(e.visible_to(std::hint::black_box(&tvc)));
-            }
-        });
-        let mut reads = VectorClock::new();
-        for t in 0..8usize {
-            reads.set(t, 7 * t as u32);
-        }
-        let vc_ns = median_ns(samples, || {
-            for _ in 0..ITERS {
-                let mut j = std::hint::black_box(&reads).clone();
-                j.set(e.tid as usize, e.clock);
-                std::hint::black_box(j.leq(std::hint::black_box(&tvc)));
-            }
-        });
-        Value::Object(vec![
-            ("iterations".to_string(), Value::UInt(ITERS as u64)),
-            ("epoch_visible_to_ns".to_string(), Value::UInt(epoch_ns)),
-            ("vc_clone_set_leq_ns".to_string(), Value::UInt(vc_ns)),
-            ("speedup".to_string(), Value::Float(ratio(vc_ns as f64, epoch_ns as f64))),
-        ])
-    };
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("threads".to_string(), Value::UInt(SPEC.threads as u64)),
-                ("iterations".to_string(), Value::UInt(SPEC.iterations)),
-                ("parse_reads".to_string(), Value::UInt(SPEC.parse_reads)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(
-                medians.iter().map(|(n, ns)| (n.to_string(), Value::UInt(*ns))).collect(),
-            ),
-        ),
-        ("multiples".to_string(), Value::Object(multiples)),
-        ("vc_micro".to_string(), vc_micro),
-        (
-            "paper".to_string(),
-            Value::Str("§4.5: analysis 20-30x slower than native; bare Valgrind 8-10x".to_string()),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    for (name, ns) in &medians {
-        eprintln!("bench-snapshot {name}: median {:.3} ms", *ns as f64 / 1e6);
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (vm/native {:.1}x, hwlc-dr/vm {:.1}x, \
-         hybrid filter speedup {:.2}x)",
-        ratio(vm, native),
-        ratio(ns_of("vm-eraser-hwlc-dr"), vm),
-        ratio(ns_of("vm-hybrid"), ns_of("vm-hybrid-filter"))
-    );
-    std::process::exit(0);
-}
-
-/// `raceline bench-snapshot --soak`: soak-phase throughput in dialogs per
-/// second, detection-on (hybrid behind the redundant-access filter, the
-/// soak default) against detection-off (counting tool), plus the peak
-/// live-granule count — the bounded-memory headline number.
-fn run_bench_soak(samples: usize, out_path: String) -> ! {
-    use helgrind_core::{AnyDetector, SuppressionSet};
-    use sipsim::{run_phase, SoakSpec};
-
-    // One calm phase (kills disarm even phases) of the default mix, big
-    // enough that per-phase setup noise vanishes.
-    let spec = SoakSpec { dialogs: 20_000, phases: 1, kill_permille: 0, ..SoakSpec::default() };
-    let dialogs = spec.phase_dialogs(0);
-    let hybrid = || AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
-
-    let probe = run_phase(&spec, 0, Some(hybrid()), true, None);
-    let detect_ns = median_ns(samples, || {
-        let out = run_phase(&spec, 0, Some(hybrid()), true, None);
-        std::hint::black_box(out.stats.warnings);
-    });
-    let off_ns = median_ns(samples, || {
-        let out = run_phase(&spec, 0, None, false, None);
-        std::hint::black_box(out.stats.events);
-    });
-    let per_sec = |ns: u64| if ns == 0 { 0.0 } else { dialogs as f64 / (ns as f64 / 1e9) };
-    let ratio = if detect_ns == 0 { 0.0 } else { off_ns as f64 / detect_ns as f64 };
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("dialogs".to_string(), Value::UInt(dialogs)),
-                ("workers".to_string(), Value::UInt(u64::from(spec.workers))),
-                ("events".to_string(), Value::UInt(probe.stats.events)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(vec![
-                ("soak-hybrid-filter".to_string(), Value::UInt(detect_ns)),
-                ("soak-detection-off".to_string(), Value::UInt(off_ns)),
-            ]),
-        ),
-        (
-            "dialogs_per_sec".to_string(),
-            Value::Object(vec![
-                ("soak-hybrid-filter".to_string(), Value::Float(per_sec(detect_ns))),
-                ("soak-detection-off".to_string(), Value::Float(per_sec(off_ns))),
-            ]),
-        ),
-        ("detection-off/hybrid-filter".to_string(), Value::Float(ratio)),
-        ("peak_live_granules".to_string(), Value::UInt(probe.stats.peak_granules as u64)),
-        ("warnings".to_string(), Value::UInt(probe.stats.warnings as u64)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    eprintln!(
-        "bench-snapshot --soak: wrote {out_path} ({:.0} dialogs/s detected vs {:.0} off, \
-         peak {} granule(s))",
-        per_sec(detect_ns),
-        per_sec(off_ns),
-        probe.stats.peak_granules
-    );
-    std::process::exit(0);
-}
-
-/// Median wall-clock nanoseconds over `samples` timed calls (after one
-/// untimed warm-up, so lazy init and cold caches don't skew the first
-/// sample).
-fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// A named bench workload; boxed so heterogeneous closures can share one
-/// interleaved sampling loop.
-type BenchRow<'a> = (&'a str, Box<dyn FnMut() + 'a>);
-
-/// Per-row median wall-clock nanoseconds with round-robin sampling: each
-/// round times every row once, so slow machine drift hits all rows
-/// equally instead of biasing whichever row happened to run last. One
-/// untimed warm-up round absorbs lazy init and cold caches.
-fn median_ns_interleaved<'a>(samples: usize, mut rows: Vec<BenchRow<'a>>) -> Vec<(&'a str, u64)> {
-    for (_, f) in rows.iter_mut() {
-        f();
-    }
-    let mut times: Vec<Vec<u64>> = vec![Vec::with_capacity(samples); rows.len()];
-    for _ in 0..samples {
-        for (i, (_, f)) in rows.iter_mut().enumerate() {
-            let t = std::time::Instant::now();
-            f();
-            times[i].push(t.elapsed().as_nanos() as u64);
-        }
-    }
-    rows.iter()
-        .zip(times.iter_mut())
-        .map(|((name, _), ts)| {
-            ts.sort_unstable();
-            (*name, ts[ts.len() / 2])
-        })
-        .collect()
-}
-
-/// `raceline bench-snapshot --trace`: measure what recording costs. Two
-/// angles: end-to-end VM overhead (record tool vs no tool vs inline
-/// detectors — recording must be the cheapest instrumented mode, that is
-/// the subsystem's reason to exist) and raw codec throughput over the
-/// workload's event stream.
-/// `bench-snapshot --serve`: ingest throughput of the warehouse service
-/// over real TCP on localhost. Records the T1–T8 proxy regression traces
-/// once in memory, then times uploading the full set from 1, 4, and 8
-/// concurrent producers (each upload under a fresh build id, so every one
-/// pays full analysis), plus a dedup round that re-submits the set under
-/// one build id to exercise the content-hash fast path.
-fn run_bench_serve(samples: usize, out_path: String) -> ! {
-    use raceline_warehouse::json as wjson;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use vexec::vm::run_program;
-
-    let die = |msg: String| -> ! {
-        eprintln!("bench-snapshot --serve: {msg}");
-        std::process::exit(EXIT_ERROR);
-    };
-
-    // Record the whole regression suite once, in memory.
-    let mut traces: Vec<Vec<u8>> = Vec::new();
-    let mut total_events: u64 = 0;
-    for tc in sipsim::testcases() {
-        let built = tc.build();
-        let mut buf = Vec::with_capacity(1 << 20);
-        let mut w = TraceWriter::new(&mut buf);
-        let r = run_program(&built.program, &mut w, &mut RoundRobin::new());
-        if let Err(e) = w.finish(&r.termination, &r.stats, r.faults.as_ref()) {
-            die(format!("record {}: {e}", tc.name));
-        }
-        total_events += r.stats.events;
-        traces.push(buf);
-    }
-
-    let spool = std::env::temp_dir().join(format!("raceline-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spool);
-    let service = Service::open(ServiceConfig {
-        spool: spool.clone(),
-        engine: "hwlc-dr".to_string(),
-        hb_reference: false,
-        jobs: 8,
-    })
-    .unwrap_or_else(|e| die(e));
-    let listener =
-        std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| die(format!("bind: {e}")));
-    let addr = listener.local_addr().unwrap_or_else(|e| die(format!("{e}"))).to_string();
-
-    let next_build = AtomicU64::new(1);
-    let (rows, dedup_uploads, dedup_hits) = std::thread::scope(|s| {
-        s.spawn(|| {
-            let _ = wserver::serve(&service, listener);
-        });
-
-        // Throughput rows: all traces uploaded, work split round-robin
-        // over P producer threads, every upload under a fresh build id.
-        let mut rows: Vec<(usize, u64)> = Vec::new();
-        for &producers in &[1usize, 4, 8] {
-            let ns = median_ns(samples, || {
-                std::thread::scope(|ps| {
-                    for p in 0..producers {
-                        let (addr, traces, next_build) = (&addr, &traces, &next_build);
-                        ps.spawn(move || {
-                            let mut i = p;
-                            while i < traces.len() {
-                                let b = next_build.fetch_add(1, Ordering::Relaxed);
-                                match wclient::submit(addr, b, &traces[i]) {
-                                    Ok(r) if r.ok() => {}
-                                    Ok(r) => die(format!(
-                                        "submit rejected: {}",
-                                        r.error().unwrap_or("unknown")
-                                    )),
-                                    Err(e) => die(e),
-                                }
-                                i += producers;
-                            }
-                        });
-                    }
-                });
-            });
-            rows.push((producers, ns));
-        }
-
-        // Dedup round: the same set twice under one build id — the second
-        // pass must hit the content-hash fast path without re-analysis.
-        let b = next_build.fetch_add(1, Ordering::Relaxed);
-        let mut dedup_uploads = 0u64;
-        let mut dedup_hits = 0u64;
-        for _ in 0..2 {
-            for t in &traces {
-                let r = wclient::submit(&addr, b, t).unwrap_or_else(|e| die(e));
-                if !r.ok() {
-                    die(format!("submit rejected: {}", r.error().unwrap_or("unknown")));
-                }
-                dedup_uploads += 1;
-                if wjson::get_bool(&r.header, "duplicate") == Some(true) {
-                    dedup_hits += 1;
-                }
-            }
-        }
-
-        let _ = wclient::request(&addr, &wclient::cmd("shutdown"), None);
-        (rows, dedup_uploads, dedup_hits)
-    });
-    let _ = std::fs::remove_dir_all(&spool);
-
-    let per_sec = |count: f64, ns: u64| if ns == 0 { 0.0 } else { count / (ns as f64 / 1e9) };
-    let producer_rows: Vec<(String, Value)> = rows
-        .iter()
-        .map(|(p, ns)| {
-            (
-                p.to_string(),
-                Value::Object(vec![
-                    ("median_ns".to_string(), Value::UInt(*ns)),
-                    ("traces_per_sec".to_string(), Value::Float(per_sec(traces.len() as f64, *ns))),
-                    ("events_per_sec".to_string(), Value::Float(per_sec(total_events as f64, *ns))),
-                ]),
-            )
-        })
-        .collect();
-    let obj = Value::Object(vec![
-        ("cases".to_string(), Value::UInt(traces.len() as u64)),
-        ("events_per_upload_set".to_string(), Value::UInt(total_events)),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        ("producers".to_string(), Value::Object(producer_rows)),
-        (
-            "dedup".to_string(),
-            Value::Object(vec![
-                ("uploads".to_string(), Value::UInt(dedup_uploads)),
-                ("hits".to_string(), Value::UInt(dedup_hits)),
-                (
-                    "hit_rate".to_string(),
-                    Value::Float(if dedup_uploads == 0 {
-                        0.0
-                    } else {
-                        dedup_hits as f64 / dedup_uploads as f64
-                    }),
-                ),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        die(format!("cannot write {out_path}: {e}"));
-    }
-    for (p, ns) in &rows {
-        eprintln!(
-            "bench-snapshot serve: {p} producer(s): median {:.3} ms ({:.0} events/s)",
-            *ns as f64 / 1e6,
-            per_sec(total_events as f64, *ns)
-        );
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (dedup hit rate {:.2})",
-        if dedup_uploads == 0 { 0.0 } else { dedup_hits as f64 / dedup_uploads as f64 }
-    );
-    std::process::exit(0);
-}
-
-fn run_bench_trace(samples: usize, out_path: String) -> ! {
-    use raceline_trace::format::{decode_record, encode_event, CodecState, Cursor};
-    use sipsim::native::{vm_workload_program, WorkloadSpec};
-    use vexec::tool::{NullTool, RecordingTool};
-    use vexec::vm::run_program;
-
-    const SPEC: WorkloadSpec = WorkloadSpec { threads: 4, iterations: 1_000, parse_reads: 16 };
-    let prog = vm_workload_program(SPEC);
-
-    let mut medians: Vec<(&str, u64)> = Vec::new();
-    medians.push((
-        "vm-no-tool",
-        median_ns(samples, || {
-            let r = run_program(&prog, &mut NullTool, &mut RoundRobin::new());
-            std::hint::black_box(r.stats.events);
-        }),
-    ));
-    medians.push((
-        "vm-record",
-        median_ns(samples, || {
-            let mut w = TraceWriter::new(Vec::with_capacity(1 << 20));
-            let r = run_program(&prog, &mut w, &mut RoundRobin::new());
-            let s = w.finish(&r.termination, &r.stats, r.faults.as_ref()).expect("vec sink");
-            std::hint::black_box(s.bytes);
-        }),
-    ));
-    medians.push((
-        "vm-eraser-hwlc-dr",
-        median_ns(samples, || {
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
-            run_program(&prog, &mut det, &mut RoundRobin::new());
-            std::hint::black_box(det.sink.location_count());
-        }),
-    ));
-    medians.push((
-        "vm-hybrid",
-        median_ns(samples, || {
-            let mut det = HybridDetector::new(DetectorConfig::hybrid());
-            run_program(&prog, &mut det, &mut RoundRobin::new());
-            std::hint::black_box(det.sink.location_count());
-        }),
-    ));
-
-    // Raw codec throughput over the workload's own event stream, VM cost
-    // excluded. Symbol bounds are irrelevant here, so decode with the
-    // loosest cap.
-    let mut rec = RecordingTool::new();
-    run_program(&prog, &mut rec, &mut RoundRobin::new());
-    let events = rec.events;
-    let mut encoded = Vec::new();
-    let mut st = CodecState::default();
-    for ev in &events {
-        encode_event(&mut encoded, &mut st, ev);
-    }
-    let encode_ns = median_ns(samples, || {
-        let mut buf = Vec::with_capacity(encoded.len());
-        let mut st = CodecState::default();
-        for ev in &events {
-            encode_event(&mut buf, &mut st, ev);
-        }
-        std::hint::black_box(buf.len());
-    });
-    let decode_ns = median_ns(samples, || {
-        let mut c = Cursor::new(&encoded, 0);
-        let mut st = CodecState::default();
-        let mut n = 0u64;
-        while !c.is_empty() {
-            decode_record(&mut c, &mut st, u32::MAX).expect("self-encoded stream");
-            n += 1;
-        }
-        std::hint::black_box(n);
-    });
-    let per_sec = |ns: u64| {
-        if ns == 0 {
-            0.0
-        } else {
-            events.len() as f64 / (ns as f64 / 1e9)
-        }
-    };
-    let bytes_per_event =
-        if events.is_empty() { 0.0 } else { encoded.len() as f64 / events.len() as f64 };
-
-    let ns_of = |name: &str| medians.iter().find(|(n, _)| *n == name).unwrap().1 as f64;
-    let vm = ns_of("vm-no-tool");
-    let record = ns_of("vm-record");
-    let hybrid = ns_of("vm-hybrid");
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let multiples: Vec<(String, Value)> = vec![
-        ("vm-record/vm-no-tool".to_string(), Value::Float(ratio(record, vm))),
-        (
-            "vm-eraser-hwlc-dr/vm-no-tool".to_string(),
-            Value::Float(ratio(ns_of("vm-eraser-hwlc-dr"), vm)),
-        ),
-        ("vm-hybrid/vm-no-tool".to_string(), Value::Float(ratio(hybrid, vm))),
-        ("vm-hybrid/vm-record".to_string(), Value::Float(ratio(hybrid, record))),
-    ];
-
-    let obj = Value::Object(vec![
-        (
-            "workload".to_string(),
-            Value::Object(vec![
-                ("threads".to_string(), Value::UInt(SPEC.threads as u64)),
-                ("iterations".to_string(), Value::UInt(SPEC.iterations)),
-            ]),
-        ),
-        ("samples".to_string(), Value::UInt(samples as u64)),
-        (
-            "median_ns".to_string(),
-            Value::Object(
-                medians.iter().map(|(n, ns)| (n.to_string(), Value::UInt(*ns))).collect(),
-            ),
-        ),
-        (
-            "codec".to_string(),
-            Value::Object(vec![
-                ("events".to_string(), Value::UInt(events.len() as u64)),
-                ("encoded_bytes".to_string(), Value::UInt(encoded.len() as u64)),
-                ("bytes_per_event".to_string(), Value::Float(bytes_per_event)),
-                ("encode_events_per_sec".to_string(), Value::Float(per_sec(encode_ns))),
-                ("decode_events_per_sec".to_string(), Value::Float(per_sec(decode_ns))),
-            ]),
-        ),
-        ("multiples".to_string(), Value::Object(multiples)),
-        ("record_cheaper_than_hybrid".to_string(), Value::Bool(record < hybrid)),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, format!("{obj}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    }
-    for (name, ns) in &medians {
-        eprintln!("bench-snapshot {name}: median {:.3} ms", *ns as f64 / 1e6);
-    }
-    eprintln!(
-        "bench-snapshot: wrote {out_path} (record/vm {:.2}x, hybrid/record {:.2}x, \
-         {:.1} B/event)",
-        ratio(record, vm),
-        ratio(hybrid, record),
-        bytes_per_event
-    );
-    std::process::exit(0);
 }

@@ -100,6 +100,8 @@ fn bad_usage_exits_2() {
     assert_eq!(code, 2);
     let (_, _, code) = raceline(&["lint"]);
     assert_eq!(code, 2);
+    let (_, _, code) = raceline(&["bench-snapshot"]);
+    assert_eq!(code, 2);
 }
 
 // -------------------------------------------------------------------

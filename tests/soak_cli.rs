@@ -220,24 +220,3 @@ fn analyze_repair_recovers_a_crash_truncated_trace() {
     let sharded = raceline(&["analyze", &torn_p, "--repair", "--jobs", "8"]);
     assert_eq!((sharded.0, sharded.2), (stdout, code));
 }
-
-/// `bench-snapshot --soak` emits the soak benchmark schema.
-#[test]
-fn bench_snapshot_soak_emits_schema() {
-    let out = tmp("bench_soak.json");
-    let out_p = out.to_str().unwrap().to_string();
-    let (_, stderr, code) =
-        raceline(&["bench-snapshot", "--soak", "--samples", "1", "--out", &out_p]);
-    assert_eq!(code, 0, "{stderr}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"workload\"",
-        "\"median_ns\"",
-        "\"soak-hybrid-filter\"",
-        "\"soak-detection-off\"",
-        "\"dialogs_per_sec\"",
-        "\"peak_live_granules\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in\n{json}");
-    }
-}
