@@ -43,8 +43,7 @@ fn bench_interp(c: &mut Criterion) {
         let prepared = PreparedProgram::new(&flat, mode);
         group.bench_function(format!("interp-run-{name}"), |b| {
             b.iter(|| {
-                let r =
-                    prepared.run(&mut NullTool, &mut RoundRobin::new(), VmOptions::default());
+                let r = prepared.run(&mut NullTool, &mut RoundRobin::new(), VmOptions::default());
                 black_box(r.stats.ops)
             })
         });

@@ -473,7 +473,8 @@ fn explore_impl(
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
-                    let (prepared, worker_opts, next, meter) = (&prepared, &worker_opts, &next, &meter);
+                    let (prepared, worker_opts, next, meter) =
+                        (&prepared, &worker_opts, &next, &meter);
                     s.spawn(move || {
                         let mut local: Vec<(usize, RunOutcome)> = Vec::new();
                         loop {

@@ -90,40 +90,150 @@ pub struct CmpSpec {
 /// module docs.
 #[derive(Clone, Debug)]
 pub enum Instr {
-    Assign { dst: RegId, value: Operand },
+    Assign {
+        dst: RegId,
+        value: Operand,
+    },
     /// Fused `Assign; Store` (silent prefix + emitting store).
-    AssignStore { dst: RegId, value: Operand, addr: Operand, stored: Operand, size: u8, loc: SrcLoc },
+    AssignStore {
+        dst: RegId,
+        value: Operand,
+        addr: Operand,
+        stored: Operand,
+        size: u8,
+        loc: SrcLoc,
+    },
     /// Fused `r -= 1; jump target` — the Repeat loop tail.
-    DecJump { reg: RegId, target: u32 },
+    DecJump {
+        reg: RegId,
+        target: u32,
+    },
     Jump(u32),
     /// `BranchIfFalse`: fall through when the comparison holds, else jump.
-    Branch { cmp: CmpSpec, target: u32 },
-    Load { dst: RegId, addr: Operand, size: u8, loc: SrcLoc },
-    Store { addr: Operand, value: Operand, size: u8, loc: SrcLoc },
-    AtomicRmw { dst: Option<RegId>, addr: Operand, delta: Operand, size: u8, loc: SrcLoc },
-    Call { proc: ProcId, args: Box<[Operand]>, dst: Option<RegId>, loc: SrcLoc },
-    Ret { value: Option<Operand> },
-    Spawn { proc: ProcId, args: Box<[Operand]>, dst: RegId, loc: SrcLoc },
-    Join { handle: Operand, loc: SrcLoc },
-    NewSync { dst: RegId, kind: SyncKind, init: Operand },
-    MutexLock { m: Operand, loc: SrcLoc },
-    MutexUnlock { m: Operand, loc: SrcLoc },
-    RwLockRead { m: Operand, loc: SrcLoc },
-    RwLockWrite { m: Operand, loc: SrcLoc },
-    RwUnlock { m: Operand, loc: SrcLoc },
-    CondWait { cond: Operand, mutex: Operand, loc: SrcLoc },
-    CondSignal { cond: Operand, broadcast: bool, loc: SrcLoc },
-    SemWait { sem: Operand, loc: SrcLoc },
-    SemPost { sem: Operand, loc: SrcLoc },
-    QueuePut { queue: Operand, value: Operand, loc: SrcLoc },
-    QueueGet { queue: Operand, dst: RegId, loc: SrcLoc },
-    Alloc { dst: RegId, size: Operand, loc: SrcLoc },
-    Free { addr: Operand, loc: SrcLoc },
-    HgDestruct { addr: Operand, size: Operand, loc: SrcLoc },
-    HgCleanMemory { addr: Operand, size: Operand, loc: SrcLoc },
-    Label { sym: Symbol, loc: SrcLoc },
+    Branch {
+        cmp: CmpSpec,
+        target: u32,
+    },
+    Load {
+        dst: RegId,
+        addr: Operand,
+        size: u8,
+        loc: SrcLoc,
+    },
+    Store {
+        addr: Operand,
+        value: Operand,
+        size: u8,
+        loc: SrcLoc,
+    },
+    AtomicRmw {
+        dst: Option<RegId>,
+        addr: Operand,
+        delta: Operand,
+        size: u8,
+        loc: SrcLoc,
+    },
+    Call {
+        proc: ProcId,
+        args: Box<[Operand]>,
+        dst: Option<RegId>,
+        loc: SrcLoc,
+    },
+    Ret {
+        value: Option<Operand>,
+    },
+    Spawn {
+        proc: ProcId,
+        args: Box<[Operand]>,
+        dst: RegId,
+        loc: SrcLoc,
+    },
+    Join {
+        handle: Operand,
+        loc: SrcLoc,
+    },
+    NewSync {
+        dst: RegId,
+        kind: SyncKind,
+        init: Operand,
+    },
+    MutexLock {
+        m: Operand,
+        loc: SrcLoc,
+    },
+    MutexUnlock {
+        m: Operand,
+        loc: SrcLoc,
+    },
+    RwLockRead {
+        m: Operand,
+        loc: SrcLoc,
+    },
+    RwLockWrite {
+        m: Operand,
+        loc: SrcLoc,
+    },
+    RwUnlock {
+        m: Operand,
+        loc: SrcLoc,
+    },
+    CondWait {
+        cond: Operand,
+        mutex: Operand,
+        loc: SrcLoc,
+    },
+    CondSignal {
+        cond: Operand,
+        broadcast: bool,
+        loc: SrcLoc,
+    },
+    SemWait {
+        sem: Operand,
+        loc: SrcLoc,
+    },
+    SemPost {
+        sem: Operand,
+        loc: SrcLoc,
+    },
+    QueuePut {
+        queue: Operand,
+        value: Operand,
+        loc: SrcLoc,
+    },
+    QueueGet {
+        queue: Operand,
+        dst: RegId,
+        loc: SrcLoc,
+    },
+    Alloc {
+        dst: RegId,
+        size: Operand,
+        loc: SrcLoc,
+    },
+    Free {
+        addr: Operand,
+        loc: SrcLoc,
+    },
+    HgDestruct {
+        addr: Operand,
+        size: Operand,
+        loc: SrcLoc,
+    },
+    HgCleanMemory {
+        addr: Operand,
+        size: Operand,
+        loc: SrcLoc,
+    },
+    Label {
+        sym: Symbol,
+        loc: SrcLoc,
+    },
     Yield,
-    AssertEq { a: Operand, b: Operand, msg: Box<str> },
+    AssertEq {
+        a: Operand,
+        b: Operand,
+        msg: Box<str>,
+    },
 }
 
 /// A compiled procedure.
@@ -416,20 +526,16 @@ pub fn compile(prog: &FlatProgram) -> CompiledProgram {
         // Remap jump targets from flat to compiled pc space.
         for instr in &mut code {
             match instr {
-                Instr::Jump(t) | Instr::DecJump { target: t, .. } | Instr::Branch { target: t, .. } => {
+                Instr::Jump(t)
+                | Instr::DecJump { target: t, .. }
+                | Instr::Branch { target: t, .. } => {
                     *t = pc_map[*t as usize];
                 }
                 _ => {}
             }
         }
         c.stats.instrs += code.len();
-        procs.push(CompiledProc {
-            name: p.name,
-            nparams: p.nparams,
-            nregs: p.nregs,
-            code,
-            pc_map,
-        });
+        procs.push(CompiledProc { name: p.name, nparams: p.nparams, nregs: p.nregs, code, pc_map });
     }
     CompiledProgram { procs, pool: c.pool, stats: c.stats }
 }
@@ -551,10 +657,7 @@ mod tests {
         assert_eq!(c.operand(&Expr::Reg(RegId(3))), Operand::Reg(3));
         assert_eq!(c.operand(&Expr::Global(GlobalId(2))), Operand::Global(2));
         assert_eq!(c.operand(&Expr::offset(RegId(1), 8)), Operand::RegAddConst(1, 8));
-        assert_eq!(
-            c.operand(&Expr::Const(8).add(Expr::Reg(RegId(1)))),
-            Operand::RegAddConst(1, 8)
-        );
+        assert_eq!(c.operand(&Expr::Const(8).add(Expr::Reg(RegId(1)))), Operand::RegAddConst(1, 8));
         assert_eq!(
             c.operand(&Expr::Global(GlobalId(0)).add(Expr::Const(16))),
             Operand::GlobalAddConst(0, 16)

@@ -214,7 +214,13 @@ fn disasm_instr(instr: &Instr, pool: &[SlotOp], interner: &Interner) -> String {
         }
         Instr::AtomicRmw { dst, addr, delta, size, loc } => {
             let d = dst.map(|r| format!("r{} = ", r.0)).unwrap_or_default();
-            format!("{d}lock xadd{} [{}], {}    ; {}", size, o(addr), o(delta), loc.display(interner))
+            format!(
+                "{d}lock xadd{} [{}], {}    ; {}",
+                size,
+                o(addr),
+                o(delta),
+                loc.display(interner)
+            )
         }
         Instr::Call { proc, args, dst, .. } => {
             let d = dst.map(|r| format!("r{} = ", r.0)).unwrap_or_default();

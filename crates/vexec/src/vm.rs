@@ -1012,8 +1012,7 @@ impl<'p> Vm<'p> {
                 self.stats.interp.fused += 1;
                 {
                     let t = &mut self.threads[ti];
-                    let base =
-                        t.frames.last().expect("running thread has a frame").base as usize;
+                    let base = t.frames.last().expect("running thread has a frame").base as usize;
                     let v = compile::eval_operand(
                         value,
                         &t.stack[base..],
@@ -1033,7 +1032,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             stored,
                             regs,
@@ -1043,9 +1048,11 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                self.heap
-                    .write(a, *size, v)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                self.heap.write(a, *size, v).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
                 self.pending.push(Event::Access {
                     tid,
@@ -1062,8 +1069,7 @@ impl<'p> Vm<'p> {
                 self.stats.interp.fused += 1;
                 {
                     let t = &mut self.threads[ti];
-                    let base =
-                        t.frames.last().expect("running thread has a frame").base as usize;
+                    let base = t.frames.last().expect("running thread has a frame").base as usize;
                     let slot = &mut t.stack[base + reg.0 as usize];
                     *slot = slot.wrapping_sub(1);
                 }
@@ -1113,10 +1119,11 @@ impl<'p> Vm<'p> {
                         &self.slot_evals,
                     )
                 };
-                let v = self
-                    .heap
-                    .read(a, *size)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let v = self.heap.read(a, *size).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 {
                     let t = &mut self.threads[ti];
                     let f = t.frames.last_mut().expect("running thread has a frame");
@@ -1141,7 +1148,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             value,
                             regs,
@@ -1151,9 +1164,11 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                self.heap
-                    .write(a, *size, v)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                self.heap.write(a, *size, v).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
                 self.pending.push(Event::Access {
                     tid,
@@ -1172,7 +1187,13 @@ impl<'p> Vm<'p> {
                     f.cur_loc = *loc;
                     let regs = &t.stack[f.base as usize..];
                     (
-                        compile::eval_operand(addr, regs, &self.global_addrs, pool, &self.slot_evals),
+                        compile::eval_operand(
+                            addr,
+                            regs,
+                            &self.global_addrs,
+                            pool,
+                            &self.slot_evals,
+                        ),
                         compile::eval_operand(
                             delta,
                             regs,
@@ -1182,13 +1203,16 @@ impl<'p> Vm<'p> {
                         ),
                     )
                 };
-                let old = self
-                    .heap
-                    .read(a, *size)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
-                self.heap
-                    .write(a, *size, old.wrapping_add(d))
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let old = self.heap.read(a, *size).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
+                self.heap.write(a, *size, old.wrapping_add(d)).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 {
                     let t = &mut self.threads[ti];
                     let f = t.frames.last_mut().expect("running thread has a frame");
@@ -1432,10 +1456,11 @@ impl<'p> Vm<'p> {
                 self.stats.interp.heap += 1;
                 self.set_loc(tid, *loc);
                 let a = self.ceval(tid, addr, comp);
-                let blk = self
-                    .heap
-                    .free(a)
-                    .map_err(|e| GuestError { tid, loc: *loc, kind: GuestErrorKind::Mem(e) })?;
+                let blk = self.heap.free(a).map_err(|e| GuestError {
+                    tid,
+                    loc: *loc,
+                    kind: GuestErrorKind::Mem(e),
+                })?;
                 self.advance(tid);
                 self.pending.push(Event::Free { tid, addr: a, size: blk.size, loc: *loc });
                 Ok(Flow::Emitted)
@@ -2207,7 +2232,11 @@ impl<'p> PreparedProgram<'p> {
     }
 
     pub fn mode(&self) -> VmMode {
-        if self.code.is_some() { VmMode::Compiled } else { VmMode::Reference }
+        if self.code.is_some() {
+            VmMode::Compiled
+        } else {
+            VmMode::Reference
+        }
     }
 
     pub fn program(&self) -> &'p FlatProgram {
@@ -2221,7 +2250,12 @@ impl<'p> PreparedProgram<'p> {
 
     /// Run one execution on the prepared core. The engine choice is fixed
     /// at construction; `opts.mode` is ignored here.
-    pub fn run(&self, tool: &mut dyn Tool, sched: &mut dyn Scheduler, opts: VmOptions) -> RunResult {
+    pub fn run(
+        &self,
+        tool: &mut dyn Tool,
+        sched: &mut dyn Scheduler,
+        opts: VmOptions,
+    ) -> RunResult {
         match &self.code {
             Some(code) => Vm::with_compiled(self.prog, code, opts).run(tool, sched),
             None => Vm::new(self.prog, opts).run(tool, sched),
