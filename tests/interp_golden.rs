@@ -15,6 +15,13 @@
 //!
 //! Only the stderr-side statistics (`--stats` interp counters) may differ
 //! between the two runs; nothing here looks at those.
+//!
+//! Both cores share `Vm::run`, the scheduler boundary and the sync-op
+//! bodies, so a change there moves both sides alike and every
+//! compiled/reference comparison still passes. Each sweep therefore also
+//! folds its compiled-core output into one FNV-1a-64 digest and pins it
+//! to a literal: a schedule, report or fault counter that drifts from the
+//! recorded behaviour fails here even when the two cores agree.
 
 use raceline::helgrind_core::ReportSink;
 use raceline::prelude::*;
@@ -22,6 +29,16 @@ use raceline::sipsim;
 use raceline::vexec::ir::lower::FlatProgram;
 use raceline::vexec::vm::{run_flat, VmMode};
 use raceline::vexec::FaultPlan;
+use raceline_trace::format::Fnv1a;
+
+/// FNV-1a-64 over the compiled-core `observe` strings of the clean T1–T8
+/// × 6-engine matrix, in case then engine order.
+const CLEAN_PIN: u64 = 0x2f50_def8_82cf_aa04;
+/// The same digest for the faulted, seeded-random matrix.
+const FAULTED_PIN: u64 = 0xcf42_0ba1_d59f_513c;
+/// FNV-1a-64 over the little-endian chaos fingerprints, in case then plan
+/// order.
+const CHAOS_PIN: u64 = 0x5d05_86d7_9cea_2da7;
 
 /// Run one detector over `flat` through the production filtered path and
 /// fold everything the user observes into a single string. The slot/op
@@ -62,12 +79,14 @@ fn observe<T: Tool>(
 }
 
 /// All six engine configurations against one program; panics on the first
-/// compiled/reference divergence.
+/// compiled/reference divergence. Folds each compiled-core output into
+/// `pin`.
 fn assert_six_engines_equivalent(
     flat: &FlatProgram,
     opts: &VmOptions,
     seed: Option<u64>,
     label: &str,
+    pin: &mut Fnv1a,
 ) {
     let eraser_cfgs =
         [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()];
@@ -77,6 +96,7 @@ fn assert_six_engines_equivalent(
         let refr =
             observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
         assert_eq!(compiled, refr, "{label}: eraser {cfg:?} diverged");
+        pin.update(compiled.as_bytes());
     }
     {
         let cfg = DetectorConfig::djit();
@@ -85,6 +105,7 @@ fn assert_six_engines_equivalent(
         let refr =
             observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
         assert_eq!(compiled, refr, "{label}: djit diverged");
+        pin.update(compiled.as_bytes());
     }
     for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
         let compiled =
@@ -92,17 +113,20 @@ fn assert_six_engines_equivalent(
         let refr =
             observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
         assert_eq!(compiled, refr, "{label}: hybrid {cfg:?} diverged");
+        pin.update(compiled.as_bytes());
     }
 }
 
 /// T1–T8 × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_compiled_and_reference_are_byte_identical() {
+    let mut pin = Fnv1a::default();
     for case in sipsim::testcases() {
         let built = case.build();
         let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name);
+        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name, &mut pin);
     }
+    assert_eq!(pin.0, CLEAN_PIN, "clean T1-T8 matrix drifted from the pinned schedules");
 }
 
 /// T1–T8 × 6 engines under fault injection and a randomized schedule:
@@ -124,11 +148,14 @@ fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
         }),
         ..VmOptions::default()
     };
+    let mut pin = Fnv1a::default();
     for (i, case) in sipsim::testcases().into_iter().enumerate() {
         let built = case.build();
         let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &opts, Some(0xC0FFEE + i as u64), case.name);
+        let seed = Some(0xC0FFEE + i as u64);
+        assert_six_engines_equivalent(&flat, &opts, seed, case.name, &mut pin);
     }
+    assert_eq!(pin.0, FAULTED_PIN, "faulted T1-T8 matrix drifted from the pinned schedules");
 }
 
 /// Chaos harness fingerprints pin the full outcome (termination, reports,
@@ -137,6 +164,7 @@ fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
 #[test]
 fn chaos_fingerprints_are_core_invariant() {
     let cfg = DetectorConfig::hwlc_dr();
+    let mut pin = Fnv1a::default();
     for (i, case) in sipsim::testcases().into_iter().enumerate() {
         let built = case.build();
         for p in 0..4u64 {
@@ -167,6 +195,8 @@ fn chaos_fingerprints_are_core_invariant() {
             );
             assert_eq!(compiled.real_hits, reference.real_hits, "{}: real hits", case.name);
             assert_eq!(compiled.locations, reference.locations, "{}: locations", case.name);
+            pin.update(&compiled.fingerprint.to_le_bytes());
         }
     }
+    assert_eq!(pin.0, CHAOS_PIN, "chaos fingerprints drifted from the pinned schedules");
 }
