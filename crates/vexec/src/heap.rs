@@ -118,7 +118,8 @@ impl Heap {
             return Err(MemError::Wild { addr, size: size as u64 });
         }
         let off = (addr - GUEST_BASE) as usize;
-        if addr + size as u64 > self.next {
+        // Checked: a guest pointer near `u64::MAX` must fault, not wrap.
+        if addr.checked_add(size as u64).is_none_or(|end| end > self.next) {
             return Err(MemError::Wild { addr, size: size as u64 });
         }
         Ok(off)
@@ -247,6 +248,8 @@ mod tests {
         let a = heap.alloc(8, T, L);
         assert!(matches!(heap.read(a + 4096, 8), Err(MemError::Wild { .. })));
         assert!(matches!(heap.read(0x10, 8), Err(MemError::Wild { .. })));
+        assert!(matches!(heap.read(u64::MAX - 3, 8), Err(MemError::Wild { .. })));
+        assert!(matches!(heap.write(u64::MAX - 3, 4, 1), Err(MemError::Wild { .. })));
     }
 
     #[test]

@@ -235,6 +235,12 @@ void main() {\n\
     join(a);\n\
 }\n";
 
+/// `s - 4108` wraps the pointer below address zero to `u64::MAX - 3`, so
+/// the 8-byte store's end overflows `u64`.
+const WILD_STORE: &str = "\
+class S { int f; };\n\
+void main() { S* s = new S; s = s - 4108; s->f = 1; }\n";
+
 fn write_fixture(name: &str, text: &str) -> String {
     let path = std::env::temp_dir().join(name);
     std::fs::write(&path, text).unwrap();
@@ -266,6 +272,13 @@ fn guest_error_exits_2_with_diagnostic() {
     // Without faults the same program is clean: exit 0.
     let (_, _, code) = raceline(&["check", &path]);
     assert_eq!(code, 0);
+
+    // A store through a pointer wrapped to near `u64::MAX` is a guest
+    // memory fault, not a host panic.
+    let path = write_fixture("raceline_wild_store.mcpp", WILD_STORE);
+    let (stdout, stderr, code) = raceline(&["check", &path]);
+    assert_eq!(code, 2, "wild store is a guest error\n{stdout}{stderr}");
+    assert!(stdout.contains("wild access"), "{stdout}");
 }
 
 #[test]
