@@ -30,6 +30,11 @@ use crate::service::Service;
 /// allocation, so a hostile length cannot balloon the server.
 pub const MAX_BODY: u64 = 256 * 1024 * 1024;
 
+/// Request header cap: a header line this long without its newline is
+/// answered `ok:false` and the connection closed, so a client that never
+/// sends a newline cannot balloon the server either.
+pub const MAX_HEADER: u64 = 64 * 1024;
+
 /// Accept connections until a `shutdown` command arrives. Each connection
 /// gets its own scoped thread; shutdown waits for in-flight handlers to
 /// drain, so every committed response is durable before exit.
@@ -63,12 +68,20 @@ fn handle_conn(service: &Service, stream: TcpStream, stop: &AtomicBool, local: S
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        let mut line = Vec::new();
+        match (&mut reader).take(MAX_HEADER).read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {}
             Err(_) => return,
         }
+        if line.len() as u64 == MAX_HEADER && line.last() != Some(&b'\n') {
+            let _ = respond_err(
+                &mut writer,
+                &format!("bad request: header exceeds {MAX_HEADER} bytes"),
+            );
+            return;
+        }
+        let Ok(line) = String::from_utf8(line) else { return };
         if line.trim().is_empty() {
             continue;
         }

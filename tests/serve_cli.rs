@@ -4,11 +4,14 @@
 //! survive kill -9 and torn-write crashes, reject corrupt uploads without
 //! dying, and round-trip suppression state (DESIGN.md §14).
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use raceline_warehouse::json;
+use raceline_warehouse::server::MAX_HEADER;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_raceline")
@@ -163,7 +166,7 @@ fn corrupt_upload_never_kills_the_server() {
     let (before, _, _) = client(&server.addr, &["query"]);
 
     // Garbage bytes, a torn trace, and a flipped byte: the client exits 2
-    // each time and the server keeps serving.
+    // each time and the server keeps serving. So does an over-long header.
     let junk = tmp("junk.rltrace");
     std::fs::write(&junk, b"definitely not a trace").unwrap();
     let bytes = std::fs::read(&traces[0]).unwrap();
@@ -181,6 +184,21 @@ fn corrupt_upload_never_kills_the_server() {
         assert_eq!(code, 2, "corrupt upload must fail the client, not the server\n{stderr}");
         assert!(stderr.contains("server error"), "{stderr}");
     }
+
+    // A header that reaches the cap without a newline is answered
+    // `ok:false` and the connection closed; the server reads no further.
+    let mut conn = TcpStream::connect(&server.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
+    conn.write_all(&vec![b'x'; MAX_HEADER as usize]).expect("send capped header");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).expect("read reply until close");
+    assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+    assert!(reply.contains("header exceeds"), "{reply}");
+    // Four times the cap: the server may reset the connection while the
+    // client still writes, so only its survival is checked, below.
+    let mut conn = TcpStream::connect(&server.addr).expect("connect");
+    let _ = conn.write_all(&vec![b'x'; 4 * MAX_HEADER as usize]);
+    drop(conn);
 
     let (after, _, code) = client(&server.addr, &["query"]);
     assert_eq!(code, 0, "server must still answer after corrupt uploads");
