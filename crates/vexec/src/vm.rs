@@ -302,6 +302,8 @@ struct Thread {
     /// `Ret`. Replaces the per-call `Vec<u64>` allocation. Empty in
     /// reference mode.
     stack: Vec<u64>,
+    /// Written only by [`Vm::set_state`] once the thread exists, which
+    /// keeps [`Vm`]'s runnable and blocked lists in step with it.
     state: ThreadState,
     /// Set when this thread was signalled out of a `cond_wait` and now must
     /// re-acquire the mutex: `(condvar, mutex, signaler)`.
@@ -414,6 +416,12 @@ pub struct Vm<'p> {
     heap: Heap,
     global_addrs: Vec<u64>,
     threads: Vec<Thread>,
+    /// Ids of the runnable threads in ascending order: the list the
+    /// scheduler picks from.
+    runnable: Vec<ThreadId>,
+    /// Ids of the blocked threads in ascending order. Every thread in
+    /// neither list has exited.
+    blocked: Vec<ThreadId>,
     syncs: Vec<SyncObj>,
     pending: Vec<Event>,
     stats: RunStats,
@@ -438,33 +446,32 @@ impl<'p> Vm<'p> {
             .map(|g| heap.alloc(g.size, ThreadId::MAIN, SrcLoc::UNKNOWN))
             .collect();
         let entry = prog.entry;
-        let main = Thread {
-            frames: vec![Frame {
-                proc: entry,
-                pc: 0,
-                regs: vec![0; prog.procs[entry.0 as usize].nregs as usize],
-                base: 0,
-                ret_dst: None,
-                cur_loc: SrcLoc::UNKNOWN,
-            }],
-            stack: Vec::new(),
-            state: ThreadState::Runnable,
-            cond_resume: None,
-        };
         let injector = opts.faults.map(FaultInjector::new);
-        Vm {
+        let mut vm = Vm {
             prog,
             opts,
             heap,
             global_addrs,
-            threads: vec![main],
+            threads: Vec::new(),
+            runnable: Vec::new(),
+            blocked: Vec::new(),
             syncs: Vec::new(),
             pending: Vec::new(),
-            stats: RunStats { threads_created: 1, ..Default::default() },
+            stats: RunStats::default(),
             injector,
             compiled: None,
             slot_evals: Cell::new(0),
-        }
+        };
+        let main = Frame {
+            proc: entry,
+            pc: 0,
+            regs: vec![0; prog.procs[entry.0 as usize].nregs as usize],
+            base: 0,
+            ret_dst: None,
+            cur_loc: SrcLoc::UNKNOWN,
+        };
+        vm.push_thread(main, Vec::new());
+        vm
     }
 
     /// Build a VM running `code` (the compiled form of `prog`) on the
@@ -487,97 +494,58 @@ impl<'p> Vm<'p> {
     /// Run to termination, streaming events to `tool`.
     pub fn run(mut self, tool: &mut dyn Tool, sched: &mut dyn Scheduler) -> RunResult {
         let use_compiled = self.compiled.is_some();
-        let mut runnable: Vec<ThreadId> = Vec::new();
         let mut scratch: Vec<Event> = Vec::new();
-        // The runnable list is recomputed only when a slot could have
-        // changed a thread state. A compiled fast-path slot (register ops
-        // plus one memory access) touches nothing but registers, the heap
-        // and the pc, so its slot reuses the cached list — the scheduler
-        // sees bit-identical inputs either way (asserted in debug builds,
-        // which is what every equivalence suite runs under).
-        let mut any_alive = false;
-        let mut sched_dirty = true;
         let termination = loop {
-            if sched_dirty {
-                runnable.clear();
-                any_alive = false;
-                for (i, t) in self.threads.iter().enumerate() {
-                    match t.state {
-                        ThreadState::Runnable => {
-                            runnable.push(ThreadId(i as u32));
-                            any_alive = true;
-                        }
-                        ThreadState::Blocked(_) => any_alive = true,
-                        ThreadState::Exited => {}
-                    }
-                }
-                sched_dirty = false;
-            }
+            // `set_state` keeps the runnable and blocked lists exact, so
+            // the scheduler sees what a scan of every thread would give
+            // it. Debug builds, which every equivalence suite runs under,
+            // check that scan on every slot.
             #[cfg(debug_assertions)]
             {
-                let mut fresh: Vec<ThreadId> = Vec::new();
-                let mut fresh_alive = false;
+                let mut runnable: Vec<ThreadId> = Vec::new();
+                let mut blocked: Vec<ThreadId> = Vec::new();
                 for (i, t) in self.threads.iter().enumerate() {
                     match t.state {
-                        ThreadState::Runnable => {
-                            fresh.push(ThreadId(i as u32));
-                            fresh_alive = true;
-                        }
-                        ThreadState::Blocked(_) => fresh_alive = true,
+                        ThreadState::Runnable => runnable.push(ThreadId(i as u32)),
+                        ThreadState::Blocked(_) => blocked.push(ThreadId(i as u32)),
                         ThreadState::Exited => {}
                     }
                 }
                 assert_eq!(
-                    (&fresh, fresh_alive),
-                    (&runnable, any_alive),
-                    "stale runnable cache: a slot changed thread states without dirtying"
+                    (&runnable, &blocked),
+                    (&self.runnable, &self.blocked),
+                    "stale thread index: a thread state changed outside set_state"
                 );
             }
-            if !any_alive {
-                break Termination::AllExited;
-            }
-            if runnable.is_empty() {
-                break Termination::Deadlock(self.wait_infos());
+            if self.runnable.is_empty() {
+                break if self.blocked.is_empty() {
+                    Termination::AllExited
+                } else {
+                    Termination::Deadlock(self.wait_infos())
+                };
             }
             if self.stats.slots >= self.opts.max_slots {
                 break Termination::FuelExhausted;
             }
-            let idx = sched.pick(&runnable, self.stats.slots);
-            let tid = runnable[idx];
+            let idx = sched.pick(&self.runnable, self.stats.slots);
+            let tid = self.runnable[idx];
             self.stats.slots += 1;
             if let Some(m) = &self.opts.slot_meter {
                 m.add(1);
             }
-            if self.injector.is_some() {
-                // Pre-slot injection can kill the scheduled thread or wake
-                // a condvar waiter; don't try to track which.
-                sched_dirty = true;
-                if self.inject_pre_slot(tid) {
-                    // The scheduled thread died abruptly: the slot is
-                    // consumed.
-                    self.drain(tool, &mut scratch);
-                    continue;
-                }
+            if self.injector.is_some() && self.inject_pre_slot(tid) {
+                // The scheduled thread died abruptly: the slot is consumed.
+                self.drain(tool, &mut scratch);
+                continue;
             }
-            let slot = if use_compiled {
-                self.run_slot_compiled(tid, tool)
-            } else {
-                sched_dirty = true;
-                self.run_slot(tid).map(|()| false)
-            };
-            match slot {
-                Ok(clean) => {
-                    if !clean {
-                        sched_dirty = true;
-                    }
-                }
-                Err(e) => {
-                    // Deliver any events produced before the fault, then let
-                    // the tool observe the fault itself before the run ends.
-                    self.drain(tool, &mut scratch);
-                    tool.on_guest_fault(&e, &VmView { vm: &self });
-                    break Termination::GuestError(e);
-                }
+            let slot =
+                if use_compiled { self.run_slot_compiled(tid, tool) } else { self.run_slot(tid) };
+            if let Err(e) = slot {
+                // Deliver any events produced before the fault, then let
+                // the tool observe the fault itself before the run ends.
+                self.drain(tool, &mut scratch);
+                tool.on_guest_fault(&e, &VmView { vm: &self });
+                break Termination::GuestError(e);
             }
             // Guarded here rather than inside `drain`: compiled fast-path
             // slots deliver their single event directly and leave the queue
@@ -592,6 +560,45 @@ impl<'p> Vm<'p> {
             termination,
             stats: self.stats,
             faults: self.injector.as_ref().map(|i| i.stats),
+        }
+    }
+
+    /// Add a runnable thread starting in `frame` with register stack
+    /// `stack`. Its id is the largest yet, so appending it keeps the
+    /// runnable list sorted.
+    fn push_thread(&mut self, frame: Frame, stack: Vec<u64>) -> ThreadId {
+        let tid = ThreadId(self.threads.len() as u32);
+        self.threads.push(Thread {
+            frames: vec![frame],
+            stack,
+            state: ThreadState::Runnable,
+            cond_resume: None,
+        });
+        self.runnable.push(tid);
+        self.stats.threads_created += 1;
+        tid
+    }
+
+    /// Move `tid` to `state`, keeping the runnable and blocked lists exact.
+    /// The only writer of `Thread::state` once a thread exists.
+    fn set_state(&mut self, tid: ThreadId, state: ThreadState) {
+        let old = std::mem::replace(&mut self.threads[tid.index()].state, state);
+        if let Some(list) = self.list_of(old) {
+            let i = list.binary_search(&tid).expect("a live thread is in its state's list");
+            list.remove(i);
+        }
+        if let Some(list) = self.list_of(state) {
+            let i = list.partition_point(|&t| t < tid);
+            list.insert(i, tid);
+        }
+    }
+
+    /// The list holding threads in `state`; exited threads are in none.
+    fn list_of(&mut self, state: ThreadState) -> Option<&mut Vec<ThreadId>> {
+        match state {
+            ThreadState::Runnable => Some(&mut self.runnable),
+            ThreadState::Blocked(_) => Some(&mut self.blocked),
+            ThreadState::Exited => None,
         }
     }
 
@@ -616,11 +623,10 @@ impl<'p> Vm<'p> {
     /// the mutex and reporting itself as its own signaler.
     fn inject_spurious_wakeup(&mut self, inj: &mut FaultInjector) {
         let waiters: Vec<(ThreadId, SyncId)> = self
-            .threads
+            .blocked
             .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match t.state {
-                ThreadState::Blocked(BlockOn::Cond(c)) => Some((ThreadId(i as u32), c)),
+            .filter_map(|&tid| match self.threads[tid.index()].state {
+                ThreadState::Blocked(BlockOn::Cond(c)) => Some((tid, c)),
                 _ => None,
             })
             .collect();
@@ -631,7 +637,7 @@ impl<'p> Vm<'p> {
         if let Ok(m) = self.cond_wait_mutex_of(w) {
             self.syncs[cv.index()].cond_unpark(w);
             self.threads[w.index()].cond_resume = Some((cv, m, w));
-            self.threads[w.index()].state = ThreadState::Runnable;
+            self.set_state(w, ThreadState::Runnable);
         }
     }
 
@@ -651,7 +657,7 @@ impl<'p> Vm<'p> {
         t.frames.clear();
         t.stack.clear();
         t.cond_resume = None;
-        t.state = ThreadState::Exited;
+        self.set_state(victim, ThreadState::Exited);
         self.pending.push(Event::ThreadExit { tid: victim });
         self.wake_joiners(victim);
     }
@@ -681,25 +687,21 @@ impl<'p> Vm<'p> {
     }
 
     fn wait_infos(&self) -> Vec<WaitInfo> {
-        self.threads
+        self.blocked
             .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match t.state {
-                ThreadState::Blocked(on) => {
-                    let holders = match on {
-                        BlockOn::Mutex(s) => {
-                            self.syncs[s.index()].mutex_owner().into_iter().collect()
-                        }
-                        BlockOn::RwRead(s) | BlockOn::RwWrite(s) => {
-                            self.syncs[s.index()].rw_holders()
-                        }
-                        BlockOn::Join(t2) => vec![t2],
-                        _ => Vec::new(),
-                    };
-                    let loc = t.frames.last().map(|f| f.cur_loc).unwrap_or(SrcLoc::UNKNOWN);
-                    Some(WaitInfo { tid: ThreadId(i as u32), on, holders, loc })
-                }
-                _ => None,
+            .map(|&tid| {
+                let t = &self.threads[tid.index()];
+                let ThreadState::Blocked(on) = t.state else {
+                    unreachable!("the blocked list holds only blocked threads")
+                };
+                let holders = match on {
+                    BlockOn::Mutex(s) => self.syncs[s.index()].mutex_owner().into_iter().collect(),
+                    BlockOn::RwRead(s) | BlockOn::RwWrite(s) => self.syncs[s.index()].rw_holders(),
+                    BlockOn::Join(t2) => vec![t2],
+                    _ => Vec::new(),
+                };
+                let loc = t.frames.last().map(|f| f.cur_loc).unwrap_or(SrcLoc::UNKNOWN);
+                WaitInfo { tid, on, holders, loc }
             })
             .collect()
     }
@@ -733,14 +735,7 @@ impl<'p> Vm<'p> {
     /// accounting is charged after each flat op exactly like the
     /// reference slot loop, including the corner where the budget trips
     /// between the two halves of a fused `DecJump`.
-    /// Returns `Ok(true)` when the whole slot ran on the fast path (no
-    /// [`Vm::exec_instr`] fallback), i.e. no thread state can have
-    /// changed and the caller's runnable cache is still valid.
-    fn run_slot_compiled(
-        &mut self,
-        tid: ThreadId,
-        tool: &mut dyn Tool,
-    ) -> Result<bool, GuestError> {
+    fn run_slot_compiled(&mut self, tid: ThreadId, tool: &mut dyn Tool) -> Result<(), GuestError> {
         /// How one pass of the hoisted-borrow inner loop ended.
         enum FastExit {
             /// A memory access completed: deliver its event, slot over.
@@ -760,7 +755,6 @@ impl<'p> Vm<'p> {
         let mut silent: u32 = 0;
         let budget = self.opts.silent_op_budget;
         let ti = tid.index();
-        let mut clean = true;
         loop {
             let mut ops_n: u64 = 0;
             let mut arith_n: u64 = 0;
@@ -923,19 +917,14 @@ impl<'p> Vm<'p> {
                 FastExit::Emitted(ev) => {
                     self.stats.events += 1;
                     tool.on_event(&ev, &VmView { vm: self });
-                    return Ok(clean);
+                    return Ok(());
                 }
                 FastExit::Trip => return Err(self.err(tid, GuestErrorKind::SilentLoop)),
                 FastExit::Fault(e) => return Err(e),
-                FastExit::Fallback => {
-                    clean = false;
-                    match self.exec_instr(tid, &mut silent, comp)? {
-                        Flow::Silent => {}
-                        Flow::Emitted | Flow::Blocked | Flow::Exited | Flow::Yielded => {
-                            return Ok(clean)
-                        }
-                    }
-                }
+                FastExit::Fallback => match self.exec_instr(tid, &mut silent, comp)? {
+                    Flow::Silent => {}
+                    Flow::Emitted | Flow::Blocked | Flow::Exited | Flow::Yielded => return Ok(()),
+                },
             }
         }
     }
@@ -1286,7 +1275,6 @@ impl<'p> Vm<'p> {
                     };
                     t.stack.truncate(frame.base as usize);
                     if t.frames.is_empty() {
-                        t.state = ThreadState::Exited;
                         true
                     } else {
                         if let Some(dst) = frame.ret_dst {
@@ -1298,6 +1286,7 @@ impl<'p> Vm<'p> {
                     }
                 };
                 if exited {
+                    self.set_state(tid, ThreadState::Exited);
                     self.pending.push(Event::ThreadExit { tid });
                     self.wake_joiners(tid);
                     Ok(Flow::Exited)
@@ -1314,21 +1303,15 @@ impl<'p> Vm<'p> {
                 for (i, a) in args.iter().enumerate() {
                     child_stack[i] = self.ceval(tid, a, comp);
                 }
-                let child = ThreadId(self.threads.len() as u32);
-                self.threads.push(Thread {
-                    frames: vec![Frame {
-                        proc: *child_proc,
-                        pc: 0,
-                        regs: Vec::new(),
-                        base: 0,
-                        ret_dst: None,
-                        cur_loc: *loc,
-                    }],
-                    stack: child_stack,
-                    state: ThreadState::Runnable,
-                    cond_resume: None,
-                });
-                self.stats.threads_created += 1;
+                let frame = Frame {
+                    proc: *child_proc,
+                    pc: 0,
+                    regs: Vec::new(),
+                    base: 0,
+                    ret_dst: None,
+                    cur_loc: *loc,
+                };
+                let child = self.push_thread(frame, child_stack);
                 self.set_reg(tid, *dst, child.0 as u64);
                 self.advance(tid);
                 self.pending.push(Event::ThreadCreate { parent: tid, child, loc: *loc });
@@ -1351,7 +1334,7 @@ impl<'p> Vm<'p> {
                     self.pending.push(Event::ThreadJoin { joiner: tid, joined: target, loc: *loc });
                     Ok(Flow::Emitted)
                 } else {
-                    self.threads[ti].state = ThreadState::Blocked(BlockOn::Join(target));
+                    self.set_state(tid, ThreadState::Blocked(BlockOn::Join(target)));
                     Ok(Flow::Blocked)
                 }
             }
@@ -1707,7 +1690,7 @@ impl<'p> Vm<'p> {
                     return Err(self.err(tid, GuestErrorKind::MissingFrame));
                 };
                 if self.threads[tid.index()].frames.is_empty() {
-                    self.threads[tid.index()].state = ThreadState::Exited;
+                    self.set_state(tid, ThreadState::Exited);
                     self.pending.push(Event::ThreadExit { tid });
                     self.wake_joiners(tid);
                     Ok(Flow::Exited)
@@ -1726,21 +1709,9 @@ impl<'p> Vm<'p> {
                 for (i, a) in args.iter().enumerate() {
                     regs[i] = self.eval(tid, a);
                 }
-                let child = ThreadId(self.threads.len() as u32);
-                self.threads.push(Thread {
-                    frames: vec![Frame {
-                        proc: *child_proc,
-                        pc: 0,
-                        regs,
-                        base: 0,
-                        ret_dst: None,
-                        cur_loc: *loc,
-                    }],
-                    stack: Vec::new(),
-                    state: ThreadState::Runnable,
-                    cond_resume: None,
-                });
-                self.stats.threads_created += 1;
+                let frame =
+                    Frame { proc: *child_proc, pc: 0, regs, base: 0, ret_dst: None, cur_loc: *loc };
+                let child = self.push_thread(frame, Vec::new());
                 self.set_reg(tid, *dst, child.0 as u64);
                 self.advance(tid);
                 self.pending.push(Event::ThreadCreate { parent: tid, child, loc: *loc });
@@ -1759,7 +1730,7 @@ impl<'p> Vm<'p> {
                     self.pending.push(Event::ThreadJoin { joiner: tid, joined: target, loc: *loc });
                     Ok(Flow::Emitted)
                 } else {
-                    self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::Join(target));
+                    self.set_state(tid, ThreadState::Blocked(BlockOn::Join(target)));
                     Ok(Flow::Blocked)
                 }
             }
@@ -1932,7 +1903,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(false) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::Mutex(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::Mutex(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -1966,7 +1937,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(false) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::RwRead(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::RwRead(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -1991,7 +1962,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(false) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::RwWrite(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::RwWrite(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -2035,7 +2006,7 @@ impl<'p> Vm<'p> {
                     Ok(Flow::Emitted)
                 }
                 Ok(false) => {
-                    self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::Mutex(m));
+                    self.set_state(tid, ThreadState::Blocked(BlockOn::Mutex(m)));
                     Ok(Flow::Blocked)
                 }
                 Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -2046,7 +2017,7 @@ impl<'p> Vm<'p> {
             mobj.mutex_unlock(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
             let (csid, cobj) = self.sync_obj(tid, ch, loc)?;
             cobj.cond_park(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
-            self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::Cond(csid));
+            self.set_state(tid, ThreadState::Blocked(BlockOn::Cond(csid)));
             self.pending.push(Event::Release { tid, sync: msid, kind: SyncKind::Mutex, loc });
             self.wake_blocked_on(|b| matches!(b, BlockOn::Mutex(s) if *s == msid));
             Ok(Flow::Blocked)
@@ -2070,7 +2041,7 @@ impl<'p> Vm<'p> {
             // re-evaluating its current op.
             let m = self.cond_wait_mutex_of(w)?;
             self.threads[w.index()].cond_resume = Some((csid, m, tid));
-            self.threads[w.index()].state = ThreadState::Runnable;
+            self.set_state(w, ThreadState::Runnable);
         }
         self.advance(tid);
         self.pending.push(Event::CondSignal { tid, sync: csid, broadcast, loc });
@@ -2086,7 +2057,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(false) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::Sem(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::Sem(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -2118,7 +2089,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(None) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::QueuePut(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::QueuePut(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -2142,7 +2113,7 @@ impl<'p> Vm<'p> {
                 Ok(Flow::Emitted)
             }
             Ok(None) => {
-                self.threads[tid.index()].state = ThreadState::Blocked(BlockOn::QueueGet(sid));
+                self.set_state(tid, ThreadState::Blocked(BlockOn::QueueGet(sid)));
                 Ok(Flow::Blocked)
             }
             Err(e) => Err(self.err_at(tid, loc, GuestErrorKind::Sync(e))),
@@ -2198,12 +2169,14 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Make every blocked thread whose wait `pred` accepts runnable.
     fn wake_blocked_on(&mut self, pred: impl Fn(&BlockOn) -> bool) {
-        for t in self.threads.iter_mut() {
-            if let ThreadState::Blocked(on) = &t.state {
-                if pred(on) {
-                    t.state = ThreadState::Runnable;
-                }
+        let mut i = 0;
+        while let Some(&tid) = self.blocked.get(i) {
+            match self.threads[tid.index()].state {
+                // Waking removes `tid` from the list: `i` is now the next.
+                ThreadState::Blocked(on) if pred(&on) => self.set_state(tid, ThreadState::Runnable),
+                _ => i += 1,
             }
         }
     }
