@@ -166,7 +166,7 @@ fn corrupt_upload_never_kills_the_server() {
     let (before, _, _) = client(&server.addr, &["query"]);
 
     // Garbage bytes, a torn trace, and a flipped byte: the client exits 2
-    // each time and the server keeps serving. So does an over-long header.
+    // each time and the server keeps serving.
     let junk = tmp("junk.rltrace");
     std::fs::write(&junk, b"definitely not a trace").unwrap();
     let bytes = std::fs::read(&traces[0]).unwrap();
