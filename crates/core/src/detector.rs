@@ -167,7 +167,8 @@ impl EraserDetector {
         if self.sink.seen(kind, race.loc) {
             return;
         }
-        let mut details = format!("Previous state: {}", race.prev_state);
+        let mut details =
+            format!("Previous state: {}", race.prev_state.describe(&self.engine.table));
         if let Some((ptid, pkind, ploc)) = race.prev_access {
             details.push_str(&format!(
                 "\n   This conflicts with a previous {} by thread {} at {}:{} ({})",
@@ -257,7 +258,8 @@ impl DjitDetector {
         if self.sink.seen(kind, race.loc) {
             return;
         }
-        let report = build_report(ctx, kind, race.tid, race.addr, race.loc, race.conflict.clone());
+        let report =
+            build_report(ctx, kind, race.tid, race.addr, race.loc, race.conflict.to_string());
         self.sink.add(race.loc, report);
     }
 }
@@ -295,7 +297,8 @@ impl HybridDetector {
         let mut lockset = LocksetEngine::new(cfg);
         let mut hb = HbEngine::new(cfg);
         // Both engines keep flagging (no per-granule latch); the sink
-        // deduplicates by location.
+        // deduplicates by location. Candidates carry no text, so the many
+        // it drops allocate nothing: `handle_event` renders only new ones.
         lockset.set_report_once(false);
         hb.set_report_once(false);
         let mut sink = ReportSink::new();
@@ -339,7 +342,11 @@ impl HybridDetector {
             if self.sink.seen(kind, ls.loc) {
                 return;
             }
-            let details = format!("Previous state: {}; hb: {}", ls.prev_state, hb.conflict);
+            let details = format!(
+                "Previous state: {}; hb: {}",
+                ls.prev_state.describe(&self.lockset.table),
+                hb.conflict
+            );
             let report = build_report(ctx, kind, ls.tid, ls.addr, ls.loc, details);
             self.sink.add(ls.loc, report);
         }

@@ -72,15 +72,19 @@ fn describe_ls(table: &LockSetTable, ls: LockSetId) -> String {
     }
 }
 
-/// A race found by the lockset engine.
-#[derive(Clone, Debug)]
+/// A race found by the lockset engine. Plain facts, no text: a detector
+/// renders `prev_state` with [`VarState::describe`] only for a location it
+/// is about to report, so candidates it drops as duplicates cost no
+/// allocation. Interned lock-sets never change, so the later rendering is
+/// the text the state had at the access.
+#[derive(Clone, Copy, Debug)]
 pub struct RaceInfo {
     pub tid: ThreadId,
     pub addr: u64,
     pub kind: AccessKind,
     pub loc: SrcLoc,
     /// State the granule was in before this access.
-    pub prev_state: String,
+    pub prev_state: VarState,
     /// The previous access to this granule (Helgrind 3.x prints "this
     /// conflicts with a previous access" — so do we).
     pub prev_access: Option<(ThreadId, AccessKind, SrcLoc)>,
@@ -412,7 +416,7 @@ impl LocksetEngine {
                         addr: if g <= addr { addr } else { g },
                         kind,
                         loc,
-                        prev_state: prev.state.describe(&self.table),
+                        prev_state: prev.state,
                         prev_access: prev.last,
                     });
                 }
@@ -629,8 +633,11 @@ mod tests {
         e.on_event(&acc(T0, 0x4100, AccessKind::Write));
         e.on_event(&acc(T1, 0x4100, AccessKind::Read));
         let race = e.on_event(&acc(T2, 0x4100, AccessKind::Write));
-        assert!(race.is_some());
-        assert!(race.unwrap().prev_state.contains("shared RO"));
+        // HWLC: the plain read held the bus lock in read mode.
+        assert_eq!(
+            race.expect("write after unlocked shared read races").prev_state.describe(&e.table),
+            "shared RO, locks held: {BUSLOCK}"
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::config::DetectorConfig;
 use crate::shadowmem::PageTable;
 use crate::vc::{Epoch, SmallVc, VectorClock};
+use std::fmt;
 use vexec::event::{AccessKind, ClientEv, Event, SyncId, ThreadId};
 use vexec::ir::{SrcLoc, SyncKind};
 use vexec::util::FxHashMap;
@@ -47,7 +48,7 @@ enum ReadState {
 
 /// Reference-mode read state. `vc` is the ground truth the verdict is
 /// computed from; `last`/`chain` mirror what the adaptive lattice would
-/// hold so the conflict *strings* also come out byte-identical.
+/// hold so the reported [`Conflict`] also comes out identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct RefReads {
     vc: VectorClock,
@@ -94,15 +95,42 @@ pub struct EpochStats {
     pub vc_fallbacks: u64,
 }
 
+/// What a racing access conflicted with. Plain facts: `Display` renders
+/// the report text ("unordered prior write by thread 2 (epoch 5)"), and a
+/// detector asks for it only for a location it is about to report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Conflict {
+    /// The granule's last write, not visible to the accessing thread.
+    PriorWrite { tid: u32, clock: u32 },
+    /// The one read epoch the adaptive lattice kept, not visible to the
+    /// writing thread.
+    PriorRead { tid: u32 },
+    /// Concurrent reads (a read-share clock) the writing thread does not
+    /// all see.
+    PriorReads,
+}
+
+impl fmt::Display for Conflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Conflict::PriorWrite { tid, clock } => {
+                write!(f, "unordered prior write by thread {tid} (epoch {clock})")
+            }
+            Conflict::PriorRead { tid } => write!(f, "unordered prior read by thread {tid}"),
+            Conflict::PriorReads => f.write_str("unordered prior reads"),
+        }
+    }
+}
+
 /// A race found by the happens-before engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct HbRaceInfo {
     pub tid: ThreadId,
     pub addr: u64,
     pub kind: AccessKind,
     pub loc: SrcLoc,
-    /// What the access conflicted with ("unordered prior write by thread 2").
-    pub conflict: String,
+    /// What the access conflicted with.
+    pub conflict: Conflict,
 }
 
 /// The happens-before engine.
@@ -356,14 +384,13 @@ impl HbEngine {
                 continue;
             }
 
-            let mut conflict: Option<String> = None;
+            let mut conflict: Option<Conflict> = None;
             // Write-X conflict: the previous write must be visible.
             // `Epoch::ZERO` (never written) is visible to every clock, so
             // the virgin case needs no separate branch.
             let w = var.last_write;
             if !w.visible_to(tvc) {
-                conflict =
-                    Some(format!("unordered prior write by thread {} (epoch {})", w.tid, w.clock));
+                conflict = Some(Conflict::PriorWrite { tid: w.tid, clock: w.clock });
             }
             // Read-write conflict: a write must also see all prior reads.
             if is_write && conflict.is_none() {
@@ -371,13 +398,13 @@ impl HbEngine {
                     ReadState::None => {}
                     ReadState::Single(e) => {
                         if !e.visible_to(tvc) {
-                            conflict = Some(format!("unordered prior read by thread {}", e.tid));
+                            conflict = Some(Conflict::PriorRead { tid: e.tid });
                         }
                     }
                     ReadState::Shared(svc) => {
                         fallbacks += 1;
                         if !svc.leq(tvc) {
-                            conflict = Some("unordered prior reads".to_string());
+                            conflict = Some(Conflict::PriorReads);
                         }
                     }
                     ReadState::Ref(r) => {
@@ -388,9 +415,9 @@ impl HbEngine {
                             // verdicts agree by visibility transitivity;
                             // after a break it would be `Shared`.
                             conflict = Some(if r.chain {
-                                format!("unordered prior read by thread {}", r.last.tid)
+                                Conflict::PriorRead { tid: r.last.tid }
                             } else {
-                                "unordered prior reads".to_string()
+                                Conflict::PriorReads
                             });
                         }
                     }
@@ -562,8 +589,9 @@ mod tests {
         e.on_event(&create(T0, T2));
         assert!(e.on_event(&acc(T1, 0x1000, AccessKind::Write)).is_none());
         let race = e.on_event(&acc(T2, 0x1000, AccessKind::Write));
-        assert!(race.is_some());
-        assert!(race.unwrap().conflict.contains("write by thread 1"));
+        let conflict = race.expect("unordered writes race").conflict;
+        assert_eq!(conflict, Conflict::PriorWrite { tid: 1, clock: 1 });
+        assert_eq!(conflict.to_string(), "unordered prior write by thread 1 (epoch 1)");
     }
 
     #[test]
@@ -607,8 +635,8 @@ mod tests {
         e.on_event(&create(T0, T2));
         assert!(e.on_event(&acc(T1, 0x4000, AccessKind::Read)).is_none());
         let race = e.on_event(&acc(T2, 0x4000, AccessKind::Write));
-        assert!(race.is_some());
-        assert!(race.unwrap().conflict.contains("read"));
+        let conflict = race.expect("write after unordered read races").conflict;
+        assert_eq!(conflict.to_string(), "unordered prior read by thread 1");
     }
 
     #[test]
@@ -622,7 +650,8 @@ mod tests {
         assert!(e.on_event(&acc(T2, 0x5000, AccessKind::Read)).is_none());
         // A later unordered write conflicts with both reads.
         let race = e.on_event(&acc(T0, 0x5000, AccessKind::Write));
-        assert!(race.is_some());
+        let conflict = race.expect("write after concurrent reads races").conflict;
+        assert_eq!(conflict.to_string(), "unordered prior reads");
     }
 
     #[test]

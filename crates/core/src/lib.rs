@@ -48,7 +48,7 @@ pub use explore::{
     explore_schedules, explore_schedules_directed, explore_schedules_with, trim_torn_tail,
     DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
 };
-pub use hb::{EpochStats, HbEngine, HbRaceInfo};
+pub use hb::{Conflict, EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
 pub use replay::{

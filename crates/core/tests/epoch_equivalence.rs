@@ -4,8 +4,9 @@
 //! The contract the refactor rests on: for *any* event soup — ordered,
 //! racy, or nonsense — the adaptive engine and the reference engine
 //! produce the same race verdict for every event, with the same conflict
-//! string, and track the same shadow-memory footprint. Anything short of
-//! that would leak the representation change into reports.
+//! (its text is a one-to-one rendering of the value), and track the same
+//! shadow-memory footprint. Anything short of that would leak the
+//! representation change into reports.
 
 use helgrind_core::{DetectorConfig, HbEngine};
 use proptest::prelude::*;
@@ -87,8 +88,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Adaptive ≡ reference on arbitrary event soups: per-event race
-    /// verdicts and conflict strings match exactly, as do the shadowed
-    /// and peak granule counts.
+    /// verdicts and conflicts match exactly, as do the shadowed and peak
+    /// granule counts.
     #[test]
     fn adaptive_matches_reference_on_event_soups(
         steps in prop::collection::vec(step_strategy(4), 1..120),
@@ -102,8 +103,8 @@ proptest! {
             let a = adaptive.on_event(ev);
             let r = reference.on_event(ev);
             prop_assert_eq!(
-                a.as_ref().map(|x| (x.tid, x.addr, x.kind, &x.conflict)),
-                r.as_ref().map(|x| (x.tid, x.addr, x.kind, &x.conflict)),
+                a.as_ref().map(|x| (x.tid, x.addr, x.kind, x.conflict)),
+                r.as_ref().map(|x| (x.tid, x.addr, x.kind, x.conflict)),
                 "event {} diverged: {:?}", i, ev
             );
         }
@@ -126,8 +127,8 @@ proptest! {
             let a = adaptive.on_event(&ev);
             let r = reference.on_event(&ev);
             prop_assert_eq!(
-                a.as_ref().map(|x| (x.addr, &x.conflict)),
-                r.as_ref().map(|x| (x.addr, &x.conflict))
+                a.as_ref().map(|x| (x.addr, x.conflict)),
+                r.as_ref().map(|x| (x.addr, x.conflict))
             );
         }
         prop_assert_eq!(adaptive.shadow_overflow(), reference.shadow_overflow());

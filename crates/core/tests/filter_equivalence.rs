@@ -260,11 +260,14 @@ proptest! {
             DetectorConfig::hwlc_dr(),
             DetectorConfig::hybrid(),
         ] {
+            // The rendered prior state rides along with the raw facts: it
+            // is the text a report would print for this race.
             let run = |evs: &[Event]| {
                 let mut e = LocksetEngine::new(cfg);
                 evs.iter()
-                    .filter_map(|ev| e.on_event(ev))
-                    .map(|r| format!("{r:?}"))
+                    .filter_map(|ev| {
+                        e.on_event(ev).map(|r| format!("{r:?} {}", r.prev_state.describe(&e.table)))
+                    })
                     .collect::<Vec<_>>()
             };
             prop_assert_eq!(run(&raw), run(&thin), "lockset {:?} diverged", cfg);

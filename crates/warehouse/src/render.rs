@@ -7,6 +7,8 @@
 //! session counters for stats), and `WarehouseLog` is a commutative fold —
 //! so these bytes are independent of upload order and worker count.
 
+use std::collections::BTreeMap;
+
 use serde::Value;
 
 use helgrind_core::ReportKind;
@@ -30,12 +32,24 @@ pub fn render_catalogue(log: &WarehouseLog) -> String {
         log.engine,
         if log.hb_reference { " (hb-reference)" } else { "" }
     ));
+    // Per-build (traces, warnings) from one pass over each map. Only
+    // builds that uploaded a trace get a line.
+    let mut per_build: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
+    for &(b, _) in log.traces.keys() {
+        per_build.entry(b).or_default().0 += 1;
+    }
+    for e in log.entries.values() {
+        for b in &e.builds {
+            if let Some(counts) = per_build.get_mut(b) {
+                counts.1 += 1;
+            }
+        }
+    }
     let events: u64 = log.traces.values().map(|t| t.events).sum();
-    let builds: std::collections::BTreeSet<u64> = log.traces.keys().map(|&(b, _)| b).collect();
     s.push_str(&format!(
         "uploads: {} trace(s), {events} event(s), {} build(s)\n",
         log.traces.len(),
-        builds.len()
+        per_build.len()
     ));
     let suppressed = log.entries.keys().filter(|fp| log.suppressed.contains(*fp)).count();
     s.push_str(&format!("warnings: {} location(s) ({suppressed} suppressed)\n", log.entries.len()));
@@ -52,9 +66,7 @@ pub fn render_catalogue(log: &WarehouseLog) -> String {
             if log.suppressed.contains(fp) { " [suppressed]" } else { "" }
         ));
     }
-    for b in &builds {
-        let traces = log.traces.keys().filter(|&&(tb, _)| tb == *b).count();
-        let warnings = log.entries.values().filter(|e| e.builds.contains(b)).count();
+    for (b, (traces, warnings)) in per_build {
         s.push_str(&format!("build {b}: {traces} trace(s), {warnings} warning(s)\n"));
     }
     s
@@ -203,6 +215,34 @@ mod tests {
         b.fold_suppress("LockOrderCycle|b.cpp|20|g", true);
         b.fold_ingest(1, 0x1, 100, &w1);
         assert_eq!(render_catalogue(&a), render_catalogue(&b));
+    }
+
+    #[test]
+    fn build_lines_match_a_scan_per_build() {
+        // Builds with several traces, a warning-free trace, and warnings
+        // shared across builds: each line must count what a scan of all
+        // traces and all entries for that build counts.
+        let mut log = WarehouseLog::new("hwlc-dr", false);
+        let warning =
+            |line: u32| (ReportKind::RaceWrite, "a.cpp".to_string(), line, "f".to_string());
+        for build in 1..=6u64 {
+            for trace in 0..build % 3 + 1 {
+                let warnings: TraceWarnings =
+                    (0..(build + trace) % 4).map(|i| warning((build + i) as u32 % 5)).collect();
+                log.fold_ingest(build, build * 10 + trace, 7, &warnings);
+            }
+        }
+        let text = render_catalogue(&log);
+        let build_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("build ")).collect();
+        let expected: Vec<String> = (1..=6u64)
+            .map(|b| {
+                let traces = log.traces.keys().filter(|&&(tb, _)| tb == b).count();
+                let warnings = log.entries.values().filter(|e| e.builds.contains(&b)).count();
+                format!("build {b}: {traces} trace(s), {warnings} warning(s)")
+            })
+            .collect();
+        assert_eq!(build_lines, expected);
+        assert!(text.contains("uploads: 12 trace(s), 84 event(s), 6 build(s)\n"));
     }
 
     #[test]
