@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
 use raceline_trace::reader::{decode_epoch, parse_trace, parse_trace_repair, ParsedTrace};
-use vexec::event::{Event, ThreadId};
+use vexec::event::{ClientEv, Event, ThreadId};
 use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
 
@@ -156,6 +156,15 @@ impl ReplayCtx {
                 }
             }
         }
+    }
+
+    /// Whether the `size` bytes at `addr` lie inside one replayed block, as
+    /// the range of every client request the VM records does.
+    fn block_holds(&self, addr: u64, size: u64) -> bool {
+        self.blocks.range(..=addr).next_back().is_some_and(|(&base, &(block_size, ..))| {
+            let end = base.saturating_add(block_size);
+            addr < end && addr.checked_add(size).is_some_and(|e| e <= end)
+        })
     }
 
     fn apply_blocks(&mut self, ev: &Event) {
@@ -349,6 +358,25 @@ fn analyze_parsed(
                 TraceRecord::Event(ev) => {
                     ctx.apply_top_frame(&ev);
                     ctx.apply_blocks(&ev);
+                    // The engines keep shadow state for every granule a
+                    // client request names, so a forged range would
+                    // exhaust memory rather than fail.
+                    if let Event::Client {
+                        req:
+                            ClientEv::HgDestruct { addr, size } | ClientEv::HgCleanMemory { addr, size },
+                        ..
+                    } = ev
+                    {
+                        if !ctx.block_holds(addr, size) {
+                            return Err(TraceError::Corrupt {
+                                offset: desc.payload_offset as u64,
+                                detail: format!(
+                                    "epoch {epoch}: client request names {size} byte(s) at \
+                                     {addr:#x}, outside every heap block"
+                                ),
+                            });
+                        }
+                    }
                     if epoch >= from_epoch {
                         detector.handle_event(&ev, &ctx);
                         dispatched += 1;

@@ -11,7 +11,6 @@
 
 use crate::event::ThreadId;
 use crate::ir::SrcLoc;
-use std::collections::BTreeMap;
 
 /// Lowest guest address; accesses below this are wild.
 pub const GUEST_BASE: u64 = 0x1000;
@@ -59,13 +58,15 @@ impl std::fmt::Display for MemError {
 pub struct Heap {
     mem: Vec<u8>,
     next: u64,
+    /// Every block ever allocated. The allocator bumps `next`, so this is
+    /// sorted by address as well as by allocation order, and lookups
+    /// binary-search it.
     blocks: Vec<Block>,
-    by_addr: BTreeMap<u64, u32>,
 }
 
 impl Heap {
     pub fn new() -> Self {
-        Heap { mem: Vec::new(), next: GUEST_BASE, blocks: Vec::new(), by_addr: BTreeMap::new() }
+        Heap { mem: Vec::new(), next: GUEST_BASE, blocks: Vec::new() }
     }
 
     fn ensure(&mut self, end: u64) {
@@ -87,26 +88,22 @@ impl Heap {
         // write is bounded below the `next` of its time by `check`, and the
         // bump allocator never hands an address out twice — so no byte of a
         // fresh block can have been written.
-        let idx = self.blocks.len() as u32;
         self.blocks.push(Block { addr, size, alloc_tid: tid, alloc_loc: loc, freed: false });
-        self.by_addr.insert(addr, idx);
         addr
     }
 
     /// Release a block. Returns the block record (for the `Free` event's
     /// size) or an error for bad/double frees.
     pub fn free(&mut self, addr: u64) -> Result<Block, MemError> {
-        match self.by_addr.get(&addr) {
-            None => Err(MemError::BadFree { addr }),
-            Some(&idx) => {
-                let b = &mut self.blocks[idx as usize];
-                if b.freed {
-                    return Err(MemError::DoubleFree { addr });
-                }
-                b.freed = true;
-                Ok(*b)
-            }
+        let Ok(i) = self.blocks.binary_search_by_key(&addr, |b| b.addr) else {
+            return Err(MemError::BadFree { addr });
+        };
+        let b = &mut self.blocks[i];
+        if b.freed {
+            return Err(MemError::DoubleFree { addr });
         }
+        b.freed = true;
+        Ok(*b)
     }
 
     #[inline]
@@ -155,10 +152,27 @@ impl Heap {
         Ok(())
     }
 
+    /// Add `delta` to the `size`-byte value at `addr` (wrapping, truncated
+    /// to `size`) and return the old value.
+    pub(crate) fn fetch_add(&mut self, addr: u64, size: u8, delta: u64) -> Result<u64, MemError> {
+        let old = self.read(addr, size)?;
+        self.write(addr, size, old.wrapping_add(delta))?;
+        Ok(old)
+    }
+
+    /// Check that the `size` bytes at `addr` lie in mapped guest memory,
+    /// as a client request's range must.
+    pub(crate) fn check_range(&self, addr: u64, size: u64) -> Result<(), MemError> {
+        if addr < GUEST_BASE || addr.checked_add(size).is_none_or(|end| end > self.next) {
+            return Err(MemError::Wild { addr, size });
+        }
+        Ok(())
+    }
+
     /// The live or freed block containing `addr`, if any.
     pub fn block_containing(&self, addr: u64) -> Option<&Block> {
-        let (_, &idx) = self.by_addr.range(..=addr).next_back()?;
-        let b = &self.blocks[idx as usize];
+        let i = self.blocks.partition_point(|b| b.addr <= addr);
+        let b = self.blocks.get(i.checked_sub(1)?)?;
         (addr < b.addr + b.size).then_some(b)
     }
 
@@ -280,6 +294,44 @@ mod tests {
             heap.block_containing(a + 21).is_none()
                 || heap.block_containing(a + 21).unwrap().addr != a
         );
+    }
+
+    #[test]
+    fn block_lookups_binary_search_the_allocation_order() {
+        let mut heap = h();
+        let addrs: Vec<u64> = (1..=9).map(|n| heap.alloc(n * 7, T, L)).collect();
+        assert!(heap.block_containing(GUEST_BASE - 1).is_none());
+        for (i, &a) in addrs.iter().enumerate() {
+            let size = (i as u64 + 1) * 7;
+            assert_eq!(heap.block_containing(a).unwrap().addr, a);
+            assert_eq!(heap.block_containing(a + size - 1).unwrap().addr, a);
+            // The alignment padding after a block belongs to no block.
+            assert!(heap.block_containing(a + size).is_none());
+        }
+        assert!(matches!(heap.free(addrs[4] + 1), Err(MemError::BadFree { .. })));
+        assert_eq!(heap.free(addrs[4]).unwrap().size, 35);
+        assert!(heap.block_containing(addrs[4]).unwrap().freed);
+    }
+
+    #[test]
+    fn client_ranges_must_stay_in_mapped_memory() {
+        let mut heap = h();
+        let a = heap.alloc(32, T, L);
+        assert_eq!(heap.check_range(a, 32), Ok(()));
+        assert_eq!(heap.check_range(a + 32, 0), Ok(()));
+        assert_eq!(heap.check_range(a, 1 << 40), Err(MemError::Wild { addr: a, size: 1 << 40 }));
+        assert!(heap.check_range(0, 8).is_err());
+        assert!(heap.check_range(a, u64::MAX).is_err());
+    }
+
+    #[test]
+    fn fetch_add_returns_the_old_value_and_wraps() {
+        let mut heap = h();
+        let a = heap.alloc(8, T, L);
+        heap.write(a, 1, 0xFF).unwrap();
+        assert_eq!(heap.fetch_add(a, 1, 2), Ok(0xFF));
+        assert_eq!(heap.read(a, 1), Ok(1));
+        assert!(heap.fetch_add(a + ALIGN, 8, 1).is_err());
     }
 
     #[test]

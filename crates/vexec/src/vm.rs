@@ -314,13 +314,17 @@ struct Thread {
 enum Flow {
     /// Keep executing (silent op).
     Silent,
-    /// Emitted event(s); end the slot.
-    Emitted,
+    /// Emitted exactly one event; end the slot. The compiled core hands it
+    /// straight to the tool, the reference core queues it on `pending`.
+    /// Any wakeups the op caused have already happened, and the thread may
+    /// have exited (`ThreadExit`) or parked (a condvar wait's `Release`).
+    Emitted(Event),
+    /// Pushed several events onto `pending` (a condvar wait's wake and
+    /// reacquire); end the slot.
+    Queued,
     /// Thread blocked; end the slot.
     Blocked,
-    /// Thread exited; end the slot.
-    Exited,
-    /// Voluntary yield; end the slot.
+    /// Voluntary yield, or a failed lock attempt that retries; end the slot.
     Yielded,
 }
 
@@ -603,25 +607,25 @@ impl<'p> Vm<'p> {
     }
 
     /// Consult the fault injector before running `tid`'s slot. Returns true
-    /// if the slot was consumed (the scheduled thread was killed).
+    /// if the slot was consumed (the scheduled thread was killed). The
+    /// injector is consulted where it lives; nothing moves per slot.
     fn inject_pre_slot(&mut self, tid: ThreadId) -> bool {
-        let Some(mut inj) = self.injector.take() else { return false };
+        let Some(inj) = &self.injector else { return false };
         if inj.plan().wakeup_permille > 0 {
-            self.inject_spurious_wakeup(&mut inj);
+            self.inject_spurious_wakeup();
         }
-        let mut consumed = false;
-        if tid != ThreadId::MAIN && inj.should_kill() {
-            self.kill_thread(tid, &mut inj);
-            consumed = true;
+        let killed =
+            tid != ThreadId::MAIN && self.injector.as_mut().is_some_and(FaultInjector::should_kill);
+        if killed {
+            self.kill_thread(tid);
         }
-        self.injector = Some(inj);
-        consumed
+        killed
     }
 
     /// Wake one condvar waiter without a signal (POSIX-legal spurious
     /// wakeup). The waiter re-runs its `CondWait` in phase 2 — re-acquiring
     /// the mutex and reporting itself as its own signaler.
-    fn inject_spurious_wakeup(&mut self, inj: &mut FaultInjector) {
+    fn inject_spurious_wakeup(&mut self) {
         let waiters: Vec<(ThreadId, SyncId)> = self
             .blocked
             .iter()
@@ -630,6 +634,7 @@ impl<'p> Vm<'p> {
                 _ => None,
             })
             .collect();
+        let Some(inj) = self.injector.as_mut() else { return };
         if waiters.is_empty() || !inj.should_spurious_wakeup() {
             return;
         }
@@ -645,14 +650,12 @@ impl<'p> Vm<'p> {
     /// blocks stay allocated. Joiners are woken (as if the thread exited),
     /// but anything blocked on a lock it held now deadlocks — exactly the
     /// failure shape a crashed worker leaves behind in a real server.
-    fn kill_thread(&mut self, victim: ThreadId, inj: &mut FaultInjector) {
-        for s in &self.syncs {
-            if s.is_held_by(victim) {
-                inj.stats.leaked_locks += 1;
-            }
-        }
-        let (_, leaked) = self.heap.live_blocks_by(victim);
-        inj.stats.leaked_bytes += leaked;
+    fn kill_thread(&mut self, victim: ThreadId) {
+        let locks = self.syncs.iter().filter(|s| s.is_held_by(victim)).count() as u64;
+        let (_, bytes) = self.heap.live_blocks_by(victim);
+        let inj = self.injector.as_mut().expect("a kill comes from the injector");
+        inj.stats.leaked_locks += locks;
+        inj.stats.leaked_bytes += bytes;
         let t = &mut self.threads[victim.index()];
         t.frames.clear();
         t.stack.clear();
@@ -717,33 +720,42 @@ impl<'p> Vm<'p> {
                         return Err(self.err(tid, GuestErrorKind::SilentLoop));
                     }
                 }
-                Flow::Emitted | Flow::Blocked | Flow::Exited | Flow::Yielded => return Ok(()),
+                Flow::Emitted(ev) => {
+                    self.pending.push(ev);
+                    return Ok(());
+                }
+                Flow::Queued | Flow::Blocked | Flow::Yielded => return Ok(()),
             }
         }
     }
 
     /// Run one scheduling slot for `tid` on the compiled dispatch core.
     ///
-    /// The inner loop executes *runs* of the silent register forms
-    /// (`Assign`, `DecJump`, `Jump`, `Branch`) against hoisted locals —
-    /// the pc, the frame's register window, and per-class counters stay
-    /// in registers and are written back once per run, instead of paying
-    /// a thread/frame lookup and four counter read-modify-writes per op.
-    /// Anything else (memory, sync, calls, heap — every op that can emit
-    /// an event, block, or fault) falls through to [`Vm::exec_instr`],
-    /// which mirrors the reference core observable-for-observable. Silent
-    /// accounting is charged after each flat op exactly like the
-    /// reference slot loop, including the corner where the budget trips
-    /// between the two halves of a fused `DecJump`.
+    /// The inner loop executes guest ops against hoisted locals — the pc,
+    /// the frame's register window, and per-class counters stay in
+    /// registers and are written back once per run, instead of paying a
+    /// thread/frame lookup and four counter read-modify-writes per op. The
+    /// silent register forms and the memory forms run entirely inside it.
+    /// The other single-event forms (mutex, rwlock, semaphore and queue
+    /// ops, `Alloc`/`Free`, client requests) evaluate their operands there
+    /// and then leave it for their `do_*` body, the one implementation
+    /// both cores share: it may block the thread or wake others, and
+    /// returns its event. Every event is delivered straight to the tool,
+    /// after the op's wakeups, so the tool observes the same post-op state
+    /// the reference core's end-of-slot drain shows it. The cold forms
+    /// (calls, spawn/join, condvars, `NewSync`, `Yield`, asserts) go to
+    /// [`Vm::exec_instr`]. Silent accounting is charged after each flat op
+    /// exactly like the reference slot loop, including the corner where
+    /// the budget trips between the two halves of a fused `DecJump`.
     fn run_slot_compiled(&mut self, tid: ThreadId, tool: &mut dyn Tool) -> Result<(), GuestError> {
         /// How one pass of the hoisted-borrow inner loop ended.
-        enum FastExit {
-            /// A memory access completed: deliver its event, slot over.
-            /// Delivered straight to the tool (the tool observes the same
-            /// post-op state the reference core's end-of-slot drain shows
-            /// it; the drain then sees an empty queue and is a no-op).
+        enum FastExit<'i> {
+            /// An op completed with one event: deliver it, slot over.
             Emitted(Event),
-            /// The instruction at pc is not a fast form; defer to
+            /// A single-event form with its operands evaluated (`a`, `b`
+            /// in operand order): run its shared body.
+            Shared(&'i Instr, u64, u64),
+            /// The instruction at pc is a cold form; defer to
             /// [`Vm::exec_instr`].
             Fallback,
             /// The silent-op budget tripped.
@@ -772,7 +784,8 @@ impl<'p> Vm<'p> {
                 let regs = &mut t.stack[f.base as usize..];
                 let mut pc = f.pc;
                 exit = loop {
-                    match &code[pc as usize] {
+                    let instr = &code[pc as usize];
+                    match instr {
                         Instr::Assign { dst, value } => {
                             ops_n += 1;
                             arith_n += 1;
@@ -903,6 +916,78 @@ impl<'p> Vm<'p> {
                                 loc: *loc,
                             });
                         }
+                        Instr::AtomicRmw { dst, addr, delta, size, loc } => {
+                            ops_n += 1;
+                            mem_n += 1;
+                            f.cur_loc = *loc;
+                            let a = compile::eval_operand(addr, regs, globals, pool, slot_evals);
+                            let d = compile::eval_operand(delta, regs, globals, pool, slot_evals);
+                            let old = match self.heap.fetch_add(a, *size, d) {
+                                Ok(old) => old,
+                                Err(e) => {
+                                    break FastExit::Fault(GuestError {
+                                        tid,
+                                        loc: *loc,
+                                        kind: GuestErrorKind::Mem(e),
+                                    });
+                                }
+                            };
+                            if let Some(dst) = dst {
+                                regs[dst.0 as usize] = old;
+                            }
+                            pc += 1;
+                            break FastExit::Emitted(Event::Access {
+                                tid,
+                                addr: a,
+                                size: *size,
+                                kind: AccessKind::AtomicRmw,
+                                loc: *loc,
+                            });
+                        }
+                        Instr::MutexLock { m, loc }
+                        | Instr::MutexUnlock { m, loc }
+                        | Instr::RwLockRead { m, loc }
+                        | Instr::RwLockWrite { m, loc }
+                        | Instr::RwUnlock { m, loc }
+                        | Instr::SemWait { sem: m, loc }
+                        | Instr::SemPost { sem: m, loc }
+                        | Instr::QueueGet { queue: m, loc, .. } => {
+                            ops_n += 1;
+                            self.stats.interp.sync += 1;
+                            f.cur_loc = *loc;
+                            let h = compile::eval_operand(m, regs, globals, pool, slot_evals);
+                            break FastExit::Shared(instr, h, 0);
+                        }
+                        Instr::QueuePut { queue, value, loc } => {
+                            ops_n += 1;
+                            self.stats.interp.sync += 1;
+                            f.cur_loc = *loc;
+                            let h = compile::eval_operand(queue, regs, globals, pool, slot_evals);
+                            let v = compile::eval_operand(value, regs, globals, pool, slot_evals);
+                            break FastExit::Shared(instr, h, v);
+                        }
+                        Instr::Alloc { size: a, loc, .. } | Instr::Free { addr: a, loc } => {
+                            ops_n += 1;
+                            self.stats.interp.heap += 1;
+                            f.cur_loc = *loc;
+                            let a = compile::eval_operand(a, regs, globals, pool, slot_evals);
+                            break FastExit::Shared(instr, a, 0);
+                        }
+                        Instr::HgDestruct { addr, size, loc }
+                        | Instr::HgCleanMemory { addr, size, loc } => {
+                            ops_n += 1;
+                            self.stats.interp.misc += 1;
+                            f.cur_loc = *loc;
+                            let a = compile::eval_operand(addr, regs, globals, pool, slot_evals);
+                            let s = compile::eval_operand(size, regs, globals, pool, slot_evals);
+                            break FastExit::Shared(instr, a, s);
+                        }
+                        Instr::Label { loc, .. } => {
+                            ops_n += 1;
+                            self.stats.interp.misc += 1;
+                            f.cur_loc = *loc;
+                            break FastExit::Shared(instr, 0, 0);
+                        }
                         _ => break FastExit::Fallback,
                     }
                 };
@@ -913,19 +998,73 @@ impl<'p> Vm<'p> {
             self.stats.interp.branch += branch_n;
             self.stats.interp.mem += mem_n;
             self.stats.interp.fused += fused_n;
-            match exit {
+            let flow = match exit {
                 FastExit::Emitted(ev) => {
-                    self.stats.events += 1;
-                    tool.on_event(&ev, &VmView { vm: self });
+                    self.deliver(tool, &ev);
                     return Ok(());
                 }
+                FastExit::Shared(instr, a, b) => {
+                    let flow = self.exec_shared(tid, instr, a, b)?;
+                    if let Flow::Silent = flow {
+                        // A failed allocation returns null silently.
+                        self.bump_silent(tid, &mut silent)?;
+                    }
+                    flow
+                }
+                FastExit::Fallback => self.exec_instr(tid, &mut silent, comp)?,
                 FastExit::Trip => return Err(self.err(tid, GuestErrorKind::SilentLoop)),
                 FastExit::Fault(e) => return Err(e),
-                FastExit::Fallback => match self.exec_instr(tid, &mut silent, comp)? {
-                    Flow::Silent => {}
-                    Flow::Emitted | Flow::Blocked | Flow::Exited | Flow::Yielded => return Ok(()),
-                },
+            };
+            match flow {
+                Flow::Silent => {}
+                Flow::Emitted(ev) => {
+                    self.deliver(tool, &ev);
+                    return Ok(());
+                }
+                Flow::Queued | Flow::Blocked | Flow::Yielded => return Ok(()),
             }
+        }
+    }
+
+    /// Hand one event straight to the tool, as the compiled core does.
+    /// `pending` is empty here: it is drained after every slot, and no op
+    /// before this one in the slot emitted.
+    #[inline]
+    fn deliver(&mut self, tool: &mut dyn Tool, ev: &Event) {
+        debug_assert!(self.pending.is_empty());
+        self.stats.events += 1;
+        tool.on_event(ev, &VmView { vm: self });
+    }
+
+    /// Run a form the hoisted loop handed over with its operands evaluated
+    /// (`a`, `b` in operand order) on the body the reference core runs too.
+    fn exec_shared(
+        &mut self,
+        tid: ThreadId,
+        instr: &Instr,
+        a: u64,
+        b: u64,
+    ) -> Result<Flow, GuestError> {
+        match *instr {
+            Instr::MutexLock { loc, .. } => self.do_mutex_lock(tid, a, loc),
+            Instr::MutexUnlock { loc, .. } => self.do_mutex_unlock(tid, a, loc),
+            Instr::RwLockRead { loc, .. } => self.do_rw_read(tid, a, loc),
+            Instr::RwLockWrite { loc, .. } => self.do_rw_write(tid, a, loc),
+            Instr::RwUnlock { loc, .. } => self.do_rw_unlock(tid, a, loc),
+            Instr::SemWait { loc, .. } => self.do_sem_wait(tid, a, loc),
+            Instr::SemPost { loc, .. } => self.do_sem_post(tid, a, loc),
+            Instr::QueuePut { loc, .. } => self.do_queue_put(tid, a, b, loc),
+            Instr::QueueGet { dst, loc, .. } => self.do_queue_get(tid, a, dst, loc),
+            Instr::Alloc { dst, loc, .. } => self.do_alloc(tid, dst, a, loc),
+            Instr::Free { loc, .. } => self.do_free(tid, a, loc),
+            Instr::HgDestruct { loc, .. } => {
+                self.do_client(tid, ClientEv::HgDestruct { addr: a, size: b }, loc)
+            }
+            Instr::HgCleanMemory { loc, .. } => {
+                self.do_client(tid, ClientEv::HgCleanMemory { addr: a, size: b }, loc)
+            }
+            Instr::Label { sym, loc } => self.do_client(tid, ClientEv::Label(sym), loc),
+            _ => unreachable!("{instr:?} has no shared body"),
         }
     }
 
@@ -955,12 +1094,13 @@ impl<'p> Vm<'p> {
         )
     }
 
-    /// Execute exactly one compiled instruction of `tid`. Mirrors
-    /// [`Vm::exec_op`] observable-for-observable: same event order, same
-    /// error locations, same fault-injection consult points. Fused
-    /// superinstructions additionally account the ops and silent steps
-    /// their two flat counterparts would have, including the corner where
-    /// the silent budget trips between the two halves.
+    /// Execute one cold-form compiled instruction of `tid`: the forms the
+    /// hoisted loop in [`Vm::run_slot_compiled`] leaves to this function.
+    /// Mirrors [`Vm::exec_op`] observable-for-observable: same event order,
+    /// same error locations, same fault-injection consult points. Kept out
+    /// of line: inlined into the slot loop, its arms cost the hoisted loop
+    /// registers, and the bare-VM ladder run slowed by ~15%.
+    #[inline(never)]
     fn exec_instr(
         &mut self,
         tid: ThreadId,
@@ -973,253 +1113,8 @@ impl<'p> Vm<'p> {
             let f = self.threads[ti].frames.last().expect("running thread has a frame");
             (f.proc, f.pc)
         };
-        let pool = &comp.pool;
         let instr: &'p Instr = &comp.procs[proc.0 as usize].code[pc as usize];
         match instr {
-            Instr::Assign { dst, value } => {
-                self.stats.interp.arith += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let base = f.base as usize;
-                    f.pc += 1;
-                    let v = compile::eval_operand(
-                        value,
-                        &t.stack[base..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::AssignStore { dst, value, addr, stored, size, loc } => {
-                // Assign half (silent).
-                self.stats.interp.arith += 1;
-                self.stats.interp.fused += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let base = t.frames.last().expect("running thread has a frame").base as usize;
-                    let v = compile::eval_operand(
-                        value,
-                        &t.stack[base..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.bump_silent(tid, silent)?;
-                // Store half (emits); a fresh flat op, so a fresh ops tick.
-                self.stats.ops += 1;
-                self.stats.interp.mem += 1;
-                let (a, v) = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    let regs = &t.stack[f.base as usize..];
-                    (
-                        compile::eval_operand(
-                            addr,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                        compile::eval_operand(
-                            stored,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                    )
-                };
-                self.heap.write(a, *size, v).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Write,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
-            Instr::DecJump { reg, target } => {
-                // Dec half: the entry `ops += 1` covered it.
-                self.stats.interp.arith += 1;
-                self.stats.interp.fused += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let base = t.frames.last().expect("running thread has a frame").base as usize;
-                    let slot = &mut t.stack[base + reg.0 as usize];
-                    *slot = slot.wrapping_sub(1);
-                }
-                self.bump_silent(tid, silent)?;
-                // Jump half.
-                self.stats.ops += 1;
-                self.stats.interp.branch += 1;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc =
-                    *target;
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Jump(t) => {
-                self.stats.interp.branch += 1;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc = *t;
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Branch { cmp, target } => {
-                self.stats.interp.branch += 1;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let taken = compile::eval_cmp(
-                        cmp,
-                        &t.stack[f.base as usize..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    );
-                    f.pc = if taken { f.pc + 1 } else { *target };
-                }
-                self.bump_silent(tid, silent)?;
-                Ok(Flow::Silent)
-            }
-            Instr::Load { dst, addr, size, loc } => {
-                self.stats.interp.mem += 1;
-                let a = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    compile::eval_operand(
-                        addr,
-                        &t.stack[f.base as usize..],
-                        &self.global_addrs,
-                        pool,
-                        &self.slot_evals,
-                    )
-                };
-                let v = self.heap.read(a, *size).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let base = f.base as usize;
-                    f.pc += 1;
-                    t.stack[base + dst.0 as usize] = v;
-                }
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Read,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
-            Instr::Store { addr, value, size, loc } => {
-                self.stats.interp.mem += 1;
-                let (a, v) = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    let regs = &t.stack[f.base as usize..];
-                    (
-                        compile::eval_operand(
-                            addr,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                        compile::eval_operand(
-                            value,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                    )
-                };
-                self.heap.write(a, *size, v).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.threads[ti].frames.last_mut().expect("running thread has a frame").pc += 1;
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::Write,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
-            Instr::AtomicRmw { dst, addr, delta, size, loc } => {
-                self.stats.interp.mem += 1;
-                let (a, d) = {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    f.cur_loc = *loc;
-                    let regs = &t.stack[f.base as usize..];
-                    (
-                        compile::eval_operand(
-                            addr,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                        compile::eval_operand(
-                            delta,
-                            regs,
-                            &self.global_addrs,
-                            pool,
-                            &self.slot_evals,
-                        ),
-                    )
-                };
-                let old = self.heap.read(a, *size).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.heap.write(a, *size, old.wrapping_add(d)).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                {
-                    let t = &mut self.threads[ti];
-                    let f = t.frames.last_mut().expect("running thread has a frame");
-                    let base = f.base as usize;
-                    f.pc += 1;
-                    if let Some(dst) = dst {
-                        t.stack[base + dst.0 as usize] = old;
-                    }
-                }
-                self.pending.push(Event::Access {
-                    tid,
-                    addr: a,
-                    size: *size,
-                    kind: AccessKind::AtomicRmw,
-                    loc: *loc,
-                });
-                Ok(Flow::Emitted)
-            }
             Instr::Call { proc: callee, args, dst, loc } => {
                 self.stats.interp.call += 1;
                 self.set_loc(tid, *loc);
@@ -1287,9 +1182,8 @@ impl<'p> Vm<'p> {
                 };
                 if exited {
                     self.set_state(tid, ThreadState::Exited);
-                    self.pending.push(Event::ThreadExit { tid });
                     self.wake_joiners(tid);
-                    Ok(Flow::Exited)
+                    Ok(Flow::Emitted(Event::ThreadExit { tid }))
                 } else {
                     self.bump_silent(tid, silent)?;
                     Ok(Flow::Silent)
@@ -1314,29 +1208,13 @@ impl<'p> Vm<'p> {
                 let child = self.push_thread(frame, child_stack);
                 self.set_reg(tid, *dst, child.0 as u64);
                 self.advance(tid);
-                self.pending.push(Event::ThreadCreate { parent: tid, child, loc: *loc });
-                Ok(Flow::Emitted)
+                Ok(Flow::Emitted(Event::ThreadCreate { parent: tid, child, loc: *loc }))
             }
             Instr::Join { handle, loc } => {
                 self.stats.interp.thread += 1;
                 self.set_loc(tid, *loc);
                 let h = self.ceval(tid, handle, comp);
-                let target = ThreadId(h as u32);
-                if h >= self.threads.len() as u64 || target == tid {
-                    return Err(GuestError {
-                        tid,
-                        loc: *loc,
-                        kind: GuestErrorKind::BadJoin { handle: h },
-                    });
-                }
-                if self.threads[target.index()].state == ThreadState::Exited {
-                    self.advance(tid);
-                    self.pending.push(Event::ThreadJoin { joiner: tid, joined: target, loc: *loc });
-                    Ok(Flow::Emitted)
-                } else {
-                    self.set_state(tid, ThreadState::Blocked(BlockOn::Join(target)));
-                    Ok(Flow::Blocked)
-                }
+                self.do_join(tid, h, *loc)
             }
             Instr::NewSync { dst, kind, init } => {
                 self.stats.interp.sync += 1;
@@ -1347,36 +1225,6 @@ impl<'p> Vm<'p> {
                 self.advance(tid);
                 self.bump_silent(tid, silent)?;
                 Ok(Flow::Silent)
-            }
-            Instr::MutexLock { m, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, m, comp);
-                self.do_mutex_lock(tid, h, *loc)
-            }
-            Instr::MutexUnlock { m, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, m, comp);
-                self.do_mutex_unlock(tid, h, *loc)
-            }
-            Instr::RwLockRead { m, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, m, comp);
-                self.do_rw_read(tid, h, *loc)
-            }
-            Instr::RwLockWrite { m, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, m, comp);
-                self.do_rw_write(tid, h, *loc)
-            }
-            Instr::RwUnlock { m, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, m, comp);
-                self.do_rw_unlock(tid, h, *loc)
             }
             Instr::CondWait { cond, mutex, loc } => {
                 self.stats.interp.sync += 1;
@@ -1390,92 +1238,6 @@ impl<'p> Vm<'p> {
                 self.set_loc(tid, *loc);
                 let ch = self.ceval(tid, cond, comp);
                 self.do_cond_signal(tid, ch, *broadcast, *loc)
-            }
-            Instr::SemWait { sem, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, sem, comp);
-                self.do_sem_wait(tid, h, *loc)
-            }
-            Instr::SemPost { sem, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, sem, comp);
-                self.do_sem_post(tid, h, *loc)
-            }
-            Instr::QueuePut { queue, value, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, queue, comp);
-                let v = self.ceval(tid, value, comp);
-                self.do_queue_put(tid, h, v, *loc)
-            }
-            Instr::QueueGet { queue, dst, loc } => {
-                self.stats.interp.sync += 1;
-                self.set_loc(tid, *loc);
-                let h = self.ceval(tid, queue, comp);
-                self.do_queue_get(tid, h, *dst, *loc)
-            }
-            Instr::Alloc { dst, size, loc } => {
-                self.stats.interp.heap += 1;
-                self.set_loc(tid, *loc);
-                if self.inject_alloc_fail(tid) {
-                    // Allocation failure: `new` returns null and no Alloc
-                    // event reaches the tool (see the reference arm).
-                    self.set_reg(tid, *dst, 0);
-                    self.advance(tid);
-                    self.bump_silent(tid, silent)?;
-                    return Ok(Flow::Silent);
-                }
-                let sz = self.ceval(tid, size, comp);
-                let addr = self.heap.alloc(sz, tid, *loc);
-                self.stats.allocs += 1;
-                self.set_reg(tid, *dst, addr);
-                self.advance(tid);
-                self.pending.push(Event::Alloc { tid, addr, size: sz.max(1), loc: *loc });
-                Ok(Flow::Emitted)
-            }
-            Instr::Free { addr, loc } => {
-                self.stats.interp.heap += 1;
-                self.set_loc(tid, *loc);
-                let a = self.ceval(tid, addr, comp);
-                let blk = self.heap.free(a).map_err(|e| GuestError {
-                    tid,
-                    loc: *loc,
-                    kind: GuestErrorKind::Mem(e),
-                })?;
-                self.advance(tid);
-                self.pending.push(Event::Free { tid, addr: a, size: blk.size, loc: *loc });
-                Ok(Flow::Emitted)
-            }
-            Instr::HgDestruct { addr, size, loc } => {
-                self.stats.interp.misc += 1;
-                self.set_loc(tid, *loc);
-                let ev = ClientEv::HgDestruct {
-                    addr: self.ceval(tid, addr, comp),
-                    size: self.ceval(tid, size, comp),
-                };
-                self.advance(tid);
-                self.pending.push(Event::Client { tid, req: ev, loc: *loc });
-                Ok(Flow::Emitted)
-            }
-            Instr::HgCleanMemory { addr, size, loc } => {
-                self.stats.interp.misc += 1;
-                self.set_loc(tid, *loc);
-                let ev = ClientEv::HgCleanMemory {
-                    addr: self.ceval(tid, addr, comp),
-                    size: self.ceval(tid, size, comp),
-                };
-                self.advance(tid);
-                self.pending.push(Event::Client { tid, req: ev, loc: *loc });
-                Ok(Flow::Emitted)
-            }
-            Instr::Label { sym, loc } => {
-                self.stats.interp.misc += 1;
-                self.set_loc(tid, *loc);
-                self.advance(tid);
-                self.pending.push(Event::Client { tid, req: ClientEv::Label(*sym), loc: *loc });
-                Ok(Flow::Emitted)
             }
             Instr::Yield => {
                 self.stats.interp.thread += 1;
@@ -1502,6 +1264,7 @@ impl<'p> Vm<'p> {
                 self.bump_silent(tid, silent)?;
                 Ok(Flow::Silent)
             }
+            _ => unreachable!("{instr:?} runs in the hoisted loop"),
         }
     }
 
@@ -1608,14 +1371,13 @@ impl<'p> Vm<'p> {
                     .map_err(|e| self.err_at(tid, *loc, GuestErrorKind::Mem(e)))?;
                 self.set_reg(tid, *dst, v);
                 self.advance(tid);
-                self.pending.push(Event::Access {
+                Ok(Flow::Emitted(Event::Access {
                     tid,
                     addr: a,
                     size: *size,
                     kind: AccessKind::Read,
                     loc: *loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Op::Store { addr, value, size, loc } => {
                 self.stats.interp.mem += 1;
@@ -1626,14 +1388,13 @@ impl<'p> Vm<'p> {
                     .write(a, *size, v)
                     .map_err(|e| self.err_at(tid, *loc, GuestErrorKind::Mem(e)))?;
                 self.advance(tid);
-                self.pending.push(Event::Access {
+                Ok(Flow::Emitted(Event::Access {
                     tid,
                     addr: a,
                     size: *size,
                     kind: AccessKind::Write,
                     loc: *loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Op::AtomicRmw { dst, addr, delta, size, loc } => {
                 self.stats.interp.mem += 1;
@@ -1642,23 +1403,19 @@ impl<'p> Vm<'p> {
                 let d = self.eval(tid, delta);
                 let old = self
                     .heap
-                    .read(a, *size)
-                    .map_err(|e| self.err_at(tid, *loc, GuestErrorKind::Mem(e)))?;
-                self.heap
-                    .write(a, *size, old.wrapping_add(d))
+                    .fetch_add(a, *size, d)
                     .map_err(|e| self.err_at(tid, *loc, GuestErrorKind::Mem(e)))?;
                 if let Some(dst) = dst {
                     self.set_reg(tid, *dst, old);
                 }
                 self.advance(tid);
-                self.pending.push(Event::Access {
+                Ok(Flow::Emitted(Event::Access {
                     tid,
                     addr: a,
                     size: *size,
                     kind: AccessKind::AtomicRmw,
                     loc: *loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Op::Call { proc: callee, args, dst, loc } => {
                 self.stats.interp.call += 1;
@@ -1691,9 +1448,8 @@ impl<'p> Vm<'p> {
                 };
                 if self.threads[tid.index()].frames.is_empty() {
                     self.set_state(tid, ThreadState::Exited);
-                    self.pending.push(Event::ThreadExit { tid });
                     self.wake_joiners(tid);
-                    Ok(Flow::Exited)
+                    Ok(Flow::Emitted(Event::ThreadExit { tid }))
                 } else {
                     if let Some(dst) = frame.ret_dst {
                         self.set_reg(tid, dst, v);
@@ -1714,25 +1470,13 @@ impl<'p> Vm<'p> {
                 let child = self.push_thread(frame, Vec::new());
                 self.set_reg(tid, *dst, child.0 as u64);
                 self.advance(tid);
-                self.pending.push(Event::ThreadCreate { parent: tid, child, loc: *loc });
-                Ok(Flow::Emitted)
+                Ok(Flow::Emitted(Event::ThreadCreate { parent: tid, child, loc: *loc }))
             }
             Op::Join { handle, loc } => {
                 self.stats.interp.thread += 1;
                 self.set_loc(tid, *loc);
                 let h = self.eval(tid, handle);
-                let target = ThreadId(h as u32);
-                if h >= self.threads.len() as u64 || target == tid {
-                    return Err(self.err_at(tid, *loc, GuestErrorKind::BadJoin { handle: h }));
-                }
-                if self.threads[target.index()].state == ThreadState::Exited {
-                    self.advance(tid);
-                    self.pending.push(Event::ThreadJoin { joiner: tid, joined: target, loc: *loc });
-                    Ok(Flow::Emitted)
-                } else {
-                    self.set_state(tid, ThreadState::Blocked(BlockOn::Join(target)));
-                    Ok(Flow::Blocked)
-                }
+                self.do_join(tid, h, *loc)
             }
             Op::NewSync { dst, kind, init } => {
                 self.stats.interp.sync += 1;
@@ -1751,33 +1495,14 @@ impl<'p> Vm<'p> {
             Op::Alloc { dst, size, loc } => {
                 self.stats.interp.heap += 1;
                 self.set_loc(tid, *loc);
-                if self.inject_alloc_fail(tid) {
-                    // Allocation failure: `new` returns null and no Alloc
-                    // event reaches the tool; a later dereference is a wild
-                    // access, exactly as on a real OOM path.
-                    self.set_reg(tid, *dst, 0);
-                    self.advance(tid);
-                    return Ok(Flow::Silent);
-                }
                 let sz = self.eval(tid, size);
-                let addr = self.heap.alloc(sz, tid, *loc);
-                self.stats.allocs += 1;
-                self.set_reg(tid, *dst, addr);
-                self.advance(tid);
-                self.pending.push(Event::Alloc { tid, addr, size: sz.max(1), loc: *loc });
-                Ok(Flow::Emitted)
+                self.do_alloc(tid, *dst, sz, *loc)
             }
             Op::Free { addr, loc } => {
                 self.stats.interp.heap += 1;
                 self.set_loc(tid, *loc);
                 let a = self.eval(tid, addr);
-                let blk = self
-                    .heap
-                    .free(a)
-                    .map_err(|e| self.err_at(tid, *loc, GuestErrorKind::Mem(e)))?;
-                self.advance(tid);
-                self.pending.push(Event::Free { tid, addr: a, size: blk.size, loc: *loc });
-                Ok(Flow::Emitted)
+                self.do_free(tid, a, *loc)
             }
             Op::Client { req, loc } => {
                 self.stats.interp.misc += 1;
@@ -1793,9 +1518,7 @@ impl<'p> Vm<'p> {
                     },
                     ClientOp::Label(sym) => ClientEv::Label(*sym),
                 };
-                self.advance(tid);
-                self.pending.push(Event::Client { tid, req: ev, loc: *loc });
-                Ok(Flow::Emitted)
+                self.do_client(tid, ev, *loc)
             }
             Op::Yield => {
                 self.stats.interp.thread += 1;
@@ -1875,13 +1598,72 @@ impl<'p> Vm<'p> {
         }
     }
 
-    // ---- sync-op bodies, shared by both interpreter cores ----
+    // ---- op bodies, shared by both interpreter cores ----
     //
-    // Handle operands are evaluated at the call sites (each core reads its
-    // own register layout, in the order the reference interpreter always
+    // Operands are evaluated at the call sites (each core reads its own
+    // register layout, in the order the reference interpreter always
     // used); everything after evaluation — fault-injection consults, state
-    // transitions, events, wakeups — is common code, so the two cores
-    // cannot drift.
+    // transitions, wakeups, the event — is common code, so the two cores
+    // cannot drift. A body wakes whatever its op unblocks *before* it
+    // returns its event, so a tool handed that event directly sees the
+    // state the reference core's end-of-slot drain shows it.
+
+    fn do_join(&mut self, tid: ThreadId, h: u64, loc: SrcLoc) -> Result<Flow, GuestError> {
+        let target = ThreadId(h as u32);
+        if h >= self.threads.len() as u64 || target == tid {
+            return Err(self.err_at(tid, loc, GuestErrorKind::BadJoin { handle: h }));
+        }
+        if self.threads[target.index()].state == ThreadState::Exited {
+            self.advance(tid);
+            Ok(Flow::Emitted(Event::ThreadJoin { joiner: tid, joined: target, loc }))
+        } else {
+            self.set_state(tid, ThreadState::Blocked(BlockOn::Join(target)));
+            Ok(Flow::Blocked)
+        }
+    }
+
+    /// The caller evaluates `sz` before the allocation-failure consult;
+    /// evaluating an operand changes no guest state.
+    fn do_alloc(
+        &mut self,
+        tid: ThreadId,
+        dst: RegId,
+        sz: u64,
+        loc: SrcLoc,
+    ) -> Result<Flow, GuestError> {
+        if self.inject_alloc_fail(tid) {
+            // Allocation failure: `new` returns null and no Alloc event
+            // reaches the tool; a later dereference is a wild access,
+            // exactly as on a real OOM path.
+            self.set_reg(tid, dst, 0);
+            self.advance(tid);
+            return Ok(Flow::Silent);
+        }
+        let addr = self.heap.alloc(sz, tid, loc);
+        self.stats.allocs += 1;
+        self.set_reg(tid, dst, addr);
+        self.advance(tid);
+        Ok(Flow::Emitted(Event::Alloc { tid, addr, size: sz.max(1), loc }))
+    }
+
+    fn do_free(&mut self, tid: ThreadId, a: u64, loc: SrcLoc) -> Result<Flow, GuestError> {
+        let blk = self.heap.free(a).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Mem(e)))?;
+        self.advance(tid);
+        Ok(Flow::Emitted(Event::Free { tid, addr: a, size: blk.size, loc }))
+    }
+
+    /// A client request. A range that leaves mapped guest memory is a
+    /// guest error: the engines keep shadow state for every granule a
+    /// request names, so a wild size would exhaust the host instead.
+    fn do_client(&mut self, tid: ThreadId, req: ClientEv, loc: SrcLoc) -> Result<Flow, GuestError> {
+        if let ClientEv::HgDestruct { addr, size } | ClientEv::HgCleanMemory { addr, size } = req {
+            self.heap
+                .check_range(addr, size)
+                .map_err(|e| self.err_at(tid, loc, GuestErrorKind::Mem(e)))?;
+        }
+        self.advance(tid);
+        Ok(Flow::Emitted(Event::Client { tid, req, loc }))
+    }
 
     fn do_mutex_lock(&mut self, tid: ThreadId, h: u64, loc: SrcLoc) -> Result<Flow, GuestError> {
         if self.inject_lock_fail() {
@@ -1893,14 +1675,13 @@ impl<'p> Vm<'p> {
         match obj.mutex_lock(tid) {
             Ok(true) => {
                 self.advance(tid);
-                self.pending.push(Event::Acquire {
+                Ok(Flow::Emitted(Event::Acquire {
                     tid,
                     sync: sid,
                     kind: SyncKind::Mutex,
                     mode: AcqMode::Exclusive,
                     loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Ok(false) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::Mutex(sid)));
@@ -1914,9 +1695,8 @@ impl<'p> Vm<'p> {
         let (sid, obj) = self.sync_obj(tid, h, loc)?;
         obj.mutex_unlock(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
         self.advance(tid);
-        self.pending.push(Event::Release { tid, sync: sid, kind: SyncKind::Mutex, loc });
         self.wake_blocked_on(|b| matches!(b, BlockOn::Mutex(s) if *s == sid));
-        Ok(Flow::Emitted)
+        Ok(Flow::Emitted(Event::Release { tid, sync: sid, kind: SyncKind::Mutex, loc }))
     }
 
     fn do_rw_read(&mut self, tid: ThreadId, h: u64, loc: SrcLoc) -> Result<Flow, GuestError> {
@@ -1927,14 +1707,13 @@ impl<'p> Vm<'p> {
         match obj.rw_lock_read(tid) {
             Ok(true) => {
                 self.advance(tid);
-                self.pending.push(Event::Acquire {
+                Ok(Flow::Emitted(Event::Acquire {
                     tid,
                     sync: sid,
                     kind: SyncKind::RwLock,
                     mode: AcqMode::Shared,
                     loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Ok(false) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::RwRead(sid)));
@@ -1952,14 +1731,13 @@ impl<'p> Vm<'p> {
         match obj.rw_lock_write(tid) {
             Ok(true) => {
                 self.advance(tid);
-                self.pending.push(Event::Acquire {
+                Ok(Flow::Emitted(Event::Acquire {
                     tid,
                     sync: sid,
                     kind: SyncKind::RwLock,
                     mode: AcqMode::Exclusive,
                     loc,
-                });
-                Ok(Flow::Emitted)
+                }))
             }
             Ok(false) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::RwWrite(sid)));
@@ -1973,11 +1751,10 @@ impl<'p> Vm<'p> {
         let (sid, obj) = self.sync_obj(tid, h, loc)?;
         obj.rw_unlock(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
         self.advance(tid);
-        self.pending.push(Event::Release { tid, sync: sid, kind: SyncKind::RwLock, loc });
         self.wake_blocked_on(
             |b| matches!(b, BlockOn::RwRead(s) | BlockOn::RwWrite(s) if *s == sid),
         );
-        Ok(Flow::Emitted)
+        Ok(Flow::Emitted(Event::Release { tid, sync: sid, kind: SyncKind::RwLock, loc }))
     }
 
     fn do_cond_wait(
@@ -2003,7 +1780,7 @@ impl<'p> Vm<'p> {
                         mode: AcqMode::Exclusive,
                         loc,
                     });
-                    Ok(Flow::Emitted)
+                    Ok(Flow::Queued)
                 }
                 Ok(false) => {
                     self.set_state(tid, ThreadState::Blocked(BlockOn::Mutex(m)));
@@ -2018,9 +1795,8 @@ impl<'p> Vm<'p> {
             let (csid, cobj) = self.sync_obj(tid, ch, loc)?;
             cobj.cond_park(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
             self.set_state(tid, ThreadState::Blocked(BlockOn::Cond(csid)));
-            self.pending.push(Event::Release { tid, sync: msid, kind: SyncKind::Mutex, loc });
             self.wake_blocked_on(|b| matches!(b, BlockOn::Mutex(s) if *s == msid));
-            Ok(Flow::Blocked)
+            Ok(Flow::Emitted(Event::Release { tid, sync: msid, kind: SyncKind::Mutex, loc }))
         }
     }
 
@@ -2044,8 +1820,7 @@ impl<'p> Vm<'p> {
             self.set_state(w, ThreadState::Runnable);
         }
         self.advance(tid);
-        self.pending.push(Event::CondSignal { tid, sync: csid, broadcast, loc });
-        Ok(Flow::Emitted)
+        Ok(Flow::Emitted(Event::CondSignal { tid, sync: csid, broadcast, loc }))
     }
 
     fn do_sem_wait(&mut self, tid: ThreadId, h: u64, loc: SrcLoc) -> Result<Flow, GuestError> {
@@ -2053,8 +1828,7 @@ impl<'p> Vm<'p> {
         match obj.sem_try_wait() {
             Ok(true) => {
                 self.advance(tid);
-                self.pending.push(Event::SemAcquired { tid, sync: sid, loc });
-                Ok(Flow::Emitted)
+                Ok(Flow::Emitted(Event::SemAcquired { tid, sync: sid, loc }))
             }
             Ok(false) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::Sem(sid)));
@@ -2068,9 +1842,8 @@ impl<'p> Vm<'p> {
         let (sid, obj) = self.sync_obj(tid, h, loc)?;
         obj.sem_post().map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
         self.advance(tid);
-        self.pending.push(Event::SemPost { tid, sync: sid, loc });
         self.wake_blocked_on(|b| matches!(b, BlockOn::Sem(s2) if *s2 == sid));
-        Ok(Flow::Emitted)
+        Ok(Flow::Emitted(Event::SemPost { tid, sync: sid, loc }))
     }
 
     fn do_queue_put(
@@ -2084,9 +1857,8 @@ impl<'p> Vm<'p> {
         match obj.queue_try_put(v) {
             Ok(Some(token)) => {
                 self.advance(tid);
-                self.pending.push(Event::QueuePut { tid, sync: sid, token, loc });
                 self.wake_blocked_on(|b| matches!(b, BlockOn::QueueGet(s2) if *s2 == sid));
-                Ok(Flow::Emitted)
+                Ok(Flow::Emitted(Event::QueuePut { tid, sync: sid, token, loc }))
             }
             Ok(None) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::QueuePut(sid)));
@@ -2108,9 +1880,8 @@ impl<'p> Vm<'p> {
             Ok(Some((v, token))) => {
                 self.set_reg(tid, dst, v);
                 self.advance(tid);
-                self.pending.push(Event::QueueGot { tid, sync: sid, token, loc });
                 self.wake_blocked_on(|b| matches!(b, BlockOn::QueuePut(s2) if *s2 == sid));
-                Ok(Flow::Emitted)
+                Ok(Flow::Emitted(Event::QueueGot { tid, sync: sid, token, loc }))
             }
             Ok(None) => {
                 self.set_state(tid, ThreadState::Blocked(BlockOn::QueueGet(sid)));

@@ -13,7 +13,7 @@ use vexec::ir::lower::FlatProgram;
 use vexec::ir::{Cond, Expr, SyncKind, SyncOp};
 use vexec::sched::{RoundRobin, SeededRandom};
 use vexec::tool::RecordingTool;
-use vexec::vm::{run_flat, VmMode, VmOptions};
+use vexec::vm::{run_flat, InterpStats, VmMode, VmOptions};
 use vexec::FaultPlan;
 
 /// Run one program on both cores with identical options (bar the mode) and
@@ -55,6 +55,14 @@ fn assert_equivalent(prog: &FlatProgram, seed: Option<u64>, faults: Option<Fault
     // to the shared op count (fused superinstructions account both halves).
     assert_eq!(r_c.stats.interp.total(), r_c.stats.ops, "compiled class counters mismatch ops");
     assert_eq!(r_r.stats.interp.total(), r_r.stats.ops, "reference class counters mismatch ops");
+    // Each op lands in the same class on both cores; only the compiled
+    // core's overlays (`fused`, `slot_evals`) may differ.
+    let classes = |s: InterpStats| InterpStats { fused: 0, slot_evals: 0, ..s };
+    assert_eq!(
+        classes(r_c.stats.interp),
+        classes(r_r.stats.interp),
+        "per-class op counters diverge (seed {seed:?}, faults {faults:?})"
+    );
 }
 
 /// One generated worker's shape.

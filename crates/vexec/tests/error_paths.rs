@@ -2,11 +2,12 @@
 //! wild accesses and misuse all terminate with structured errors instead
 //! of hanging or panicking.
 
+use vexec::heap::MemError;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{Cond, Expr};
 use vexec::sched::RoundRobin;
 use vexec::tool::{CountingTool, NullTool};
-use vexec::vm::{run_flat, GuestErrorKind, Termination, Vm, VmOptions};
+use vexec::vm::{run_flat, GuestErrorKind, Termination, Vm, VmMode, VmOptions};
 
 fn run_with_opts(prog: &vexec::Program, opts: VmOptions) -> Termination {
     let flat = prog.lower();
@@ -101,6 +102,41 @@ fn wild_access_is_a_guest_error_with_location() {
             assert_eq!(e.loc.line, 7, "error carries the faulting location");
         }
         other => panic!("expected wild access error, got {other:?}"),
+    }
+}
+
+#[test]
+fn client_request_leaving_guest_memory_is_a_guest_error() {
+    // The engines keep shadow state per granule of a request's range, so
+    // a 2^40-byte request must stop the guest rather than reach a tool.
+    let mut pb = ProgramBuilder::new();
+    let loc = pb.loc("annot.cpp", 9, "main");
+    let mut m = ProcBuilder::new(0);
+    m.at(loc);
+    let obj = m.alloc(32u64);
+    m.hg_destruct(obj, 32u64);
+    m.hg_destruct(obj, 1u64 << 40);
+    let main_id = pb.add_proc("main", m);
+    pb.set_entry(main_id);
+    let flat = pb.finish().lower();
+
+    for mode in [VmMode::Compiled, VmMode::Reference] {
+        let mut tool = CountingTool::new();
+        let opts = VmOptions { mode, ..Default::default() };
+        let r = run_flat(&flat, &mut tool, &mut RoundRobin::new(), opts);
+        match r.termination {
+            Termination::GuestError(e) => {
+                assert!(
+                    matches!(e.kind, GuestErrorKind::Mem(MemError::Wild { size, .. }) if size == 1 << 40),
+                    "{mode:?}: {e:?}"
+                );
+                assert_eq!(e.loc.line, 9, "{mode:?}: error carries the request's location");
+            }
+            other => panic!("{mode:?}: expected a guest error, got {other:?}"),
+        }
+        // The alloc and the in-bounds request reached the tool; the wild
+        // one did not.
+        assert_eq!(r.stats.events, 2, "{mode:?}");
     }
 }
 

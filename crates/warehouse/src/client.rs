@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use serde::Value;
 
 use crate::json;
-use crate::server::{MAX_BODY, MAX_HEADER};
+use crate::server::{frame, MAX_BODY, MAX_HEADER};
 
 /// A parsed response: the header object plus the raw body bytes (empty
 /// when the response carries none).
@@ -35,9 +35,7 @@ pub fn request(addr: &str, header: &Value, body: Option<&[u8]>) -> Result<Respon
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     stream
-        .write_all(header.to_string().as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| body.map_or(Ok(()), |b| stream.write_all(b)))
+        .write_all(&frame(header, body))
         .and_then(|()| stream.flush())
         .map_err(|e| format!("{addr}: send failed: {e}"))?;
 

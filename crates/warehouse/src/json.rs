@@ -9,9 +9,14 @@
 
 use serde::Value;
 
+/// Deepest array/object nesting [`parse`] accepts. Wire headers are flat
+/// objects and the deepest response (`diff`) nests three levels; the cap
+/// keeps a line of `[`s from recursing through a handler thread's stack.
+pub(crate) const MAX_DEPTH: usize = 32;
+
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -57,6 +62,8 @@ pub fn get_bool(v: &Value, key: &str) -> Option<bool> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -98,12 +105,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected byte {:?} at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -264,6 +281,24 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("truX").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_before_it_exhausts_the_stack() {
+        // A 2 MiB thread stack (the handler default) overflowed on this
+        // input before the cap.
+        let deep = "[".repeat(100_000);
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&deep))
+            .expect("spawn a parser thread")
+            .join()
+            .expect("the parser thread must not die");
+        assert_eq!(r, Err(format!("nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}")));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        assert!(parse(&format!("[{ok}]")).is_err());
+        assert!(parse("{\"a\":[{\"b\":[1]}]}").is_ok());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! session counters for stats), and `WarehouseLog` is a commutative fold —
 //! so these bytes are independent of upload order and worker count.
 
-use std::collections::BTreeMap;
-
 use serde::Value;
 
 use helgrind_core::ReportKind;
@@ -32,24 +30,11 @@ pub fn render_catalogue(log: &WarehouseLog) -> String {
         log.engine,
         if log.hb_reference { " (hb-reference)" } else { "" }
     ));
-    // Per-build (traces, warnings) from one pass over each map. Only
-    // builds that uploaded a trace get a line.
-    let mut per_build: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-    for &(b, _) in log.traces.keys() {
-        per_build.entry(b).or_default().0 += 1;
-    }
-    for e in log.entries.values() {
-        for b in &e.builds {
-            if let Some(counts) = per_build.get_mut(b) {
-                counts.1 += 1;
-            }
-        }
-    }
     let events: u64 = log.traces.values().map(|t| t.events).sum();
     s.push_str(&format!(
         "uploads: {} trace(s), {events} event(s), {} build(s)\n",
         log.traces.len(),
-        per_build.len()
+        log.builds.len()
     ));
     let suppressed = log.entries.keys().filter(|fp| log.suppressed.contains(*fp)).count();
     s.push_str(&format!("warnings: {} location(s) ({suppressed} suppressed)\n", log.entries.len()));
@@ -66,8 +51,8 @@ pub fn render_catalogue(log: &WarehouseLog) -> String {
             if log.suppressed.contains(fp) { " [suppressed]" } else { "" }
         ));
     }
-    for (b, (traces, warnings)) in per_build {
-        s.push_str(&format!("build {b}: {traces} trace(s), {warnings} warning(s)\n"));
+    for (b, c) in &log.builds {
+        s.push_str(&format!("build {b}: {} trace(s), {} warning(s)\n", c.traces, c.warnings));
     }
     s
 }
@@ -160,14 +145,13 @@ pub struct SessionCounters {
 /// The `stats` response: durable totals plus session counters.
 pub fn render_stats(log: &WarehouseLog, session: SessionCounters) -> String {
     let events: u64 = log.traces.values().map(|t| t.events).sum();
-    let builds: std::collections::BTreeSet<u64> = log.traces.keys().map(|&(b, _)| b).collect();
     let suppressed = log.entries.keys().filter(|fp| log.suppressed.contains(*fp)).count();
     Value::Object(vec![
         ("engine".to_string(), Value::Str(log.engine.clone())),
         ("hb_reference".to_string(), Value::Bool(log.hb_reference)),
         ("traces".to_string(), Value::UInt(log.traces.len() as u64)),
         ("events".to_string(), Value::UInt(events)),
-        ("builds".to_string(), Value::UInt(builds.len() as u64)),
+        ("builds".to_string(), Value::UInt(log.builds.len() as u64)),
         ("warnings".to_string(), Value::UInt(log.entries.len() as u64)),
         ("suppressed".to_string(), Value::UInt(suppressed as u64)),
         ("uploads".to_string(), Value::UInt(session.uploads)),

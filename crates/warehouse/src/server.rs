@@ -12,6 +12,8 @@
 //! text), `diff` (regression edges between two builds), `suppress`
 //! (fingerprint triage flip), `stats`, `ping`, `shutdown`.
 //!
+//! Each frame goes out in a single write (see `frame`).
+//!
 //! A corrupt upload or malformed request degrades to an `ok:false`
 //! response (or a dropped connection) — never a panic, never a wedged
 //! server. Handler panics are caught per connection as a final backstop.
@@ -219,12 +221,18 @@ fn flow(r: std::io::Result<()>) -> Flow {
 }
 
 fn respond(w: &mut TcpStream, header: &Value, body: Option<&[u8]>) -> std::io::Result<()> {
-    w.write_all(header.to_string().as_bytes())?;
-    w.write_all(b"\n")?;
-    if let Some(body) = body {
-        w.write_all(body)?;
-    }
+    w.write_all(&frame(header, body))?;
     w.flush()
+}
+
+/// One wire frame: the header line, then the body. Sent with one write:
+/// on a reused connection, a separate write for the trailing `\n` would
+/// wait (Nagle's algorithm) for the peer's delayed ACK of the header.
+pub(crate) fn frame(header: &Value, body: Option<&[u8]>) -> Vec<u8> {
+    let mut out = header.to_string().into_bytes();
+    out.push(b'\n');
+    out.extend_from_slice(body.unwrap_or_default());
+    out
 }
 
 fn respond_body(w: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {

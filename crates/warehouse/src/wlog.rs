@@ -88,6 +88,16 @@ pub struct TraceMeta {
     pub warnings: u64,
 }
 
+/// What one build contributed, kept current by
+/// [`WarehouseLog::fold_ingest`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BuildCounts {
+    /// Distinct traces uploaded for the build.
+    pub traces: u64,
+    /// Catalogue entries that list the build.
+    pub warnings: u64,
+}
+
 /// The durable warehouse state, a pure fold over the log's committed
 /// blocks. Every container is a BTree keyed by value (fingerprint,
 /// `(build, hash)`), and every fold step is commutative — which is what
@@ -103,6 +113,10 @@ pub struct WarehouseLog {
     pub entries: BTreeMap<String, WarehouseEntry>,
     /// `(build, FNV-1a-64 of the trace bytes)` → per-trace accounting.
     pub traces: BTreeMap<(u64, u64), TraceMeta>,
+    /// Build id → its trace and warning counts, for every build that
+    /// uploaded a trace: what the catalogue's build lines print, without
+    /// a scan of every entry's build set per query.
+    pub builds: BTreeMap<u64, BuildCounts>,
     /// Fingerprints currently marked suppressed (triage state, not the
     /// Valgrind-style pattern suppressions applied at analysis time).
     pub suppressed: BTreeSet<String>,
@@ -149,7 +163,8 @@ impl WarehouseLog {
 
     /// Fold one committed ingest into the in-memory state. Commutative:
     /// entry hits count distinct traces, builds are a set, traces are keyed
-    /// by content identity.
+    /// by content identity. A warning counts for a build when its entry
+    /// first lists that build.
     pub fn fold_ingest(&mut self, build: u64, hash: u64, events: u64, warnings: &TraceWarnings) {
         for (kind, file, line, func) in warnings {
             let fp = format!("{}|{file}|{line}|{func}", kind.code());
@@ -162,9 +177,14 @@ impl WarehouseLog {
                 builds: BTreeSet::new(),
             });
             e.hits += 1;
-            e.builds.insert(build);
+            if e.builds.insert(build) {
+                self.builds.entry(build).or_default().warnings += 1;
+            }
         }
-        self.traces.insert((build, hash), TraceMeta { events, warnings: warnings.len() as u64 });
+        let meta = TraceMeta { events, warnings: warnings.len() as u64 };
+        if self.traces.insert((build, hash), meta).is_none() {
+            self.builds.entry(build).or_default().traces += 1;
+        }
     }
 
     /// Fold one suppression flip.

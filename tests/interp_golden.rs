@@ -11,7 +11,9 @@
 //! is exercised off the happy path too (killed threads, failed
 //! allocations, spurious wakeups). A third sweep pins the chaos harness
 //! fingerprint — an FNV-1a hash over termination, every report, and the
-//! injector counters — across both cores.
+//! injector counters — across both cores. A fourth runs the soak guest
+//! (a bounded request queue, contended mutexes, dialog-teardown client
+//! requests, worker kills) phase by phase on both cores.
 //!
 //! Only the stderr-side statistics (`--stats` interp counters) may differ
 //! between the two runs; nothing here looks at those.
@@ -23,7 +25,7 @@
 //! to a literal: a schedule, report or fault counter that drifts from the
 //! recorded behaviour fails here even when the two cores agree.
 
-use raceline::helgrind_core::ReportSink;
+use raceline::helgrind_core::{AnyDetector, ReportSink, SuppressionSet};
 use raceline::prelude::*;
 use raceline::sipsim;
 use raceline::vexec::ir::lower::FlatProgram;
@@ -199,4 +201,33 @@ fn chaos_fingerprints_are_core_invariant() {
         }
     }
     assert_eq!(pin.0, CHAOS_PIN, "chaos fingerprints drifted from the pinned schedules");
+}
+
+/// Soak phases under the production hybrid + filter stack: the T1–T8
+/// sweeps never block a producer on a full queue, retry a contended mutex
+/// thousands of times, or kill a worker that holds a lock, and the soak
+/// guest does all three. Odd phases are kill-armed.
+#[test]
+fn soak_phases_are_core_invariant() {
+    let spec = sipsim::SoakSpec {
+        dialogs: 800,
+        phases: 4,
+        kill_permille: 30,
+        max_kills_per_phase: 2,
+        ..Default::default()
+    };
+    let mut kills = 0;
+    for phase in 0..spec.phases {
+        let run = |mode| {
+            let det =
+                AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
+            let out = sipsim::run_phase_in(&spec, phase, Some(det), true, None, mode);
+            let reports: Vec<String> = out.reports.iter().map(|r| r.render()).collect();
+            (out.stats, reports)
+        };
+        let compiled = run(VmMode::Compiled);
+        assert_eq!(compiled, run(VmMode::Reference), "soak phase {phase} diverged");
+        kills += compiled.0.kills;
+    }
+    assert!(kills > 0, "no phase killed a worker, so the kill path went untested");
 }

@@ -207,6 +207,53 @@ fn corrupt_upload_never_kills_the_server() {
 }
 
 #[test]
+fn deeply_nested_request_is_refused_and_the_server_survives() {
+    let spool = tmp("nested_spool");
+    let _ = std::fs::remove_dir_all(&spool);
+    let server = spawn_server(&spool, &[]);
+    // 60,000 `[` fit under the header cap; parsed without a depth limit
+    // they overflowed the handler thread's stack and aborted the process.
+    let mut line = vec![b'['; 60_000];
+    line.push(b'\n');
+    let mut conn = TcpStream::connect(&server.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
+    conn.write_all(&line).expect("send the nested header");
+    let mut reply = String::new();
+    BufReader::new(conn).read_line(&mut reply).expect("read the reply");
+    assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    let (stdout, stderr, code) = client(&server.addr, &["ping"]);
+    assert_eq!(code, 0, "the server must still answer\n{stdout}{stderr}");
+    shutdown(server);
+}
+
+#[test]
+fn a_reused_connection_answers_without_delayed_ack_stalls() {
+    let spool = tmp("reuse_spool");
+    let _ = std::fs::remove_dir_all(&spool);
+    let server = spawn_server(&spool, &[]);
+    let conn = TcpStream::connect(&server.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
+    let mut writer = conn.try_clone().expect("clone the stream");
+    let mut reader = BufReader::new(conn);
+    // A frame sent as a header write and a separate `\n` write waits for
+    // the peer's delayed ACK on every request after the first: ~44 ms a
+    // ping, 2.2 s for these 50.
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        writer.write_all(b"{\"cmd\":\"ping\"}\n").expect("send ping");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read pong");
+        assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "50 pings on one connection took {elapsed:?}");
+    drop(writer);
+    drop(reader);
+    shutdown(server);
+}
+
+#[test]
 fn kill_nine_then_restart_resumes_to_identical_bytes() {
     let traces = record_cases(&["T4", "T5", "T6"], "kill");
     let spool = tmp("kill_spool");

@@ -5,6 +5,15 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use raceline::vexec::event::{ClientEv, Event, ThreadId};
+use raceline::vexec::ir::SrcLoc;
+use raceline_trace::format::{
+    encode_event, encode_footer_body, encode_header, encode_snapshot, CodecState, Fnv1a, END_MAGIC,
+    TAG_EPOCH, TAG_FOOTER,
+};
+use raceline_trace::varint::put_uvarint;
+use raceline_trace::{EpochSnapshot, TraceBlock, TraceFooter, TraceTermination};
+
 fn raceline(args: &[&str]) -> (String, String, i32) {
     let out =
         Command::new(env!("CARGO_BIN_EXE_raceline")).args(args).output().expect("run raceline");
@@ -92,6 +101,69 @@ fn analyze_rejects_corruption_with_structured_errors() {
     let (_, stderr, code) = raceline(&["analyze", junk.to_str().unwrap()]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("bad magic"), "{stderr}");
+}
+
+/// A whole, checksummed trace of one heap block at 0x1000 (16 bytes) and
+/// one event: `req` from thread 0. Encoded by hand, because the VM stops
+/// a guest whose client request leaves guest memory, so no recorded trace
+/// carries one.
+fn client_request_trace(req: ClientEv) -> Vec<u8> {
+    let block = TraceBlock { addr: 0x1000, size: 16, alloc_tid: 0, freed: false };
+    let mut bytes = encode_header(&[""], &[block]);
+    let mut payload = Vec::new();
+    let ev = Event::Client { tid: ThreadId(0), req, loc: SrcLoc::UNKNOWN };
+    encode_event(&mut payload, &mut CodecState::default(), &ev);
+    bytes.push(TAG_EPOCH);
+    put_uvarint(&mut bytes, 0);
+    encode_snapshot(&mut bytes, &EpochSnapshot::default());
+    put_uvarint(&mut bytes, payload.len() as u64);
+    bytes.extend_from_slice(&payload);
+    bytes.push(TAG_FOOTER);
+    let footer = TraceFooter {
+        events: 1,
+        epochs: 1,
+        slots: 1,
+        termination: TraceTermination::AllExited,
+        faults: None,
+    };
+    encode_footer_body(&mut bytes, &footer);
+    let mut hash = Fnv1a::default();
+    hash.update(&bytes);
+    bytes.extend_from_slice(&hash.0.to_le_bytes());
+    bytes.extend_from_slice(END_MAGIC);
+    bytes
+}
+
+#[test]
+fn analyze_rejects_a_client_request_outside_the_heap() {
+    // Inside the block: a well-formed trace.
+    let ok = tmp("client_ok.rltrace");
+    std::fs::write(&ok, client_request_trace(ClientEv::HgDestruct { addr: 0x1000, size: 16 }))
+        .unwrap();
+    let (_, stderr, code) = raceline(&["analyze", ok.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
+
+    // 2^40 bytes: the lockset engine would build shadow state for each
+    // granule of the range and grow without bound. It is a corrupt trace.
+    let hostile = client_request_trace(ClientEv::HgDestruct { addr: 0x1000, size: 1 << 40 });
+    let path = tmp("client_hostile.rltrace");
+    std::fs::write(&path, hostile).unwrap();
+    let (_, stderr, code) = raceline(&["analyze", path.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains(
+            "client request names 1099511627776 byte(s) at 0x1000, outside every heap block"
+        ),
+        "{stderr}"
+    );
+
+    // Past the block's end, by one granule.
+    let past = tmp("client_past.rltrace");
+    std::fs::write(&past, client_request_trace(ClientEv::HgCleanMemory { addr: 0x1008, size: 16 }))
+        .unwrap();
+    let (_, stderr, code) = raceline(&["analyze", past.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("outside every heap block"), "{stderr}");
 }
 
 #[test]
