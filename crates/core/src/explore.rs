@@ -9,10 +9,12 @@
 //! shows which warnings are schedule-robust and which only surface
 //! sometimes.
 
+use crate::commitlog::{esc, unesc};
 use crate::config::DetectorConfig;
 use crate::detector::EraserDetector;
 use crate::report::{Report, ReportKind, StackFrame};
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,8 +36,7 @@ pub struct LocationHit {
     pub hits: usize,
     /// 1-based index of the first run that reported this location — the
     /// "schedules until found" metric the directed-exploration gate
-    /// compares. `0` when the location was restored from a checkpoint
-    /// (found somewhere in the resumed prefix).
+    /// compares.
     pub first_run: usize,
 }
 
@@ -101,11 +102,11 @@ pub struct ExploreSummary {
 }
 
 impl ExploreSummary {
-    /// Snapshot this summary as a resumable checkpoint. Reports are
-    /// summarized to their top stack frame; hit counts and verdict
-    /// counters round-trip exactly.
+    /// Snapshot this summary as a resumable checkpoint with an empty
+    /// [`ExploreCheckpoint::spec`].
     pub fn checkpoint(&self) -> ExploreCheckpoint {
         ExploreCheckpoint {
+            spec: String::new(),
             base_seed: self.base_seed,
             runs: self.runs,
             next_index: self.completed_runs,
@@ -363,11 +364,11 @@ fn fold_outcome(
 /// checkpoint/resume and a worker pool.
 ///
 /// When `resume` is given it must come from a sweep over the same program
-/// with the same `base_seed` (the checkpoint records it; mismatches are
-/// the caller's bug — the explorer trusts the counters as-is). Execution
-/// continues from the first seed the checkpoint had not completed, so an
-/// interrupted sweep plus its resumed remainder visits exactly the same
-/// seeds as an uninterrupted one.
+/// with the same `base_seed` and options (callers compare
+/// [`ExploreCheckpoint::spec`]; the explorer trusts the counters as-is).
+/// Execution continues from the first seed the checkpoint had not
+/// completed, so an interrupted sweep plus its resumed remainder visits
+/// exactly the same seeds as an uninterrupted one.
 ///
 /// ## Deterministic parallel merge
 ///
@@ -543,13 +544,18 @@ fn explore_impl(
 ///
 /// Serialized as a line-oriented text format (`render`/`parse`) rather
 /// than JSON: the vendored serde shim emits but does not parse JSON, and
-/// a checkpoint that can be written but never read back is useless.
-/// Location lines keep a summarized report — top stack frame only, no
-/// heap-block note — which is exactly the degradation contract used
-/// elsewhere: resumed sweeps stay deterministic in *which* locations they
-/// count, at reduced per-report detail.
+/// a checkpoint that can be written but never read back is useless. Every
+/// field of every [`LocationHit`] round-trips, so a resumed sweep reports
+/// exactly what the uninterrupted one would. A save replaces the whole
+/// file atomically ([`crate::commitlog::replace`]), so a crash mid-save
+/// leaves the previous checkpoint in place.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreCheckpoint {
+    /// What decides each run's outcome (guest program, detector, fault
+    /// plan, ...), as the caller describes it. The explorer does not read
+    /// it; a caller resuming a sweep refuses a checkpoint whose spec
+    /// differs from its own.
+    pub spec: String,
     pub base_seed: u64,
     pub runs: usize,
     /// First seed index not yet executed.
@@ -562,45 +568,22 @@ pub struct ExploreCheckpoint {
     pub locations: Vec<LocationHit>,
 }
 
-const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v1";
+const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v2";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
+/// Fields of a `loc` line before its stack frames.
+const LOC_FIELDS: usize = 11;
 
 impl ExploreCheckpoint {
-    /// Serialize to the line-oriented text format.
+    /// Serialize to the line-oriented text format. A location is one
+    /// `loc` line: hits, first run, kind, tid, address, truncated flag,
+    /// line, file, function, block note (`-` for none, else `+` and the
+    /// note), details, then one `line\tfile\tfunction` triple per stack
+    /// frame.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(CHECKPOINT_MAGIC);
         out.push('\n');
+        out.push_str(&format!("spec {}\n", esc(&self.spec)));
         out.push_str(&format!("base_seed {}\n", self.base_seed));
         out.push_str(&format!("runs {}\n", self.runs));
         out.push_str(&format!("next_index {}\n", self.next_index));
@@ -611,17 +594,28 @@ impl ExploreCheckpoint {
         out.push_str(&format!("slots_used {}\n", self.slots_used));
         for l in &self.locations {
             let r = &l.report;
-            out.push_str(&format!(
-                "loc {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            let block = match &r.block {
+                Some(b) => format!("+{}", esc(b)),
+                None => "-".to_string(),
+            };
+            let _ = write!(
+                out,
+                "loc {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{block}\t{}",
                 l.hits,
+                l.first_run,
                 r.kind.code(),
                 r.tid,
                 r.addr,
+                u8::from(r.truncated),
                 r.line,
                 esc(&r.file),
                 esc(&r.func),
                 esc(&r.details),
-            ));
+            );
+            for f in &r.stack {
+                let _ = write!(out, "\t{}\t{}\t{}", f.line, esc(&f.file), esc(&f.func));
+            }
+            out.push('\n');
         }
         out
     }
@@ -646,6 +640,7 @@ impl ExploreCheckpoint {
                 s.parse::<u64>().map_err(|_| format!("checkpoint line {}: bad number", ln + 2))
             };
             match key {
+                "spec" => ck.spec = unesc(rest),
                 "base_seed" => ck.base_seed = num(rest)?,
                 "runs" => ck.runs = num(rest)? as usize,
                 "next_index" => ck.next_index = num(rest)? as usize,
@@ -655,34 +650,48 @@ impl ExploreCheckpoint {
                 "fuel_exhausted" => ck.fuel_exhausted_runs = num(rest)? as usize,
                 "slots_used" => ck.slots_used = num(rest)?,
                 "loc" => {
-                    let fields: Vec<&str> = rest.split('\t').collect();
-                    if fields.len() != 8 {
+                    let f: Vec<&str> = rest.split('\t').collect();
+                    if f.len() < LOC_FIELDS || !(f.len() - LOC_FIELDS).is_multiple_of(3) {
                         return Err(format!(
-                            "checkpoint line {}: expected 8 loc fields, got {}",
+                            "checkpoint line {}: expected {LOC_FIELDS} loc fields plus frame \
+                             triples, got {}",
                             ln + 2,
-                            fields.len()
+                            f.len()
                         ));
                     }
-                    let kind = ReportKind::from_code(fields[1]).ok_or_else(|| {
-                        format!("checkpoint line {}: unknown report kind {:?}", ln + 2, fields[1])
-                    })?;
-                    let file = unesc(fields[5]);
-                    let func = unesc(fields[6]);
-                    let line_no = num(fields[4])? as u32;
+                    let bad = |what: &str| format!("checkpoint line {}: bad {what}", ln + 2);
+                    let kind = ReportKind::from_code(f[2]).ok_or_else(|| bad("report kind"))?;
+                    let truncated = match f[5] {
+                        "0" => false,
+                        "1" => true,
+                        _ => return Err(bad("truncated flag")),
+                    };
+                    let block = match f[9] {
+                        "-" => None,
+                        b => Some(unesc(b.strip_prefix('+').ok_or_else(|| bad("block note"))?)),
+                    };
+                    let mut stack = Vec::new();
+                    for frame in f[LOC_FIELDS..].chunks(3) {
+                        stack.push(StackFrame {
+                            line: num(frame[0])? as u32,
+                            file: unesc(frame[1]),
+                            func: unesc(frame[2]),
+                        });
+                    }
                     ck.locations.push(LocationHit {
-                        hits: num(fields[0])? as usize,
-                        first_run: 0,
+                        hits: num(f[0])? as usize,
+                        first_run: num(f[1])? as usize,
                         report: Report {
                             kind,
-                            tid: num(fields[2])? as u32,
-                            file: file.clone(),
-                            line: line_no,
-                            func: func.clone(),
-                            addr: num(fields[3])?,
-                            stack: vec![StackFrame { func, file, line: line_no }],
-                            block: None,
-                            details: unesc(fields[7]),
-                            truncated: false,
+                            tid: num(f[3])? as u32,
+                            addr: num(f[4])?,
+                            line: num(f[6])? as u32,
+                            file: unesc(f[7]),
+                            func: unesc(f[8]),
+                            stack,
+                            block,
+                            details: unesc(f[10]),
+                            truncated,
                         },
                     });
                 }
@@ -690,41 +699,6 @@ impl ExploreCheckpoint {
             }
         }
         Ok(ck)
-    }
-
-    /// Like [`Self::parse`], but tolerant of the one corruption an
-    /// interrupted write can leave behind: a truncated final record. On a
-    /// strict-parse failure, drop the trailing partial line (or, when the
-    /// text ends in a newline, the last full line) and retry once. Returns
-    /// the checkpoint plus whether a repair was applied; errors on
-    /// interior lines still propagate — those are real corruption, not a
-    /// torn tail.
-    pub fn parse_repair(text: &str) -> Result<(ExploreCheckpoint, bool), String> {
-        let first_err = match Self::parse(text) {
-            Ok(ck) => return Ok((ck, false)),
-            Err(e) => e,
-        };
-        let Some(trimmed) = trim_torn_tail(text) else {
-            return Err(first_err);
-        };
-        match Self::parse(trimmed) {
-            Ok(ck) => Ok((ck, true)),
-            Err(_) => Err(first_err),
-        }
-    }
-}
-
-/// The prefix of `text` with the torn tail removed: everything after the
-/// last newline when the text does not end in one (an interrupted write
-/// mid-line), otherwise the last *complete* line (an interrupted write
-/// that happened to stop on a line boundary — the line itself is
-/// suspect). `None` when nothing parseable would remain. Shared by every
-/// line-oriented checkpoint format's `parse_repair`.
-pub fn trim_torn_tail(text: &str) -> Option<&str> {
-    match text.rfind('\n') {
-        Some(nl) if nl + 1 < text.len() => Some(&text[..nl + 1]),
-        Some(nl) => text[..nl].rfind('\n').map(|prev| &text[..prev + 1]),
-        None => None,
     }
 }
 
@@ -829,8 +803,8 @@ mod tests {
         assert_eq!(reparsed.slots_used, ck.slots_used);
         assert_eq!(reparsed.locations.len(), ck.locations.len());
 
-        // Resuming from the checkpoint visits exactly the remaining seeds:
-        // same per-location hit counts as the uninterrupted sweep.
+        // Resuming from the checkpoint visits exactly the remaining seeds
+        // and ends in the uninterrupted sweep's state, reports and all.
         let resumed = explore_schedules_with(
             &prog,
             DetectorConfig::hwlc_dr(),
@@ -840,14 +814,7 @@ mod tests {
             Some(&reparsed),
         );
         assert_eq!(resumed.completed_runs, 12);
-        assert_eq!(resumed.clean_runs, full.clean_runs);
-        let key = |s: &ExploreSummary| {
-            s.locations
-                .iter()
-                .map(|l| (l.report.file.clone(), l.report.line, l.hits))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&resumed), key(&full));
+        assert_eq!(fingerprint(&resumed), fingerprint(&full));
     }
 
     #[test]
@@ -863,16 +830,30 @@ mod tests {
     #[test]
     fn checkpoint_rejects_garbage() {
         assert!(ExploreCheckpoint::parse("not a checkpoint").is_err());
-        let bad = format!("{}\nloc 1\tNope\t0\t0\t0\tf\tg\td\n", "raceline-explore-checkpoint v1");
+        let bad = format!("{CHECKPOINT_MAGIC}\nloc 1\t0\tNope\t0\t0\t0\t0\tf\tg\t-\td\n");
         assert!(ExploreCheckpoint::parse(&bad).is_err());
+        let short = format!("{CHECKPOINT_MAGIC}\nloc 1\t0\tRaceWrite\t0\t0\t0\t0\tf\tg\t-\n");
+        assert!(ExploreCheckpoint::parse(&short).is_err(), "a loc line cut short");
+        let v1 = "raceline-explore-checkpoint v1\nbase_seed 1\n";
+        assert!(ExploreCheckpoint::parse(v1).is_err(), "v1 kept only the top frame");
     }
 
     #[test]
-    fn checkpoint_escapes_details_round_trip() {
-        let mut ck =
-            ExploreCheckpoint { base_seed: 9, runs: 3, next_index: 2, ..Default::default() };
+    fn checkpoint_round_trips_every_location_field() {
+        let mut ck = ExploreCheckpoint {
+            spec: "program=1\tdetector=hwlc-dr".into(),
+            base_seed: 9,
+            runs: 3,
+            next_index: 2,
+            ..Default::default()
+        };
+        let frame = |func: &str, file: &str, line| StackFrame {
+            func: func.into(),
+            file: file.into(),
+            line,
+        };
         ck.locations.push(LocationHit {
-            first_run: 1,
+            first_run: 2,
             report: Report {
                 kind: ReportKind::RaceWrite,
                 tid: 2,
@@ -880,49 +861,35 @@ mod tests {
                 line: 7,
                 func: "op<>".into(),
                 addr: 64,
-                stack: vec![StackFrame { func: "op<>".into(), file: "a b.cpp".into(), line: 7 }],
-                block: None,
+                stack: vec![frame("op<>", "a b.cpp", 7), frame("wor\tker", "x\\y.cpp", 29)],
+                block: Some("Address 0x40 is 0 bytes inside a block\tof size 8".into()),
                 details: "line one\n\tline\\two".into(),
-                truncated: false,
+                truncated: true,
             },
             hits: 5,
         });
+        let mut plain = ck.locations[0].clone();
+        plain.report.block = None;
+        plain.report.stack.clear();
+        plain.report.truncated = false;
+        ck.locations.push(plain);
         let back = ExploreCheckpoint::parse(&ck.render()).unwrap();
-        assert_eq!(back.locations[0].hits, 5);
-        assert_eq!(back.locations[0].report.details, "line one\n\tline\\two");
-        assert_eq!(back.locations[0].report.file, "a b.cpp");
+        assert_eq!(back.render(), ck.render());
+        assert_eq!(back.spec, ck.spec);
+        for (a, b) in back.locations.iter().zip(&ck.locations) {
+            let (x, y) = (&a.report, &b.report);
+            assert_eq!((a.hits, a.first_run), (b.hits, b.first_run));
+            assert_eq!((x.kind, x.tid, x.addr, x.truncated), (y.kind, y.tid, y.addr, y.truncated));
+            assert_eq!((&x.file, x.line, &x.func), (&y.file, y.line, &y.func));
+            assert_eq!((&x.stack, &x.block, &x.details), (&y.stack, &y.block, &y.details));
+        }
     }
 
     #[test]
-    fn checkpoint_repair_drops_torn_tail() {
-        let mut ck =
-            ExploreCheckpoint { base_seed: 7, runs: 10, next_index: 6, ..Default::default() };
-        ck.clean_runs = 6;
-        let full = ck.render();
-        // Interrupted write: the final line is cut mid-record, no newline.
-        let torn = &full[..full.len() - 3];
-        assert!(ExploreCheckpoint::parse(torn).is_err(), "strict parse must reject");
-        let (back, repaired) = ExploreCheckpoint::parse_repair(torn).unwrap();
-        assert!(repaired);
-        assert_eq!(back.base_seed, 7);
-        assert_eq!(back.next_index, 6);
-    }
-
-    #[test]
-    fn checkpoint_repair_is_noop_on_clean_input() {
-        let ck = ExploreCheckpoint { base_seed: 3, runs: 4, ..Default::default() };
-        let (back, repaired) = ExploreCheckpoint::parse_repair(&ck.render()).unwrap();
-        assert!(!repaired);
-        assert_eq!(back.base_seed, 3);
-    }
-
-    #[test]
-    fn checkpoint_repair_rejects_interior_corruption() {
+    fn checkpoint_rejects_interior_corruption() {
         let ck = ExploreCheckpoint { base_seed: 1, runs: 2, ..Default::default() };
-        // Corrupt an interior line, keep the tail intact: not a torn write.
         let bad = ck.render().replace("runs 2", "runs two");
-        assert!(ExploreCheckpoint::parse_repair(&bad).is_err());
-        assert!(ExploreCheckpoint::parse_repair("garbage, not a checkpoint").is_err());
+        assert!(ExploreCheckpoint::parse(&bad).is_err());
     }
 
     /// Full observable state of a summary, for bit-identity assertions.

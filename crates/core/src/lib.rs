@@ -26,6 +26,7 @@
 //! ```
 
 pub mod budget;
+pub mod commitlog;
 pub mod config;
 pub mod detector;
 pub mod eraser;
@@ -45,8 +46,8 @@ pub use config::{BusLockModel, DetectorConfig};
 pub use detector::{AnyDetector, DjitDetector, EngineStats, EraserDetector, HybridDetector};
 pub use eraser::{LocksetEngine, RaceInfo, VarState};
 pub use explore::{
-    explore_schedules, explore_schedules_directed, explore_schedules_with, trim_torn_tail,
-    DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
+    explore_schedules, explore_schedules_directed, explore_schedules_with, DirectedTarget,
+    ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
 };
 pub use hb::{Conflict, EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};

@@ -16,9 +16,9 @@
 //!   final answer.
 //! * **Crash recovery**: the append-only [`SoakLog`] commits each phase
 //!   with a trailing `phase` line *after* its `warn` lines; a harness
-//!   crash mid-append tears at most the final line, which
-//!   [`SoakLog::parse_repair`] drops along with any uncommitted `warn`
-//!   lines — the re-run of the interrupted phase reproduces them exactly.
+//!   crash mid-append leaves an uncommitted tail, which recovery
+//!   ([`helgrind_core::commitlog::recover`]) cuts away — the re-run of the
+//!   interrupted phase reproduces it exactly.
 //! * **Bounded memory**: each phase runs a fresh detector, and *within* a
 //!   phase the guest emits `HgCleanMemory` at dialog teardown so the
 //!   engines' `reset_range` reclaims dead-dialog shadow state; the peak
@@ -29,7 +29,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::workload::{phase_cells, DialogClass, SoakSpec};
-use helgrind_core::{trim_torn_tail, warning_fingerprint, AnyDetector, Report, ReportKind};
+use helgrind_core::commitlog::{esc, unesc};
+use helgrind_core::{warning_fingerprint, AnyDetector, Report, ReportKind};
 use vexec::faults::FaultPlan;
 use vexec::filter::FilterTool;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
@@ -522,42 +523,27 @@ pub struct CatEntry {
 
 const LOG_MAGIC: &str = "raceline-soak-log v1";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// One `warn` record: hits, kind, line, file, function.
+type WarnRecord = (u64, ReportKind, u32, String, String);
 
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
+/// A phase's warnings deduped by fingerprint, in fingerprint order: the
+/// `warn` records its block carries.
+fn phase_warnings(outcome: &PhaseOutcome) -> Vec<WarnRecord> {
+    let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
+    for r in &outcome.reports {
+        agg.entry(warning_fingerprint(r)).or_insert((0, r)).0 += 1;
     }
-    out
+    agg.into_values()
+        .map(|(hits, r)| (hits, r.kind, r.line, r.file.clone(), r.func.clone()))
+        .collect()
 }
 
 /// The soak run's durable state: committed phases plus the
 /// fingerprint-deduped warning catalogue, serialized as an append-only
 /// line log. Layout per phase: the phase's `warn` lines first, then one
-/// `phase` line acting as the commit record — so a crash anywhere during
-/// an append loses only uncommitted lines, never committed state.
+/// `phase` line acting as the commit record. This type is the format
+/// only; writing, the commit rule and crash recovery are
+/// [`helgrind_core::commitlog`]'s.
 #[derive(Clone, Debug, Default)]
 pub struct SoakLog {
     pub params: String,
@@ -585,20 +571,14 @@ impl SoakLog {
     /// lines (fingerprint-deduped within the phase) followed by the
     /// `phase` commit line.
     pub fn phase_block(outcome: &PhaseOutcome) -> String {
-        let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
-        for r in &outcome.reports {
-            let e = agg.entry(warning_fingerprint(r)).or_insert((0, r));
-            e.0 += 1;
-        }
         let mut out = String::new();
-        for (hits, r) in agg.values() {
+        for (hits, kind, line, file, func) in phase_warnings(outcome) {
             let _ = writeln!(
                 out,
-                "warn {hits}\t{}\t{}\t{}\t{}",
-                r.kind.code(),
-                r.line,
-                esc(&r.file),
-                esc(&r.func),
+                "warn {hits}\t{}\t{line}\t{}\t{}",
+                kind.code(),
+                esc(&file),
+                esc(&func)
             );
         }
         let s = &outcome.stats;
@@ -625,13 +605,15 @@ impl SoakLog {
     /// folded in order.
     pub fn fold_phase(&mut self, outcome: &PhaseOutcome) {
         assert_eq!(outcome.stats.phase, self.next_phase(), "phases must be committed in order");
-        let phase = outcome.stats.phase;
-        let mut agg: BTreeMap<String, (u64, &Report)> = BTreeMap::new();
-        for r in &outcome.reports {
-            let e = agg.entry(warning_fingerprint(r)).or_insert((0, r));
-            e.0 += 1;
-        }
-        for (fp, (hits, r)) in agg {
+        self.commit(outcome.stats.clone(), phase_warnings(outcome));
+    }
+
+    /// Fold one committed block, the same way for a live phase and for a
+    /// parsed log: its `warn` records into the catalogue, then its stats.
+    fn commit(&mut self, stats: PhaseStats, warns: Vec<WarnRecord>) {
+        let phase = stats.phase;
+        for (hits, kind, line, file, func) in warns {
+            let fp = format!("{}|{file}|{line}|{func}", kind.code());
             self.catalogue
                 .entry(fp)
                 .and_modify(|e| {
@@ -639,47 +621,23 @@ impl SoakLog {
                     e.last_phase = phase;
                 })
                 .or_insert(CatEntry {
-                    kind: r.kind,
-                    file: r.file.clone(),
-                    line: r.line,
-                    func: r.func.clone(),
+                    kind,
+                    file,
+                    line,
+                    func,
                     hits,
                     first_phase: phase,
                     last_phase: phase,
                 });
         }
-        self.phases.push(outcome.stats.clone());
+        self.phases.push(stats);
     }
 
-    /// Full rendering (header + every committed block) — what a complete
-    /// log file contains.
-    pub fn render(&self) -> String {
-        let mut out = self.header();
-        // Re-deriving per-phase warn lines from the folded catalogue is
-        // not possible (hits are summed), so a full render is only used
-        // for fresh files; appends use [`Self::phase_block`].
-        for s in &self.phases {
-            let _ = writeln!(
-                out,
-                "phase {}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                s.phase,
-                s.dialogs,
-                s.events,
-                s.slots,
-                s.kills,
-                s.leaked_locks,
-                s.leaked_bytes,
-                s.warnings,
-                s.peak_granules,
-                s.end_granules,
-                u8::from(s.truncated),
-                s.end.label(),
-            );
-        }
-        out
-    }
-
-    fn parse_strict(text: &str) -> Result<(SoakLog, usize), String> {
+    /// Strict parse of a committed log: the header, then whole blocks.
+    /// Trailing `warn` lines with no `phase` line sealing them are an
+    /// error; recovery cuts them away first
+    /// ([`helgrind_core::commitlog::committed`]).
+    pub fn parse(text: &str) -> Result<SoakLog, String> {
         let mut lines = text.lines();
         match lines.next() {
             Some(l) if l.trim() == LOG_MAGIC => {}
@@ -694,7 +652,7 @@ impl SoakLog {
         };
         let mut log = SoakLog { params, ..Default::default() };
         // Pending `warn` lines of the not-yet-committed phase.
-        let mut pending: Vec<(u64, ReportKind, u32, String, String)> = Vec::new();
+        let mut pending: Vec<WarnRecord> = Vec::new();
         for (ln, line) in lines.enumerate() {
             let line = line.trim_end_matches('\r');
             if line.is_empty() {
@@ -758,55 +716,17 @@ impl SoakLog {
                         truncated: num(fields[10])? != 0,
                         end: PhaseEnd::parse(fields[11])?,
                     };
-                    for (hits, kind, line_no, file, func) in pending.drain(..) {
-                        let fp = format!("{}|{}|{}|{}", kind.code(), file, line_no, func);
-                        log.catalogue
-                            .entry(fp)
-                            .and_modify(|e| {
-                                e.hits += hits;
-                                e.last_phase = phase;
-                            })
-                            .or_insert(CatEntry {
-                                kind,
-                                file,
-                                line: line_no,
-                                func,
-                                hits,
-                                first_phase: phase,
-                                last_phase: phase,
-                            });
-                    }
-                    log.phases.push(stats);
+                    log.commit(stats, std::mem::take(&mut pending));
                 }
                 other => {
                     return Err(format!("soak log line {}: unknown key {other:?}", ln + 3));
                 }
             }
         }
-        Ok((log, pending.len()))
-    }
-
-    /// Parse a log file, tolerating the two corruptions an interrupted
-    /// append leaves behind: a torn final line (dropped and reparsed, as
-    /// checkpoint `parse_repair` does) and trailing `warn` lines with no
-    /// `phase` commit record (dropped — the interrupted phase will be
-    /// re-run and reproduce them exactly). Returns the log plus whether
-    /// any repair was applied. Interior corruption still errors.
-    pub fn parse_repair(text: &str) -> Result<(SoakLog, bool), String> {
-        // A line only counts as committed when it is newline-terminated:
-        // a torn `phase` line could otherwise parse by accident (e.g.
-        // `deadlock:12` torn to `deadlock:1`). Anything after the last
-        // newline is the torn tail.
-        let (body, torn) = if text.ends_with('\n') {
-            (text, false)
-        } else {
-            match trim_torn_tail(text) {
-                Some(t) => (t, true),
-                None => return Err("soak log: torn before the first complete line".into()),
-            }
-        };
-        let (log, uncommitted) = Self::parse_strict(body)?;
-        Ok((log, torn || uncommitted > 0))
+        if !pending.is_empty() {
+            return Err(format!("soak log: {} unsealed warn line(s) at the end", pending.len()));
+        }
+        Ok(log)
     }
 
     /// The final human summary — also the byte-comparison artifact for
@@ -1001,6 +921,11 @@ mod tests {
         );
     }
 
+    /// The committed prefix of `text`, as recovery sees it.
+    fn committed(text: &str) -> &str {
+        std::str::from_utf8(helgrind_core::commitlog::committed(text.as_bytes())).unwrap()
+    }
+
     #[test]
     fn log_roundtrips_and_repairs_torn_tails() {
         let spec = small_spec();
@@ -1013,28 +938,31 @@ mod tests {
             file.push_str(blocks.last().unwrap());
             log.fold_phase(&out);
         }
-        let (parsed, repaired) = SoakLog::parse_repair(&file).unwrap();
-        assert!(!repaired);
+        assert_eq!(committed(&file), file, "a whole log is all committed");
+        let parsed = SoakLog::parse(&file).unwrap();
         assert_eq!(parsed.phases, log.phases);
         assert_eq!(parsed.catalogue, log.catalogue);
         assert_eq!(parsed.render_summary(true), log.render_summary(true));
 
-        // Every truncation point mid-final-block repairs to exactly the
-        // first three committed phases.
-        let committed: usize = file.len() - blocks.last().unwrap().len();
-        for cut in committed + 1..file.len() {
-            let (r, repaired) =
-                SoakLog::parse_repair(&file[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-            assert!(repaired, "cut {cut} inside the uncommitted block");
-            assert_eq!(r.phases.len(), 3, "cut {cut}");
-            assert_eq!(r.phases, log.phases[..3]);
+        // Every truncation point mid-final-block commits exactly the
+        // first three phases.
+        let sealed: usize = file.len() - blocks.last().unwrap().len();
+        assert!(blocks.last().unwrap().starts_with("warn "), "the final block has warn lines");
+        for cut in sealed + 1..file.len() {
+            assert_eq!(committed(&file[..cut]), &file[..sealed], "cut {cut}");
         }
+        let r = SoakLog::parse(&file[..sealed]).unwrap();
+        assert_eq!(r.phases, log.phases[..3]);
+
+        // Strict parse refuses unsealed warn lines: recovery cuts them.
+        let first_warn = blocks.last().unwrap().find('\n').unwrap() + 1;
+        assert!(SoakLog::parse(&file[..sealed + first_warn]).is_err());
 
         // Interior corruption is not a torn tail: flip a committed byte.
         let mut bad = file.clone().into_bytes();
         let mid = file.find("phase 1\t").unwrap();
         bad[mid] = b'#';
-        assert!(SoakLog::parse_repair(&String::from_utf8(bad).unwrap()).is_err());
+        assert!(SoakLog::parse(committed(&String::from_utf8(bad).unwrap())).is_err());
     }
 
     #[test]
@@ -1051,8 +979,7 @@ mod tests {
             file.push_str(&SoakLog::phase_block(&run_phase(&spec, phase, Some(det()), true, None)));
         }
         file.push_str("warn 3\tR"); // torn mid-line, no newline
-        let (mut resumed, repaired) = SoakLog::parse_repair(&file).unwrap();
-        assert!(repaired);
+        let mut resumed = SoakLog::parse(committed(&file)).unwrap();
         assert_eq!(resumed.next_phase(), 2);
         for phase in resumed.next_phase()..spec.phases {
             resumed.fold_phase(&run_phase(&spec, phase, Some(det()), true, None));

@@ -6,8 +6,8 @@
 //! catalogue ≡ sequential offline fold, byte for byte, under any upload
 //! order, worker count, or crash schedule — is enforced here by
 //! construction (commutative folds keyed by content identity, plus the
-//! newline-committed log discipline shared with the soak/explore
-//! checkpoints).
+//! newline-committed log discipline of `helgrind_core::commitlog`, shared
+//! with the soak log and the explore checkpoint).
 
 pub mod client;
 pub mod json;
@@ -22,34 +22,3 @@ pub use wlog::WarehouseLog;
 
 /// The warehouse log's file name inside the spool directory.
 pub const LOG_FILE: &str = "warehouse.log";
-
-/// Crash-injection hook for the resume tests: with
-/// `RACELINE_TEST_TORN_WRITE=N` in the environment, the Nth line written
-/// through [`write_lines`] (counted process-wide, across every checkpoint
-/// write, soak-log append, and warehouse-log append) is cut in half,
-/// flushed, and the process exits 42 — a reproducible harness crash
-/// mid-write.
-pub fn torn_write_limit() -> Option<usize> {
-    static LIMIT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *LIMIT
-        .get_or_init(|| std::env::var("RACELINE_TEST_TORN_WRITE").ok().and_then(|v| v.parse().ok()))
-}
-
-/// Write `rendered` line by line, flushing after every line so an
-/// interrupt tears at most the final line — which every line-oriented
-/// `parse_repair` in the workspace (explore checkpoint, soak log,
-/// warehouse log) drops on resume.
-pub fn write_lines(w: &mut impl std::io::Write, rendered: &str) -> std::io::Result<()> {
-    static WRITTEN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    for line in rendered.split_inclusive('\n') {
-        let n = WRITTEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if torn_write_limit() == Some(n) {
-            w.write_all(&line.as_bytes()[..line.len() / 2])?;
-            w.flush()?;
-            std::process::exit(42);
-        }
-        w.write_all(line.as_bytes())?;
-        w.flush()?;
-    }
-    w.flush()
-}

@@ -14,20 +14,15 @@
 //! - **Analyze outside the lock**: the expensive replay runs under a
 //!   counting gate (`--jobs`), many traces in flight at once. Analysis is
 //!   deterministic per trace, so concurrency cannot change results.
-//! - **Fold + append under the lock**: warehouse state is a commutative
-//!   fold keyed by content identity; the log append is newline-committed.
+//! - **Append, then fold, under the lock**: the log append is
+//!   newline-committed, and only a committed block is folded into the
+//!   warehouse state, a commutative fold keyed by content identity.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-
-/// Replace `path` atomically: write a sibling temp file, then rename over.
-fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("repair.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
-}
+use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+use helgrind_core::commitlog;
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
 use helgrind_core::{DetectorConfig, SuppressionSet};
 use raceline_trace::format::Fnv1a;
@@ -36,7 +31,7 @@ use crate::render::{
     diff_builds, render_catalogue, render_diff_json, render_stats, SessionCounters,
 };
 use crate::wlog::{TraceWarnings, WarehouseLog};
-use crate::{write_lines, LOG_FILE};
+use crate::LOG_FILE;
 
 /// How a `raceline serve` process is configured. The engine name and
 /// `hb_reference` flag are the provenance stamped into the warehouse log;
@@ -161,38 +156,19 @@ pub struct Service {
 
 impl Service {
     /// Open (or create) the warehouse under `config.spool`, recovering
-    /// from any prior crash: repair the log's torn tail, rewrite the
-    /// committed prefix, then re-ingest any spooled trace the log has not
-    /// committed. After `open` returns, the in-memory state is exactly
-    /// the fold of the committed log plus the recovered spool.
+    /// from any prior crash: cut the log to its committed prefix
+    /// ([`commitlog::recover`]), then re-ingest any spooled trace the log
+    /// has not committed. After `open` returns, the in-memory state is
+    /// exactly the fold of the committed log plus the recovered spool.
     pub fn open(config: ServiceConfig) -> Result<Service, String> {
         let detector_cfg = config.detector_config()?;
         std::fs::create_dir_all(&config.spool)
             .map_err(|e| format!("cannot create spool dir {}: {e}", config.spool.display()))?;
 
-        let log_path = config.spool.join(LOG_FILE);
-        let log = match std::fs::read_to_string(&log_path) {
-            Ok(text) => {
-                let (log, committed, repaired) =
-                    WarehouseLog::parse_repair(&text, Some((&config.engine, config.hb_reference)))
-                        .map_err(|e| format!("{}: {e}", log_path.display()))?;
-                if repaired {
-                    replace_file(&log_path, committed.as_bytes())?;
-                }
-                log
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let log = WarehouseLog::new(&config.engine, config.hb_reference);
-                let mut w = std::io::BufWriter::new(
-                    std::fs::File::create(&log_path)
-                        .map_err(|e| format!("{}: {e}", log_path.display()))?,
-                );
-                write_lines(&mut w, &log.header())
-                    .map_err(|e| format!("{}: {e}", log_path.display()))?;
-                log
-            }
-            Err(e) => return Err(format!("{}: {e}", log_path.display())),
-        };
+        let header = WarehouseLog::new(&config.engine, config.hb_reference).header();
+        let (log, _) = commitlog::recover(config.spool.join(LOG_FILE), &header, |text| {
+            WarehouseLog::parse(text, Some((&config.engine, config.hb_reference)))
+        })?;
 
         let jobs = config.jobs.max(1);
         let service = Service {
@@ -315,9 +291,10 @@ impl Service {
         Ok(SubmitOutcome { build, hash, duplicate: false, events, warnings: warnings.len() as u64 })
     }
 
-    /// Fold into memory and append the committed block, atomically with
-    /// respect to other connections (one lock covers both, so concurrent
-    /// blocks never interleave in the log).
+    /// Append the block to the log, then fold it into memory, atomically
+    /// with respect to other connections (one lock covers both, so
+    /// concurrent blocks never interleave in the log). A failed append
+    /// folds nothing: memory never holds what the log does not.
     fn commit(
         &self,
         build: u64,
@@ -326,18 +303,14 @@ impl Service {
         warnings: &TraceWarnings,
     ) -> Result<(), String> {
         let mut inner = lock_ok(&self.inner);
+        self.append(&WarehouseLog::ingest_block(build, hash, events, warnings))?;
         inner.log.fold_ingest(build, hash, events, warnings);
-        self.append(&WarehouseLog::ingest_block(build, hash, events, warnings))
+        Ok(())
     }
 
     fn append(&self, block: &str) -> Result<(), String> {
         let path = self.config.spool.join(LOG_FILE);
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut w = std::io::BufWriter::new(file);
-        write_lines(&mut w, block).map_err(|e| format!("{}: {e}", path.display()))
+        commitlog::append(&path, block).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// The catalogue text — the byte-compared equivalence artifact.
@@ -354,14 +327,15 @@ impl Service {
     }
 
     /// Flip a fingerprint's suppression state. Returns whether the state
-    /// changed; the flip is durable (self-committing log line).
+    /// changed; the flip is durable (self-committing log line), appended
+    /// before it is folded, like an ingest.
     pub fn suppress(&self, fingerprint: &str, on: bool) -> Result<bool, String> {
         let mut inner = lock_ok(&self.inner);
-        let changed = inner.log.fold_suppress(fingerprint, on);
-        if changed {
-            self.append(&WarehouseLog::suppress_line(fingerprint, on))?;
+        if inner.log.suppressed.contains(fingerprint) == on {
+            return Ok(false);
         }
-        Ok(changed)
+        self.append(&WarehouseLog::suppress_line(fingerprint, on))?;
+        Ok(inner.log.fold_suppress(fingerprint, on))
     }
 
     /// Durable totals plus session counters, as JSON.

@@ -1,55 +1,16 @@
 //! The warehouse's durable state: an append-only, newline-committed line
-//! log, the same crash-safety idiom as the soak log and the explore
-//! checkpoint (§12). Layout per ingested trace: the trace's `warn` lines
-//! first, then one `trace` line acting as the commit record — a crash
-//! anywhere during an append loses only uncommitted lines, never committed
-//! state. `suppress` lines are single-line and therefore self-committing.
-//!
-//! `parse_repair` reuses the shared [`trim_torn_tail`] rule: a torn final
-//! line (or a suspect final complete line) is dropped and the parse
-//! retried once; interior errors still propagate — those are real
-//! corruption, not a crash artifact.
+//! log in the same idiom as the soak log (§12). Layout per ingested trace:
+//! the trace's `warn` lines first, then one `trace` line acting as the
+//! commit record. `suppress` lines are single-line and therefore
+//! self-committing. This module is the format only; writing, the commit
+//! rule and crash recovery are [`helgrind_core::commitlog`]'s.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use helgrind_core::trim_torn_tail;
+use helgrind_core::commitlog::{esc, unesc};
 use helgrind_core::ReportKind;
 
 pub const LOG_MAGIC: &str = "raceline-warehouse-log v1";
-
-/// Escape tabs/newlines/backslashes so arbitrary paths and function names
-/// survive the tab-separated line format (same scheme as the soak log).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`esc`].
-pub fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
 
 /// One fingerprint-deduped warning location in the warehouse catalogue.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,8 +106,8 @@ impl WarehouseLog {
     }
 
     /// Render one ingest block: the trace's `warn` lines, then the `trace`
-    /// commit line. Appending this (with per-line flushes) is the only way
-    /// trace state enters the log.
+    /// commit line. Appending this is the only way trace state enters the
+    /// log.
     pub fn ingest_block(build: u64, hash: u64, events: u64, warnings: &TraceWarnings) -> String {
         let mut s = String::new();
         for (kind, file, line, func) in warnings {
@@ -196,8 +157,10 @@ impl WarehouseLog {
         }
     }
 
-    /// Strict parse of a complete log. `expect_engine` pins the provenance
-    /// the serving process was configured with.
+    /// Strict parse of a committed log. `expect_engine` pins the
+    /// provenance the serving process was configured with. A record with
+    /// the wrong number of fields, or trailing `warn` lines no `trace`
+    /// line seals, is an error.
     pub fn parse(text: &str, expect_engine: Option<(&str, bool)>) -> Result<Self, String> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
@@ -207,11 +170,11 @@ impl WarehouseLog {
         }
         let engine_line = lines.next().ok_or("missing engine line")?.1;
         let rest = engine_line.strip_prefix("engine ").ok_or("missing engine line")?;
-        let mut f = rest.split('\t');
-        let engine = unesc(f.next().ok_or("engine line: missing name")?);
-        let hb_reference = match f.next() {
-            Some("0") => false,
-            Some("1") => true,
+        let f = fields(rest, 2, 2, "engine")?;
+        let engine = unesc(f[0]);
+        let hb_reference = match f[1] {
+            "0" => false,
+            "1" => true,
             other => return Err(format!("engine line: bad hb flag {other:?}")),
         };
         if let Some((want_engine, want_hbref)) = expect_engine {
@@ -227,56 +190,40 @@ impl WarehouseLog {
         let mut pending: TraceWarnings = Vec::new();
         for (i, line) in lines {
             let lineno = i + 1;
-            if let Some(rest) = line.strip_prefix("warn ") {
-                let mut f = rest.split('\t');
-                let kind = f
-                    .next()
-                    .and_then(ReportKind::from_code)
-                    .ok_or_else(|| format!("line {lineno}: bad warn kind"))?;
-                let ln: u32 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad warn line number"))?;
-                let file = unesc(f.next().ok_or_else(|| format!("line {lineno}: short warn"))?);
-                let func = unesc(f.next().ok_or_else(|| format!("line {lineno}: short warn"))?);
-                pending.push((kind, file, ln, func));
-            } else if let Some(rest) = line.strip_prefix("trace ") {
-                let mut f = rest.split('\t');
-                let build: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace build"))?;
-                let hash = f
-                    .next()
-                    .and_then(|v| u64::from_str_radix(v, 16).ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace hash"))?;
-                let events: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace events"))?;
-                let warnings: u64 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("line {lineno}: bad trace warnings"))?;
-                if warnings != pending.len() as u64 {
-                    return Err(format!(
-                        "line {lineno}: trace commits {warnings} warning(s), block has {}",
-                        pending.len()
-                    ));
+            let bad = |what: &str| format!("line {lineno}: bad {what}");
+            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
+            match key {
+                "warn" => {
+                    let f = fields(rest, 4, lineno, "warn")?;
+                    let kind = ReportKind::from_code(f[0]).ok_or_else(|| bad("warn kind"))?;
+                    let ln: u32 = f[1].parse().map_err(|_| bad("warn line number"))?;
+                    pending.push((kind, unesc(f[2]), ln, unesc(f[3])));
                 }
-                log.fold_ingest(build, hash, events, &pending);
-                pending.clear();
-            } else if let Some(rest) = line.strip_prefix("suppress ") {
-                let mut f = rest.split('\t');
-                let on = match f.next() {
-                    Some("0") => false,
-                    Some("1") => true,
-                    other => return Err(format!("line {lineno}: bad suppress flag {other:?}")),
-                };
-                let fp = unesc(f.next().ok_or_else(|| format!("line {lineno}: short suppress"))?);
-                log.fold_suppress(&fp, on);
-            } else {
-                return Err(format!("line {lineno}: unrecognized record {line:?}"));
+                "trace" => {
+                    let f = fields(rest, 4, lineno, "trace")?;
+                    let build: u64 = f[0].parse().map_err(|_| bad("trace build"))?;
+                    let hash = u64::from_str_radix(f[1], 16).map_err(|_| bad("trace hash"))?;
+                    let events: u64 = f[2].parse().map_err(|_| bad("trace events"))?;
+                    let warnings: u64 = f[3].parse().map_err(|_| bad("trace warnings"))?;
+                    if warnings != pending.len() as u64 {
+                        return Err(format!(
+                            "line {lineno}: trace commits {warnings} warning(s), block has {}",
+                            pending.len()
+                        ));
+                    }
+                    log.fold_ingest(build, hash, events, &pending);
+                    pending.clear();
+                }
+                "suppress" => {
+                    let f = fields(rest, 2, lineno, "suppress")?;
+                    let on = match f[0] {
+                        "0" => false,
+                        "1" => true,
+                        other => return Err(format!("line {lineno}: bad suppress flag {other:?}")),
+                    };
+                    log.fold_suppress(&unesc(f[1]), on);
+                }
+                _ => return Err(format!("line {lineno}: unrecognized record {line:?}")),
             }
         }
         if !pending.is_empty() {
@@ -284,43 +231,15 @@ impl WarehouseLog {
         }
         Ok(log)
     }
+}
 
-    /// Tolerant parse: the one failure an interrupted append can leave
-    /// behind is a truncated tail — drop it via [`trim_torn_tail`] and
-    /// retry once, then drop any now-uncommitted `warn` lines (their
-    /// `trace` commit line was lost with the tail). Returns the log, the
-    /// committed prefix to rewrite the file with, and whether a repair was
-    /// applied. Interior errors still propagate.
-    pub fn parse_repair(
-        text: &str,
-        expect_engine: Option<(&str, bool)>,
-    ) -> Result<(Self, String, bool), String> {
-        let first_err = match Self::parse(text, expect_engine) {
-            Ok(log) => return Ok((log, text.to_string(), false)),
-            Err(e) => e,
-        };
-        let Some(trimmed) = trim_torn_tail(text) else {
-            return Err(first_err);
-        };
-        // The trim may have cut a `trace` commit line, stranding the warn
-        // lines of its block: peel trailing warn lines until the text ends
-        // on a commit boundary (header, `trace`, or `suppress` line).
-        let mut keep = trimmed.len();
-        loop {
-            let head = &trimmed[..keep];
-            let last = head.trim_end_matches('\n').rfind('\n').map(|p| p + 1).unwrap_or(0);
-            if head[last..].starts_with("warn ") {
-                keep = last;
-            } else {
-                break;
-            }
-        }
-        let committed = &trimmed[..keep];
-        match Self::parse(committed, expect_engine) {
-            Ok(log) => Ok((log, committed.to_string(), true)),
-            Err(_) => Err(first_err),
-        }
+/// The tab-separated fields of one record, refusing any other count.
+fn fields<'a>(rest: &'a str, n: usize, lineno: usize, what: &str) -> Result<Vec<&'a str>, String> {
+    let f: Vec<&str> = rest.split('\t').collect();
+    if f.len() != n {
+        return Err(format!("line {lineno}: expected {n} {what} fields, got {}", f.len()));
     }
+    Ok(f)
 }
 
 #[cfg(test)]
@@ -365,28 +284,38 @@ mod tests {
         assert!(WarehouseLog::parse(&text, None).is_ok());
     }
 
+    /// The committed prefix of `text`, as recovery sees it.
+    fn committed(text: &str) -> &str {
+        std::str::from_utf8(helgrind_core::commitlog::committed(text.as_bytes())).unwrap()
+    }
+
     #[test]
     fn every_truncation_point_repairs_to_a_committed_prefix() {
         let (_, text) = sample();
+        let header_len = WarehouseLog::new("hwlc-dr", false).header().len();
+        let suppress_at = text.rfind("suppress ").unwrap();
         for cut in 0..text.len() {
-            let torn = &text[..cut];
-            match WarehouseLog::parse_repair(torn, Some(("hwlc-dr", false))) {
-                Ok((log, committed, _)) => {
-                    // The committed prefix must strict-parse to the same state.
-                    let re = WarehouseLog::parse(&committed, Some(("hwlc-dr", false))).unwrap();
-                    assert_eq!(re.entries, log.entries, "cut at {cut}");
-                    assert_eq!(re.traces, log.traces, "cut at {cut}");
-                    assert_eq!(re.suppressed, log.suppressed, "cut at {cut}");
+            let kept = committed(&text[..cut]);
+            match WarehouseLog::parse(kept, Some(("hwlc-dr", false))) {
+                Ok(log) => {
                     // Only whole committed blocks survive: trace count is
                     // exactly the number of intact `trace` lines.
-                    let commits = committed.lines().filter(|l| l.starts_with("trace ")).count();
+                    let commits = kept.lines().filter(|l| l.starts_with("trace ")).count();
                     assert_eq!(log.traces.len(), commits, "cut at {cut}");
+                    assert!(kept.len() <= cut && kept.ends_with('\n'), "cut at {cut}");
+                    // A cut inside the final `suppress` line commits
+                    // nothing of it, so no cut fingerprint is suppressed.
+                    if cut < text.len() {
+                        assert!(log.suppressed.is_empty(), "cut at {cut}: {:?}", log.suppressed);
+                    }
+                    if cut > suppress_at {
+                        assert_eq!(kept, &text[..suppress_at], "cut at {cut}");
+                    }
                 }
                 Err(_) => {
                     // Acceptable only while the two-line header is still
-                    // incomplete; past it, every cut must repair.
-                    let header_len = WarehouseLog::new("hwlc-dr", false).header().len();
-                    assert!(cut < header_len, "unrepairable cut at {cut}: {torn:?}");
+                    // incomplete; past it, every cut must recover.
+                    assert!(cut < header_len, "unrecoverable cut at {cut}: {:?}", &text[..cut]);
                 }
             }
         }
@@ -396,7 +325,18 @@ mod tests {
     fn interior_corruption_still_errors() {
         let (_, text) = sample();
         let bad = text.replace("trace 1\t", "trqce 1\t");
-        assert!(WarehouseLog::parse_repair(&bad, None).is_err());
+        assert!(WarehouseLog::parse(committed(&bad), None).is_err());
+        // A record with extra tab fields is corrupt, not a record: say, a
+        // torn `suppress` line with the next record glued onto it.
+        for extra in [
+            "suppress 1\tRaceWrite|a.csuppress 0\tRaceWrite|a.cpp|10|f\n",
+            "suppress 1\tRaceWrite|a.cpp|10|f\tx\n",
+            "warn RaceWrite\t10\ta.cpp\tf\tx\ntrace 3\t123\t7\t1\n",
+            "trace 3\t123\t7\t0\tx\n",
+        ] {
+            let bad = format!("{text}{extra}");
+            assert!(WarehouseLog::parse(committed(&bad), None).is_err(), "{extra:?}");
+        }
     }
 
     #[test]

@@ -192,6 +192,32 @@ fn crash_mid_ingest_resumes_to_uninterrupted_bytes() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// The log commits before memory does: when the append fails, the
+/// upload is refused and nothing of it is served, deduplicated against or
+/// left in the spool. The failure is forced by turning the log's path
+/// into a directory under the running service.
+#[test]
+fn a_failed_log_append_commits_nothing() {
+    let traces = record_cases(1);
+    let dir = fresh_dir("append_fails");
+    let svc = Service::open(config(dir.clone(), 1)).unwrap();
+    let empty = svc.query();
+    std::fs::remove_file(dir.join(LOG_FILE)).unwrap();
+    std::fs::create_dir(dir.join(LOG_FILE)).unwrap();
+
+    assert!(svc.submit(1, &traces[0]).is_err(), "an append that fails refuses the upload");
+    assert_eq!(svc.query(), empty, "a trace the log does not hold is not served");
+    assert!(svc.submit(1, &traces[0]).is_err(), "nor is a re-upload a duplicate of it");
+    assert!(svc.suppress("RaceWrite|a.cpp|1|f", true).is_err());
+    assert_eq!(svc.query(), empty, "a suppression the log does not hold is not served");
+    let spooled = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".rltrace"))
+        .count();
+    assert_eq!(spooled, 0, "the refused upload leaves no spool copy");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_upload_is_rejected_and_leaves_no_residue() {
     let traces = record_cases(1);

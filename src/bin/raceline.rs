@@ -81,16 +81,16 @@ use helgrind_core::explore::{
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
 use helgrind_core::ReportKind;
 use helgrind_core::{
-    BudgetSpec, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report, Suppression,
-    SuppressionSet,
+    commitlog, BudgetSpec, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report,
+    Suppression, SuppressionSet,
 };
 use minicpp::analysis::escape::EscapeFinding;
 use minicpp::pipeline::{run_pipeline, SourceFile};
-use raceline_trace::format::{TraceFaultStats, TraceTermination};
+use raceline_trace::format::{Fnv1a, TraceFaultStats, TraceTermination};
 use raceline_trace::writer::TraceWriter;
 use raceline_warehouse::{
-    client as wclient, render_diff_json, server as wserver, write_lines, DiffEntry, Service,
-    ServiceConfig, WarehouseLog,
+    client as wclient, render_diff_json, server as wserver, DiffEntry, Service, ServiceConfig,
+    WarehouseLog,
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -213,6 +213,36 @@ fn directed_targets(stat: &minicpp::analysis::AnalysisResult) -> Vec<DirectedTar
     let mut seen = BTreeSet::new();
     targets.retain(|t| seen.insert(t.clone()));
     targets
+}
+
+/// What decides run *i*'s outcome in an explore sweep, recorded in its
+/// checkpoint so a resume refuses another sweep's file: the guest program
+/// (a hash of its disassembly, source locations included), the detector
+/// and its budget caps, the fault plan, the per-run slot cap,
+/// `--no-filter` and `--directed`. The run count and the total slot
+/// budget are left out: run *i* depends on neither, so a larger
+/// `--explore N` extends a sweep.
+fn explore_spec(
+    program: &vexec::ir::Program,
+    detector: &str,
+    cfg: &DetectorConfig,
+    limits: &ExploreLimits,
+    directed: bool,
+) -> String {
+    let mut h = Fnv1a::default();
+    h.update(vexec::ir::disasm::disassemble(&program.lower()).as_bytes());
+    let b = cfg.budget;
+    format!(
+        "program={:016x} detector={detector} shadow={} locksets={} reports={} faults={:?} \
+         slots={:?} no_filter={} directed={directed}",
+        h.0,
+        b.max_shadow_words,
+        b.max_locksets,
+        b.max_reports,
+        limits.faults,
+        limits.max_slots_per_run,
+        limits.no_filter,
+    )
 }
 
 /// An escape finding is dynamically confirmed when some explored schedule
@@ -451,17 +481,42 @@ fn main() {
             no_filter,
             vm_reference,
         };
+        let spec = explore_spec(&out.program, &detector_name, &cfg, &limits, directed);
         let resume = checkpoint_path.as_ref().and_then(|p| {
-            let text = std::fs::read_to_string(p).ok()?;
-            // An interrupted save leaves a torn final line; repair (drop the
-            // partial record) rather than refusing to resume.
-            match ExploreCheckpoint::parse_repair(&text) {
-                Ok((ck, repaired)) => {
-                    if repaired {
-                        eprintln!(
-                            "{p}: repaired truncated checkpoint (dropped partial final line)"
-                        );
-                    }
+            let bytes = match std::fs::read(p) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+                Err(e) => {
+                    eprintln!("{p}: {e}");
+                    std::process::exit(EXIT_ERROR);
+                }
+            };
+            // Saves are atomic, so only a file cut by something else has an
+            // unterminated tail; it resumes from the committed lines.
+            let kept = commitlog::committed(&bytes);
+            if kept.len() < bytes.len() {
+                eprintln!("{p}: repaired truncated checkpoint (dropped partial final line)");
+            }
+            let parsed = std::str::from_utf8(kept)
+                .map_err(|e| e.to_string())
+                .and_then(ExploreCheckpoint::parse);
+            match parsed {
+                Ok(ck) if ck.spec != spec => {
+                    eprintln!(
+                        "{p}: checkpoint was recorded by a different sweep\n  \
+                         checkpoint: {}\n  requested:  {spec}",
+                        ck.spec
+                    );
+                    std::process::exit(EXIT_ERROR);
+                }
+                Ok(ck) if ck.next_index > runs => {
+                    eprintln!(
+                        "{p}: {} runs already done, more than --explore {runs}",
+                        ck.next_index
+                    );
+                    std::process::exit(EXIT_ERROR);
+                }
+                Ok(ck) => {
                     eprintln!("resuming from {p}: {}/{} runs done", ck.next_index, ck.runs);
                     Some(ck)
                 }
@@ -493,7 +548,8 @@ fn main() {
             explore_schedules_with(&out.program, cfg, runs, 0xACE, limits, resume.as_ref())
         };
         if let Some(p) = &checkpoint_path {
-            if let Err(e) = write_checkpoint(p, &summary.checkpoint().render()) {
+            let ck = ExploreCheckpoint { spec, ..summary.checkpoint() };
+            if let Err(e) = commitlog::replace(p, &ck.render()) {
                 eprintln!("cannot write checkpoint {p}: {e}");
                 std::process::exit(EXIT_ERROR);
             }
@@ -1025,17 +1081,6 @@ fn run_record(
         summary.events, summary.epochs, summary.bytes
     );
     std::process::exit(0);
-}
-
-fn write_checkpoint(path: &str, rendered: &str) -> std::io::Result<()> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_lines(&mut w, rendered)
-}
-
-/// Append one committed block to an existing soak log.
-fn append_log(path: &str, block: &str) -> std::io::Result<()> {
-    let mut w = std::io::BufWriter::new(std::fs::OpenOptions::new().append(true).open(path)?);
-    write_lines(&mut w, block)
 }
 
 fn read_trace(path: &str) -> Vec<u8> {
@@ -1776,56 +1821,29 @@ fn run_soak(args: Vec<String>) -> ! {
     // seed the log file with its header so appends have a base).
     let mut log = SoakLog::new(&spec);
     if let Some(path) = &checkpoint_path {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let (parsed, repaired) = SoakLog::parse_repair(&text).unwrap_or_else(|e| {
-                    eprintln!("soak: checkpoint {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-                if parsed.params != log.params {
-                    eprintln!(
-                        "soak: checkpoint {path} was recorded with different parameters\n  \
-                         checkpoint: {}\n  requested:  {}",
-                        parsed.params, log.params
-                    );
-                    std::process::exit(EXIT_ERROR);
-                }
-                if repaired {
-                    // The dropped tail was never committed; rewrite the
-                    // file to the committed prefix so appends line up.
-                    let mut rendered = parsed.header();
-                    // Committed phases cannot be re-rendered from the
-                    // folded catalogue (hits are merged), so keep the
-                    // original committed bytes instead: everything up to
-                    // the end of the last `phase` line.
-                    if let Some(end) = last_commit_end(&text) {
-                        rendered = text[..end].to_string();
-                    }
-                    if let Err(e) = write_checkpoint(path, &rendered) {
-                        eprintln!("soak: cannot rewrite {path}: {e}");
-                        std::process::exit(EXIT_ERROR);
-                    }
-                    eprintln!(
-                        "soak: checkpoint repaired (dropped uncommitted tail); \
-                         resuming at phase {}",
-                        parsed.next_phase()
-                    );
-                } else if parsed.next_phase() > 0 {
-                    eprintln!("soak: resuming at phase {}", parsed.next_phase());
-                }
-                log = parsed;
+        let (parsed, cut) = commitlog::recover(path, &log.header(), |text| {
+            let parsed = SoakLog::parse(text)?;
+            if parsed.params != log.params {
+                return Err(format!(
+                    "recorded with different parameters\n  checkpoint: {}\n  requested:  {}",
+                    parsed.params, log.params
+                ));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if let Err(e) = write_checkpoint(path, &log.header()) {
-                    eprintln!("soak: cannot write {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
-            }
-            Err(e) => {
-                eprintln!("soak: cannot read {path}: {e}");
-                std::process::exit(EXIT_ERROR);
-            }
+            Ok(parsed)
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("soak: checkpoint {e}");
+            std::process::exit(EXIT_ERROR);
+        });
+        if cut {
+            eprintln!(
+                "soak: checkpoint repaired (dropped uncommitted tail); resuming at phase {}",
+                parsed.next_phase()
+            );
+        } else if parsed.next_phase() > 0 {
+            eprintln!("soak: resuming at phase {}", parsed.next_phase());
         }
+        log = parsed;
     }
 
     // Phases still to run, in chunks of `jobs`: each phase is independent,
@@ -1841,7 +1859,7 @@ fn run_soak(args: Vec<String>) -> ! {
         });
         for out in outcomes {
             if let Some(path) = &checkpoint_path {
-                if let Err(e) = append_log(path, &SoakLog::phase_block(&out)) {
+                if let Err(e) = commitlog::append(path, &SoakLog::phase_block(&out)) {
                     eprintln!("soak: cannot append to {path}: {e}");
                     std::process::exit(EXIT_ERROR);
                 }
@@ -1877,20 +1895,6 @@ fn run_soak(args: Vec<String>) -> ! {
         std::process::exit(EXIT_ERROR);
     }
     std::process::exit(if log.catalogue.is_empty() && !deadlocked { 0 } else { EXIT_FINDINGS });
-}
-
-/// Byte offset just past the final committed `phase` line of a soak log
-/// (i.e. past its newline), or `None` if nothing is committed.
-fn last_commit_end(text: &str) -> Option<usize> {
-    let mut end = None;
-    let mut pos = 0;
-    for line in text.split_inclusive('\n') {
-        if line.starts_with("phase ") && line.ends_with('\n') {
-            end = Some(pos + line.len());
-        }
-        pos += line.len();
-    }
-    end
 }
 
 /// Run `n` independent jobs on a scoped worker pool and return the results

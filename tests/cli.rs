@@ -326,11 +326,10 @@ fn explore_checkpoint_round_trips() {
     let (stdout, _, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", p]);
     assert_eq!(code, 1, "{stdout}");
     let saved = std::fs::read_to_string(&path).unwrap();
-    assert!(saved.starts_with("raceline-explore-checkpoint v1"), "{saved}");
+    assert!(saved.starts_with("raceline-explore-checkpoint v2"), "{saved}");
 
-    // Resuming a finished sweep re-runs nothing and aggregates the same
-    // locations and hit counts (report *detail* is summarized to the top
-    // stack frame in a checkpoint — the documented degradation).
+    // Resuming a finished sweep re-runs nothing and reports exactly what
+    // the sweep reported: the checkpoint keeps every report field.
     let (stdout2, stderr2, code2) =
         raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", p]);
     assert_eq!(code2, 1);
@@ -338,11 +337,7 @@ fn explore_checkpoint_round_trips() {
     assert!(stdout2.contains("explored 6 schedules: 6 clean"), "{stdout2}");
     assert!(stdout2.contains("[  6/6  ] Possible Race (write)"), "{stdout2}");
     assert!(stdout2.contains("session.mcpp:20"), "{stdout2}");
-    assert_eq!(
-        stdout.lines().next(),
-        stdout2.lines().next(),
-        "aggregate line must agree: {stdout} vs {stdout2}"
-    );
+    assert_eq!(stdout, stdout2, "resumed report must match the sweep");
 }
 
 #[test]

@@ -314,6 +314,33 @@ fn torn_write_crash_mid_commit_resumes_to_the_fold() {
     shutdown(server);
 }
 
+/// A crash while a fresh spool's log header is written (the first line
+/// the server writes) leaves no log, only its temp file: the log appears
+/// whole or not at all, and a restart creates it and serves the fold.
+#[test]
+fn torn_header_write_on_a_fresh_spool_restarts_to_the_fold() {
+    let traces = record_cases(&["T3"], "tornheader");
+    let t = traces[0].to_str().unwrap();
+    let spool = tmp("tornheader_spool");
+    let _ = std::fs::remove_dir_all(&spool);
+    let out = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--spool", spool.to_str().unwrap()])
+        .env("RACELINE_TEST_TORN_WRITE", "0")
+        .output()
+        .expect("run server");
+    assert_eq!(out.status.code(), Some(42), "torn-write hook exits 42");
+    assert!(!spool.join("warehouse.log").exists(), "no half-written log");
+
+    let server = spawn_server(&spool, &[]);
+    assert_eq!(client(&server.addr, &["submit", "--build", "1", t]).2, 0);
+    let (served, _, code) = client(&server.addr, &["query"]);
+    assert_eq!(code, 0);
+    let (folded, _, _) = raceline(&["serve", "--fold", &format!("1={t}")]);
+    assert_eq!(served, folded, "restart after a torn header resumes to the fold");
+    shutdown(server);
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 #[test]
 fn suppression_round_trips_over_the_wire() {
     let traces = record_cases(&["T8"], "suppress");

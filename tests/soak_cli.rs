@@ -1,7 +1,8 @@
 //! Integration tests for `raceline soak` and the crash-recovery story,
 //! driven through the real executable: the exit-code contract, `--jobs`
 //! byte-identity, a harness crash injected *mid-checkpoint-write* (via the
-//! `RACELINE_TEST_TORN_WRITE` hook) with byte-identical resume, and the
+//! `RACELINE_TEST_TORN_WRITE` hook) with byte-identical resume, exact
+//! resume of explore sweeps from their checkpoints, and the
 //! `analyze --repair` recovery of a crash-truncated trace.
 
 use std::path::PathBuf;
@@ -131,7 +132,14 @@ fn soak_crash_mid_checkpoint_write_resumes_byte_identical() {
     assert!(!torn.ends_with('\n'), "the final line must be torn mid-write");
     assert!(ref_log.len() > torn.len(), "crash log is a strict prefix");
 
-    // Resume: repair the torn tail, finish the remaining phases.
+    // A crash in the first resume's rewrite of the torn tail (its first
+    // written line) leaves the log as the first crash left it: the
+    // rewrite is a temp file renamed over the log.
+    let (_, stderr, code) = raceline_env(&args, &[("RACELINE_TEST_TORN_WRITE", "0")]);
+    assert_eq!(code, 42, "armed torn write must crash the rewrite\n{stderr}");
+    assert_eq!(std::fs::read_to_string(&crash_ck).unwrap(), torn, "the log is untouched");
+
+    // Resume: cut the torn tail, finish the remaining phases.
     let (stdout, stderr, code) = raceline(&args);
     assert_eq!(code, 1, "{stderr}");
     assert!(
@@ -168,8 +176,10 @@ fn soak_refuses_a_checkpoint_from_a_different_spec() {
     assert!(stderr.contains("different parameters"), "{stderr}");
 }
 
-/// Same crash hook against the explore sweep's checkpoint writer: tear the
-/// save mid-line, then resume and converge on the identical summary.
+/// Same crash hook against the explore sweep's checkpoint save. A save
+/// replaces the file atomically, so a crash in the middle of the second
+/// save of a budget-stopped sweep leaves the first checkpoint on disk byte
+/// for byte, and resuming from it converges on the uninterrupted sweep.
 #[test]
 fn explore_checkpoint_crash_mid_write_resumes_identically() {
     let (ref_out, _, ref_code) = raceline(&["check", SAMPLE, "--explore", "6"]);
@@ -179,15 +189,106 @@ fn explore_checkpoint_crash_mid_write_resumes_identically() {
     let _ = std::fs::remove_file(&ck);
     let p = ck.to_str().unwrap().to_string();
     let args = ["check", SAMPLE, "--explore", "6", "--checkpoint", &p];
+    let mut budgeted = args.to_vec();
+    budgeted.extend_from_slice(&["--budget", "total-slots=150"]);
+    let (stdout, stderr, _) = raceline(&budgeted);
+    assert!(stdout.contains("timed out:"), "the budget stops the sweep early\n{stdout}{stderr}");
+    let first = std::fs::read(&ck).expect("first checkpoint saved");
+
     let (_, stderr, code) = raceline_env(&args, &[("RACELINE_TEST_TORN_WRITE", "3")]);
-    assert_eq!(code, 42, "torn write must crash the save\n{stderr}");
-    let torn = std::fs::read_to_string(&ck).expect("partial checkpoint on disk");
-    assert!(!torn.ends_with('\n'), "final line torn mid-write");
+    assert_eq!(code, 42, "torn write must crash the second save\n{stderr}");
+    assert!(stderr.contains("resuming from"), "{stderr}");
+    assert_eq!(std::fs::read(&ck).unwrap(), first, "the first checkpoint survives whole");
 
     let (stdout, stderr, code) = raceline(&args);
     assert_eq!(code, ref_code, "{stderr}");
-    assert!(stderr.contains("repaired truncated checkpoint"), "{stderr}");
+    assert!(stderr.contains("resuming from"), "{stderr}");
+    assert!(!stderr.contains("repaired"), "an intact checkpoint needs no repair\n{stderr}");
     assert_eq!(stdout, ref_out, "post-resume summary matches the uninterrupted sweep");
+}
+
+/// A resumed sweep reports exactly what the uninterrupted sweep does, in
+/// text and in JSON: every stack frame, the heap-block note and each
+/// location's `first_run` come back from the checkpoint.
+#[test]
+fn explore_resume_reproduces_the_uninterrupted_sweep() {
+    for json in [false, true] {
+        let mut sweep = vec!["check", SAMPLE, "--explore", "6"];
+        if json {
+            sweep.push("--json");
+        }
+        let (ref_out, _, ref_code) = raceline(&sweep);
+        assert_eq!(ref_code, 1);
+        if !json {
+            assert!(ref_out.contains("by worker (examples/programs/session.mcpp:29)"), "{ref_out}");
+            assert!(ref_out.contains("Address 0x1040 is 0 bytes inside a block of size 8"));
+        }
+
+        let ck = tmp(&format!("exact_{json}.checkpoint"));
+        let _ = std::fs::remove_file(&ck);
+        let p = ck.to_str().unwrap().to_string();
+        sweep.extend_from_slice(&["--checkpoint", &p]);
+        let mut budgeted = sweep.clone();
+        budgeted.extend_from_slice(&["--budget", "total-slots=150"]);
+        let (partial, _, _) = raceline(&budgeted);
+        assert_ne!(partial, ref_out, "the budget stops the sweep early");
+
+        let (stdout, stderr, code) = raceline(&sweep);
+        assert!(stderr.contains("resuming from"), "{stderr}");
+        assert_eq!(code, ref_code);
+        assert_eq!(stdout, ref_out, "resumed output is the uninterrupted sweep's (json: {json})");
+    }
+}
+
+/// A checkpoint records what decides each run's outcome; a sweep that
+/// differs in any of it refuses to resume (exit 2) and leaves the file
+/// alone. The run count is not part of it: a larger `--explore N` extends
+/// the sweep.
+#[test]
+fn explore_refuses_another_sweeps_checkpoint() {
+    let ck = tmp("other_sweep.checkpoint");
+    let _ = std::fs::remove_file(&ck);
+    let p = ck.to_str().unwrap().to_string();
+    let (_, _, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &p]);
+    assert_eq!(code, 1);
+    let saved = std::fs::read(&ck).unwrap();
+
+    for other in [
+        &["examples/programs/racy_global.mcpp"][..],
+        &[SAMPLE, "--detector", "djit"],
+        &[SAMPLE, "--faults", "seed=9,wakeup=25"],
+        &[SAMPLE, "--budget", "slots=5000"],
+        &[SAMPLE, "--no-filter"],
+        &[SAMPLE, "--static-cross-check", "--directed"],
+    ] {
+        let mut args = vec!["check"];
+        args.extend_from_slice(other);
+        args.extend_from_slice(&["--explore", "6", "--checkpoint", &p]);
+        let (_, stderr, code) = raceline(&args);
+        assert_eq!(code, 2, "{other:?}\n{stderr}");
+        assert!(stderr.contains("recorded by a different sweep"), "{other:?}\n{stderr}");
+        assert_eq!(std::fs::read(&ck).unwrap(), saved, "{other:?} must not touch the file");
+    }
+
+    // Fewer runs than the checkpoint already holds cannot be reported.
+    let (_, stderr, code) = raceline(&["check", SAMPLE, "--explore", "4", "--checkpoint", &p]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("6 runs already done"), "{stderr}");
+    assert_eq!(std::fs::read(&ck).unwrap(), saved);
+
+    let (full, _, _) = raceline(&["check", SAMPLE, "--explore", "8"]);
+    let (stdout, stderr, code) = raceline(&["check", SAMPLE, "--explore", "8", "--checkpoint", &p]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("resuming from"), "{stderr}");
+    assert_eq!(stdout, full, "a larger --explore N extends the sweep");
+
+    // The v1 format kept only each location's top frame: refused.
+    let v1 = String::from_utf8(saved).unwrap().replacen("checkpoint v2", "checkpoint v1", 1);
+    std::fs::write(&ck, &v1).unwrap();
+    let (_, stderr, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &p]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("bad checkpoint header"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&ck).unwrap(), v1);
 }
 
 /// `analyze --repair` on a crash-truncated trace: strict mode refuses,
