@@ -11,7 +11,9 @@
 //! its `warn` lines followed by one commit line, so a block's commit line
 //! is its last line and any torn prefix of a block is uncommitted.
 //!
-//! **Writes.** [`append`] adds one block with one write. [`replace`] writes
+//! **Writes.** [`append`] adds one block with one write; a write that
+//! fails part way (a full disk, an I/O error) is undone by cutting the
+//! file back, so the next block never lands on a torn one. [`replace`] writes
 //! the whole file as `<path>.tmp` in the same directory and renames it over
 //! `path`, so a reader sees the old file or the new one, never a mix. File
 //! headers, repair rewrites and checkpoint saves all go through `replace`.
@@ -26,6 +28,7 @@
 //! process-wide, is cut in half: the half is written and the process exits
 //! 42 — a reproducible crash in the middle of a write for the resume tests.
 
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,10 +105,28 @@ fn write_text(w: &mut impl Write, text: &str) -> std::io::Result<()> {
     w.write_all(text.as_bytes())
 }
 
-/// Append `block` to the existing file at `path`.
+/// Append `block` to the existing file at `path`. If the write fails
+/// part way, the file is cut back to its old length.
 pub fn append(path: impl AsRef<Path>, block: &str) -> std::io::Result<()> {
-    let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
-    write_text(&mut file, block)
+    let file = std::fs::OpenOptions::new().append(true).open(path)?;
+    append_or_undo(&file, |w| write_text(w, block))
+}
+
+/// Run `write` on `file`; if it fails, cut the file back to the length it
+/// had before, so what the failed write left is not the start of the next
+/// block.
+fn append_or_undo(
+    file: &File,
+    write: impl FnOnce(&mut &File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let len = file.metadata()?.len();
+    write(&mut &*file).map_err(|e| match file.set_len(len) {
+        Ok(()) => e,
+        Err(undo) => std::io::Error::new(
+            e.kind(),
+            format!("{e}; cutting the torn block off failed too: {undo}"),
+        ),
+    })
 }
 
 /// Replace the file at `path` with `text` atomically: write `<path>.tmp`,
@@ -115,7 +136,7 @@ pub fn replace(path: impl AsRef<Path>, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    write_text(&mut std::fs::File::create(&tmp)?, text)?;
+    write_text(&mut File::create(&tmp)?, text)?;
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
@@ -203,6 +224,29 @@ mod tests {
         std::fs::create_dir(dir.join("d")).unwrap();
         assert!(replace(dir.join("d"), "magic\n").is_err());
         assert!(!dir.join("d.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails mid-block (a disk filling up, say) leaves nothing
+    /// for the next block to land on.
+    #[test]
+    fn a_failed_append_is_cut_back() {
+        let dir = scratch("append");
+        let path = dir.join("x.log");
+        replace(&path, "magic\nwarn a\ncommit 1\n").unwrap();
+        let file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let err = append_or_undo(&file, |w| {
+            w.write_all(b"warn b\ncom")?;
+            Err(std::io::Error::other("no space left on device"))
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("no space left"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "magic\nwarn a\ncommit 1\n");
+
+        append(&path, "warn b\ncommit 2\n").unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "magic\nwarn a\ncommit 1\nwarn b\ncommit 2\n");
+        assert_eq!(committed(text.as_bytes()), text.as_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,7 @@
 //! shows which warnings are schedule-robust and which only surface
 //! sometimes.
 
-use crate::commitlog::{esc, unesc};
+use crate::commitlog::{committed, esc, unesc};
 use crate::config::DetectorConfig;
 use crate::detector::EraserDetector;
 use crate::report::{Report, ReportKind, StackFrame};
@@ -548,7 +548,8 @@ fn explore_impl(
 /// field of every [`LocationHit`] round-trips, so a resumed sweep reports
 /// exactly what the uninterrupted one would. A save replaces the whole
 /// file atomically ([`crate::commitlog::replace`]), so a crash mid-save
-/// leaves the previous checkpoint in place.
+/// leaves the previous checkpoint in place, and the file always ends in
+/// its `end` line; [`Self::load`] treats one that does not as cut short.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreCheckpoint {
     /// What decides each run's outcome (guest program, detector, fault
@@ -570,6 +571,9 @@ pub struct ExploreCheckpoint {
 
 const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v2";
 
+/// The last line of every saved checkpoint.
+const CHECKPOINT_END: &str = "\nend\n";
+
 /// Fields of a `loc` line before its stack frames.
 const LOC_FIELDS: usize = 11;
 
@@ -578,7 +582,7 @@ impl ExploreCheckpoint {
     /// `loc` line: hits, first run, kind, tid, address, truncated flag,
     /// line, file, function, block note (`-` for none, else `+` and the
     /// note), details, then one `line\tfile\tfunction` triple per stack
-    /// frame.
+    /// frame. The last line is `end`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(CHECKPOINT_MAGIC);
@@ -617,11 +621,34 @@ impl ExploreCheckpoint {
             }
             out.push('\n');
         }
+        out.push_str(&CHECKPOINT_END[1..]);
         out
     }
 
-    /// Parse the format produced by [`Self::render`].
+    /// Read a checkpoint file. One that does not end in its `end` line was
+    /// cut short, and not by a save, which is atomic. Its counters may then
+    /// cover runs whose `loc` lines are gone, so a cut file keeps only what
+    /// names its sweep (spec and run count) and carries no runs: a resume
+    /// redoes them all and still prints exactly the uninterrupted sweep.
+    /// The whole lines before the cut must parse. Returns the checkpoint
+    /// and whether the file was cut.
+    pub fn load(bytes: &[u8]) -> Result<(ExploreCheckpoint, bool), String> {
+        let text = |b| std::str::from_utf8(b).map_err(|e| e.to_string());
+        if bytes.ends_with(CHECKPOINT_END.as_bytes()) {
+            return Ok((Self::parse(text(bytes)?)?, false));
+        }
+        let ck = Self::parse_body(text(committed(bytes))?)?;
+        Ok((ExploreCheckpoint { spec: ck.spec, runs: ck.runs, ..Default::default() }, true))
+    }
+
+    /// Parse the format produced by [`Self::render`], `end` line and all.
     pub fn parse(text: &str) -> Result<ExploreCheckpoint, String> {
+        let body = text.strip_suffix(CHECKPOINT_END).ok_or("checkpoint has no final `end` line")?;
+        Self::parse_body(body)
+    }
+
+    /// Parse every line of a checkpoint before its `end` line.
+    fn parse_body(text: &str) -> Result<ExploreCheckpoint, String> {
         let mut lines = text.lines();
         match lines.next() {
             Some(l) if l.trim() == CHECKPOINT_MAGIC => {}
@@ -830,12 +857,66 @@ mod tests {
     #[test]
     fn checkpoint_rejects_garbage() {
         assert!(ExploreCheckpoint::parse("not a checkpoint").is_err());
-        let bad = format!("{CHECKPOINT_MAGIC}\nloc 1\t0\tNope\t0\t0\t0\t0\tf\tg\t-\td\n");
-        assert!(ExploreCheckpoint::parse(&bad).is_err());
-        let short = format!("{CHECKPOINT_MAGIC}\nloc 1\t0\tRaceWrite\t0\t0\t0\t0\tf\tg\t-\n");
+        let good =
+            format!("{CHECKPOINT_MAGIC}\nloc 1\t0\tRaceWrite\t0\t0\t0\t0\tf\tg\t-\td\nend\n");
+        assert!(ExploreCheckpoint::parse(&good).is_ok());
+        assert!(ExploreCheckpoint::parse(&good.replace("RaceWrite", "Nope")).is_err());
+        let short = good.replace("\t-\td\n", "\t-\n");
         assert!(ExploreCheckpoint::parse(&short).is_err(), "a loc line cut short");
-        let v1 = "raceline-explore-checkpoint v1\nbase_seed 1\n";
+        let unsealed = good.strip_suffix("end\n").unwrap();
+        assert!(ExploreCheckpoint::parse(unsealed).is_err(), "no final end line");
+        let inner_end = good.replace("\nloc", "\nend\nloc");
+        assert!(ExploreCheckpoint::parse(&inner_end).is_err(), "end is the last line only");
+        let v1 = "raceline-explore-checkpoint v1\nbase_seed 1\nend\n";
         assert!(ExploreCheckpoint::parse(v1).is_err(), "v1 kept only the top frame");
+    }
+
+    /// A file cut anywhere, mid-line or at a line boundary, loads as a
+    /// checkpoint of no runs (or fails, if not even its magic line is
+    /// whole): never as counters without the locations they counted.
+    #[test]
+    fn a_cut_checkpoint_carries_no_runs() {
+        let mut ck = ExploreCheckpoint {
+            spec: "program=1".into(),
+            runs: 6,
+            next_index: 6,
+            clean_runs: 2,
+            slots_used: 900,
+            ..Default::default()
+        };
+        for line in [7, 29] {
+            ck.locations.push(LocationHit {
+                hits: 4,
+                first_run: 1,
+                report: Report {
+                    kind: ReportKind::RaceWrite,
+                    tid: 1,
+                    file: "s.cpp".into(),
+                    line,
+                    func: "w".into(),
+                    addr: 64,
+                    stack: vec![StackFrame { func: "w".into(), file: "s.cpp".into(), line }],
+                    block: None,
+                    details: "d".into(),
+                    truncated: false,
+                },
+            });
+        }
+        let text = ck.render();
+        let (whole, cut) = ExploreCheckpoint::load(text.as_bytes()).unwrap();
+        assert!(!cut);
+        assert_eq!(whole.render(), text);
+        for n in 0..text.len() {
+            match ExploreCheckpoint::load(&text.as_bytes()[..n]) {
+                Ok((back, cut)) => {
+                    assert!(cut, "cut at {n}");
+                    assert_eq!((back.next_index, back.clean_runs, back.slots_used), (0, 0, 0));
+                    assert!(back.locations.is_empty(), "cut at {n}");
+                    assert!(back.spec.is_empty() || back.spec == ck.spec, "cut at {n}");
+                }
+                Err(e) => assert!(n <= CHECKPOINT_MAGIC.len(), "cut at {n}: {e}"),
+            }
+        }
     }
 
     #[test]

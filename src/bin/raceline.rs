@@ -491,17 +491,8 @@ fn main() {
                     std::process::exit(EXIT_ERROR);
                 }
             };
-            // Saves are atomic, so only a file cut by something else has an
-            // unterminated tail; it resumes from the committed lines.
-            let kept = commitlog::committed(&bytes);
-            if kept.len() < bytes.len() {
-                eprintln!("{p}: repaired truncated checkpoint (dropped partial final line)");
-            }
-            let parsed = std::str::from_utf8(kept)
-                .map_err(|e| e.to_string())
-                .and_then(ExploreCheckpoint::parse);
-            match parsed {
-                Ok(ck) if ck.spec != spec => {
+            match ExploreCheckpoint::load(&bytes) {
+                Ok((ck, _)) if ck.spec != spec => {
                     eprintln!(
                         "{p}: checkpoint was recorded by a different sweep\n  \
                          checkpoint: {}\n  requested:  {spec}",
@@ -509,14 +500,20 @@ fn main() {
                     );
                     std::process::exit(EXIT_ERROR);
                 }
-                Ok(ck) if ck.next_index > runs => {
+                Ok((ck, _)) if ck.next_index > runs => {
                     eprintln!(
                         "{p}: {} runs already done, more than --explore {runs}",
                         ck.next_index
                     );
                     std::process::exit(EXIT_ERROR);
                 }
-                Ok(ck) => {
+                Ok((ck, cut)) => {
+                    if cut {
+                        eprintln!(
+                            "{p}: repaired truncated checkpoint (no final `end` line; \
+                             its runs are redone)"
+                        );
+                    }
                     eprintln!("resuming from {p}: {}/{} runs done", ck.next_index, ck.runs);
                     Some(ck)
                 }

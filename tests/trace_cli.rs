@@ -296,18 +296,20 @@ fn checkpoint_survives_torn_final_line() {
     let ck = tmp("torn.checkpoint");
     let ck_p = ck.to_str().unwrap().to_string();
     let _ = std::fs::remove_file(&ck);
-    let (_, stderr, _) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &ck_p]);
+    let (full, stderr, _) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &ck_p]);
     assert!(std::fs::metadata(&ck).is_ok(), "sweep must write a checkpoint\n{stderr}");
 
-    // Tear the file the way an interrupted write would: cut mid-way into
-    // the final record's structured fields (a cut inside the free-text
-    // details field would still parse, and rightly needs no repair).
+    // Saves are atomic, so only something else can cut the file: cut it
+    // mid-way into the last location record. Its counters cover that
+    // location, so the resume redoes every run rather than drop it.
     let text = std::fs::read_to_string(&ck).unwrap();
-    let last_start = text.trim_end().rfind('\n').expect("multi-line checkpoint") + 1;
-    std::fs::write(&ck, &text[..last_start + 10]).unwrap();
+    let last_loc = text.rfind("\nloc ").expect("checkpoint with a location") + 1;
+    std::fs::write(&ck, &text[..last_loc + 10]).unwrap();
 
-    let (_, stderr, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &ck_p]);
+    let (stdout, stderr, code) =
+        raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &ck_p]);
     assert_ne!(code, 2, "torn checkpoint must not abort the sweep\n{stderr}");
     assert!(stderr.contains("repaired truncated checkpoint"), "{stderr}");
     assert!(stderr.contains("resuming from"), "{stderr}");
+    assert_eq!(stdout, full, "the resumed sweep prints the uninterrupted one");
 }
