@@ -4,9 +4,11 @@
 //! the VM hot loop:
 //!
 //! * `interp-run-*` — one full run of the §4.5 overhead workload on each
-//!   core with no tool attached: the headline `vm-no-tool` A/B. Both rows
-//!   run from a [`PreparedProgram`], so the one-time compile is hoisted
-//!   out of the measurement exactly as `check`/`--explore` hoist it.
+//!   core with no tool attached: the headline `vm-no-tool` A/B. The
+//!   compiled row runs from a [`PreparedProgram`], so the one-time compile
+//!   is hoisted out of the measurement exactly as `--explore` hoists it;
+//!   the reference row builds its VM with `Vm::new`, the reference core's
+//!   constructor.
 //! * `interp-filtered-*` — the same A/B with the production filtered
 //!   hybrid detector attached, bounding how much of the end-to-end
 //!   `check` latency the dispatch loop still owns once shadow-memory
@@ -28,8 +30,8 @@ use std::hint::black_box;
 use vexec::filter::FilterTool;
 use vexec::ir::compile::compile;
 use vexec::sched::RoundRobin;
-use vexec::tool::NullTool;
-use vexec::vm::{PreparedProgram, VmMode, VmOptions};
+use vexec::tool::{NullTool, Tool};
+use vexec::vm::{PreparedProgram, Vm, VmOptions};
 
 const SPEC: WorkloadSpec = WorkloadSpec { threads: 4, iterations: 1_000, parse_reads: 16 };
 
@@ -39,22 +41,27 @@ fn bench_interp(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp");
     group.sample_size(10);
 
-    for (name, mode) in [("compiled", VmMode::Compiled), ("reference", VmMode::Reference)] {
-        let prepared = PreparedProgram::new(&flat, mode);
+    let prepared = PreparedProgram::new(&flat);
+    let run = |reference: bool, tool: &mut dyn Tool| {
+        let (sched, opts) = (&mut RoundRobin::new(), VmOptions::default());
+        if reference {
+            Vm::new(&flat, opts).run(tool, sched)
+        } else {
+            prepared.run(tool, sched, opts)
+        }
+    };
+
+    for (name, reference) in [("compiled", false), ("reference", true)] {
         group.bench_function(format!("interp-run-{name}"), |b| {
-            b.iter(|| {
-                let r = prepared.run(&mut NullTool, &mut RoundRobin::new(), VmOptions::default());
-                black_box(r.stats.ops)
-            })
+            b.iter(|| black_box(run(reference, &mut NullTool).stats.ops))
         });
     }
 
-    for (name, mode) in [("compiled", VmMode::Compiled), ("reference", VmMode::Reference)] {
-        let prepared = PreparedProgram::new(&flat, mode);
+    for (name, reference) in [("compiled", false), ("reference", true)] {
         group.bench_function(format!("interp-filtered-{name}"), |b| {
             b.iter(|| {
                 let mut tool = FilterTool::new(HybridDetector::new(DetectorConfig::hybrid()));
-                prepared.run(&mut tool, &mut RoundRobin::new(), VmOptions::default());
+                run(reference, &mut tool);
                 black_box(tool.inner().sink.location_count())
             })
         });

@@ -445,7 +445,8 @@ pub struct OfflineResult {
 /// the paper warns about ("offline techniques suffer from their need for
 /// large amount of data").
 pub fn e13_offline() -> OfflineResult {
-    use helgrind_core::replay::{analyze_trace_bytes, ReplayDetector};
+    use helgrind_core::replay::analyze_trace_bytes;
+    use helgrind_core::AnyDetector;
     use raceline_trace::writer::TraceWriter;
 
     let tc = &sipsim::testcases()[2]; // T3
@@ -466,7 +467,7 @@ pub fn e13_offline() -> OfflineResult {
 
     // Analyse post mortem.
     let t1 = Instant::now();
-    let detector = ReplayDetector::Eraser(EraserDetector::new(DetectorConfig::original()));
+    let detector = AnyDetector::Eraser(EraserDetector::new(DetectorConfig::original()));
     let offline = analyze_trace_bytes(&bytes, detector, 1, 0).expect("well-formed trace");
     let analyze_ms = t1.elapsed().as_secs_f64() * 1e3;
 

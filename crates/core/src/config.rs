@@ -54,10 +54,11 @@ pub struct DetectorConfig {
     /// Semaphore post → wait happens-before edges (HB engines).
     pub sem_hb: bool,
     /// Run the HB engines' read shadow state as a reference full vector
-    /// clock instead of the adaptive FastTrack epoch lattice. Reports are
-    /// identical either way — the epoch/reference golden suites and the
-    /// event-soup proptest pin that — so this mode exists purely as the
-    /// equivalence oracle (`raceline ... --hb-reference`).
+    /// clock (`RefReads`) instead of the adaptive FastTrack epoch lattice.
+    /// Reports are identical either way — the epoch golden and
+    /// equivalence suites and the event-soup proptest pin that — so this
+    /// mode exists purely as the tests' equivalence oracle; no command
+    /// line selects it.
     pub hb_reference: bool,
     /// State caps with graceful degradation (see [`crate::budget`]).
     /// Unlimited in every preset; narrowed by `raceline --budget`.

@@ -374,12 +374,14 @@ impl Tool for HybridDetector {
     }
 }
 
-/// A name-dispatched live detector: any of the three engines behind one
-/// concrete [`Tool`], for drivers that pick the engine at runtime (the
-/// soak loop, benches) without monomorphizing every call site. The
-/// offline twin is [`crate::replay::ReplayDetector`]; the name → engine
-/// mapping here matches the CLI's (`djit` → HB, `hybrid*` → hybrid,
-/// everything else → lockset with suppressions applied in the sink).
+/// A name-dispatched detector: any of the three engines behind one
+/// concrete type, for drivers that pick the engine at runtime (`check`,
+/// chaos, soak, trace replay, benches) without monomorphizing every call
+/// site. Inline it is a [`Tool`]; offline, trace replay feeds it through
+/// the same `handle_event` bodies, which is what keeps the two paths
+/// byte-identical. The name → engine mapping matches the CLI's (`djit` →
+/// HB, `hybrid*` → hybrid, everything else → lockset with suppressions
+/// applied in the sink).
 #[allow(clippy::large_enum_variant)] // one detector per phase, never collections of them
 pub enum AnyDetector {
     Eraser(EraserDetector),
@@ -425,6 +427,22 @@ impl AnyDetector {
             AnyDetector::Eraser(d) => d.sink.take_reports(),
             AnyDetector::Djit(d) => d.sink.take_reports(),
             AnyDetector::Hybrid(d) => d.sink.take_reports(),
+        }
+    }
+
+    pub(crate) fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
+        match self {
+            AnyDetector::Eraser(d) => d.handle_event(ev, ctx),
+            AnyDetector::Djit(d) => d.handle_event(ev, ctx),
+            AnyDetector::Hybrid(d) => d.handle_event(ev, ctx),
+        }
+    }
+
+    pub(crate) fn handle_finish(&mut self) {
+        match self {
+            AnyDetector::Eraser(d) => d.handle_finish(),
+            AnyDetector::Djit(d) => d.handle_finish(),
+            AnyDetector::Hybrid(d) => d.handle_finish(),
         }
     }
 }

@@ -12,11 +12,11 @@
 use crate::commitlog::{committed, esc, unesc};
 use crate::config::DetectorConfig;
 use crate::detector::EraserDetector;
+use crate::pool::run_indexed;
 use crate::report::{Report, ReportKind, StackFrame};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vexec::event::{Event, ThreadId};
 use vexec::faults::FaultPlan;
@@ -25,7 +25,7 @@ use vexec::ir::Program;
 use vexec::sched::{Scheduler, SeededRandom};
 use vexec::tool::Tool;
 use vexec::util::FxHashMap;
-use vexec::vm::{GuestError, PreparedProgram, SlotMeter, Termination, VmMode, VmOptions, VmView};
+use vexec::vm::{GuestError, PreparedProgram, SlotMeter, Termination, VmOptions, VmView};
 
 /// One distinct warning location across the exploration.
 #[derive(Clone, Debug)]
@@ -70,10 +70,6 @@ pub struct ExploreLimits {
     /// The filter is report-preserving, so this only trades speed for
     /// nothing — it exists for the equivalence gates and for debugging.
     pub no_filter: bool,
-    /// Run the sweep on the tree-walking reference core instead of the
-    /// compiled bytecode (`--vm-reference`). Observationally identical —
-    /// exists for the equivalence gates and A/B overhead rows.
-    pub vm_reference: bool,
 }
 
 /// Aggregated exploration outcome.
@@ -372,23 +368,23 @@ fn fold_outcome(
 ///
 /// ## Deterministic parallel merge
 ///
-/// With `limits.jobs > 1` the seeds run on a scoped pool of plain std
-/// threads, and the result is still **bit-identical** to the sequential
-/// sweep. The protocol:
+/// With `limits.jobs > 1` the seeds run on the shared worker pool
+/// ([`crate::pool::run_indexed`]), and the result is still
+/// **bit-identical** to the sequential sweep. The protocol:
 ///
 /// 1. Workers claim seed indices in increasing order from a shared
 ///    atomic counter, so the claimed set is always a contiguous prefix.
-/// 2. Before each claim a worker consults the shared [`SlotMeter`]
-///    (credited live by every VM, including in-flight runs); once it
-///    shows the `total_slot_budget` consumed, no further seed starts.
-///    Claimed runs always finish — bounded by their own per-run fuel —
-///    because a later run's result may be needed by the merge.
+/// 2. A claimed index first consults the shared [`SlotMeter`] (credited
+///    live by every VM, including in-flight runs); once it shows the
+///    `total_slot_budget` consumed, the index starts no run. Started
+///    runs always finish — bounded by their own per-run fuel — because a
+///    later run's result may be needed by the merge.
 /// 3. Each run is deterministic given its seed, so per-index outcomes are
 ///    schedule-independent; they are merged by a sequential fold in index
 ///    order that applies the budget cut-off exactly as the sequential
-///    loop would. Any index the fold reaches is guaranteed claimed: were
-///    it not, every worker observed `>= budget` spent on *earlier*
-///    indices alone, and the fold stops at the same prefix sum.
+///    loop would. Any index the fold reaches has run: were it not, the
+///    meter showed `>= budget` spent on *earlier* indices alone, and the
+///    fold stops at the same prefix sum.
 pub fn explore_schedules_with(
     program: &Program,
     cfg: DetectorConfig,
@@ -445,87 +441,33 @@ fn explore_impl(
         }
     }
     let flat = program.lower();
-    let mode = if limits.vm_reference { VmMode::Reference } else { VmMode::Compiled };
-    let prepared = PreparedProgram::new(&flat, mode);
+    let prepared = PreparedProgram::new(&flat);
+    // Every VM credits the shared meter live, in-flight runs included, so
+    // once the budget is spent the remaining indices start no run.
+    let budget = limits.total_slot_budget.unwrap_or(u64::MAX);
+    let meter = Arc::new(SlotMeter::new(summary.slots_used));
     let opts = VmOptions {
         max_slots: limits.max_slots_per_run.unwrap_or(VmOptions::default().max_slots),
         faults: limits.faults,
+        slot_meter: limits.total_slot_budget.map(|_| meter.clone()),
         ..Default::default()
     };
-    let jobs = limits.jobs.max(1).min(runs.saturating_sub(start).max(1));
-    if jobs == 1 {
-        for i in start..runs {
-            if let Some(budget) = limits.total_slot_budget {
-                if summary.slots_used >= budget {
-                    summary.timed_out = true;
-                    break;
-                }
+    let outcomes = run_indexed(limits.jobs, runs.saturating_sub(start), |k| {
+        (meter.total() < budget).then(|| {
+            run_index(&prepared, cfg, base_seed, start + k, &opts, limits.no_filter, probes)
+        })
+    });
+    for (k, outcome) in outcomes.into_iter().enumerate() {
+        // The fold applies the budget cut-off exactly as a sequential
+        // sweep would; an index that started no run lies past it (see
+        // the merge notes above), and degrades to a budget stop too.
+        match outcome {
+            Some(o) if summary.slots_used < budget => {
+                fold_outcome(&mut summary, &mut agg, o, start + k)
             }
-            let o = run_index(&prepared, cfg, base_seed, i, &opts, limits.no_filter, probes);
-            fold_outcome(&mut summary, &mut agg, o, i);
-        }
-    } else {
-        let meter = Arc::new(SlotMeter::new(summary.slots_used));
-        let mut worker_opts = opts.clone();
-        worker_opts.slot_meter = Some(meter.clone());
-        let next = AtomicUsize::new(start);
-        let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
-        outcomes.resize_with(runs - start, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let (prepared, worker_opts, next, meter) =
-                        (&prepared, &worker_opts, &next, &meter);
-                    s.spawn(move || {
-                        let mut local: Vec<(usize, RunOutcome)> = Vec::new();
-                        loop {
-                            if let Some(budget) = limits.total_slot_budget {
-                                if meter.total() >= budget {
-                                    break;
-                                }
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= runs {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                run_index(
-                                    prepared,
-                                    cfg,
-                                    base_seed,
-                                    i,
-                                    worker_opts,
-                                    limits.no_filter,
-                                    probes,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, o) in h.join().expect("explore worker panicked") {
-                    outcomes[i - start] = Some(o);
-                }
-            }
-        });
-        for i in start..runs {
-            if let Some(budget) = limits.total_slot_budget {
-                if summary.slots_used >= budget {
-                    summary.timed_out = true;
-                    break;
-                }
-            }
-            match outcomes[i - start].take() {
-                Some(o) => fold_outcome(&mut summary, &mut agg, o, i),
-                // Unreachable while the claim protocol holds (see the merge
-                // notes above); degrade to a budget stop rather than panic.
-                None => {
-                    summary.timed_out = true;
-                    break;
-                }
+            _ => {
+                summary.timed_out = true;
+                break;
             }
         }
     }

@@ -34,6 +34,7 @@ pub mod explore;
 pub mod hb;
 pub mod lockorder;
 pub mod locksets;
+pub mod pool;
 pub mod replay;
 pub mod report;
 pub mod segments;
@@ -43,6 +44,8 @@ pub mod vc;
 
 pub use budget::{BudgetSpec, DetectorBudget};
 pub use config::{BusLockModel, DetectorConfig};
+/// Another name for [`AnyDetector`], the detector trace replay takes.
+pub use detector::AnyDetector as ReplayDetector;
 pub use detector::{AnyDetector, DjitDetector, EngineStats, EraserDetector, HybridDetector};
 pub use eraser::{LocksetEngine, RaceInfo, VarState};
 pub use explore::{
@@ -52,9 +55,10 @@ pub use explore::{
 pub use hb::{Conflict, EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
+pub use pool::run_indexed;
 pub use replay::{
     analyze_trace_bytes, analyze_trace_repair, warning_fingerprint, RepairInfo, ReplayCtx,
-    ReplayDetector, ReplayOutcome,
+    ReplayOutcome,
 };
 pub use report::{format_block_note, Report, ReportCtx, ReportKind, ReportSink, StackFrame};
 pub use segments::{SegmentGraph, SegmentId};

@@ -23,14 +23,12 @@
 //!
 //! The HB engines' adaptive epoch lattice (§13) is below this layer:
 //! `DetectorConfig::hb_reference` selects the read-state representation
-//! inside [`crate::HbEngine`], so `analyze ... --hb-reference` flows
-//! through the same [`ReplayDetector`] plumbing and must stay
-//! byte-identical to the adaptive default — the CI epoch job cmp-gates
-//! sharded analyze across both modes.
+//! inside [`crate::HbEngine`], so a replay with the reference read state
+//! flows through the same [`AnyDetector`] plumbing and must stay
+//! byte-identical to the adaptive default — the epoch golden suite
+//! compares sharded replays of both.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
 use raceline_trace::reader::{decode_epoch, parse_trace, parse_trace_repair, ParsedTrace};
@@ -38,77 +36,9 @@ use vexec::event::{ClientEv, Event, ThreadId};
 use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
 
-use crate::detector::{DjitDetector, EngineStats, EraserDetector, HybridDetector};
+use crate::detector::{AnyDetector, EngineStats};
+use crate::pool::run_indexed;
 use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
-
-/// Any of the three detector families, unified for trace dispatch. Build
-/// the inner detector exactly as the inline path would (same config, same
-/// suppressions) and reports come out byte-identical.
-#[allow(clippy::large_enum_variant)] // one detector per analysis, never collections of them
-pub enum ReplayDetector {
-    Eraser(EraserDetector),
-    Djit(DjitDetector),
-    Hybrid(HybridDetector),
-}
-
-impl ReplayDetector {
-    /// Build the replay-side detector exactly the way the inline `check`
-    /// path builds its tool (same config, same suppression wiring) — the
-    /// other half of the byte-identity contract. The name → engine mapping
-    /// matches [`crate::AnyDetector::by_name`].
-    pub fn by_name(
-        name: &str,
-        cfg: crate::DetectorConfig,
-        suppressions: crate::SuppressionSet,
-    ) -> Self {
-        match name {
-            "djit" => ReplayDetector::Djit(DjitDetector::new(cfg)),
-            "hybrid" | "hybrid-queue" => ReplayDetector::Hybrid(HybridDetector::new(cfg)),
-            _ => ReplayDetector::Eraser(EraserDetector::with_suppressions(cfg, suppressions)),
-        }
-    }
-
-    fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        match self {
-            ReplayDetector::Eraser(d) => d.handle_event(ev, ctx),
-            ReplayDetector::Djit(d) => d.handle_event(ev, ctx),
-            ReplayDetector::Hybrid(d) => d.handle_event(ev, ctx),
-        }
-    }
-
-    fn handle_finish(&mut self) {
-        match self {
-            ReplayDetector::Eraser(d) => d.handle_finish(),
-            ReplayDetector::Djit(d) => d.handle_finish(),
-            ReplayDetector::Hybrid(d) => d.handle_finish(),
-        }
-    }
-
-    pub fn truncated(&self) -> bool {
-        match self {
-            ReplayDetector::Eraser(d) => d.truncated(),
-            ReplayDetector::Djit(d) => d.truncated(),
-            ReplayDetector::Hybrid(d) => d.truncated(),
-        }
-    }
-
-    pub fn take_reports(&mut self) -> Vec<Report> {
-        match self {
-            ReplayDetector::Eraser(d) => d.sink.take_reports(),
-            ReplayDetector::Djit(d) => d.sink.take_reports(),
-            ReplayDetector::Hybrid(d) => d.sink.take_reports(),
-        }
-    }
-
-    /// Per-engine analysis counters, for `analyze --stats`.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        match self {
-            ReplayDetector::Eraser(d) => d.engine_stats(),
-            ReplayDetector::Djit(d) => d.engine_stats(),
-            ReplayDetector::Hybrid(d) => d.engine_stats(),
-        }
-    }
-}
 
 /// What offline analysis hands back to the caller.
 pub struct ReplayOutcome {
@@ -207,46 +137,18 @@ impl ReportCtx for ReplayCtx {
 }
 
 /// Decode every epoch payload, fanning out over `jobs` worker threads.
-/// Workers claim epoch indices from a shared counter; results land in
-/// index-order slots, so the output (including which error surfaces when
-/// several epochs are corrupt) is independent of thread timing.
+/// Results come back in epoch order, so the output (including which error
+/// surfaces when several epochs are corrupt) is independent of thread
+/// timing.
 fn decode_epochs(
     bytes: &[u8],
     parsed: &ParsedTrace,
     jobs: usize,
 ) -> Result<Vec<Vec<TraceRecord>>, TraceError> {
-    let n = parsed.epochs.len();
     let nsyms = parsed.header.symbols.len() as u32;
-    if jobs <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for desc in &parsed.epochs {
-            out.push(decode_epoch(bytes, desc, nsyms)?);
-        }
-        return Ok(out);
-    }
-    type DecodeSlot = Mutex<Option<Result<Vec<TraceRecord>, TraceError>>>;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<DecodeSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = decode_epoch(bytes, &parsed.epochs[i], nsyms);
-                *slots[i].lock().expect("decode slot poisoned") = Some(r);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.into_inner().expect("decode slot poisoned").expect("worker filled slot") {
-            Ok(recs) => out.push(recs),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
+    run_indexed(jobs, parsed.epochs.len(), |i| decode_epoch(bytes, &parsed.epochs[i], nsyms))
+        .into_iter()
+        .collect()
 }
 
 /// Run `detector` over a complete `.rltrace` byte stream.
@@ -257,7 +159,7 @@ fn decode_epochs(
 /// still replayed) and primes lock state from that epoch's snapshot.
 pub fn analyze_trace_bytes(
     bytes: &[u8],
-    detector: ReplayDetector,
+    detector: AnyDetector,
     jobs: usize,
     from_epoch: u64,
 ) -> Result<ReplayOutcome, TraceError> {
@@ -281,7 +183,7 @@ pub struct RepairInfo {
 /// errors in a complete file) still propagates.
 pub fn analyze_trace_repair(
     bytes: &[u8],
-    detector: ReplayDetector,
+    detector: AnyDetector,
     jobs: usize,
     from_epoch: u64,
 ) -> Result<(ReplayOutcome, RepairInfo), TraceError> {
@@ -293,7 +195,7 @@ pub fn analyze_trace_repair(
 fn analyze_parsed(
     bytes: &[u8],
     parsed: ParsedTrace,
-    mut detector: ReplayDetector,
+    mut detector: AnyDetector,
     jobs: usize,
     from_epoch: u64,
 ) -> Result<ReplayOutcome, TraceError> {

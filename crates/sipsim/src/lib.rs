@@ -26,12 +26,12 @@ pub mod workload;
 pub use proxy::{build_proxy, BuiltProxy, Dispatch, ProxyConfig, SiteLabel, SiteMap};
 pub use sip::{Method, SipRequest};
 pub use soak::{
-    build_soak_phase, phase_fault_plan, phase_sched_seed, run_phase, run_phase_in, CatEntry,
-    PhaseEnd, PhaseOutcome, PhaseStats, SoakLog,
+    build_soak_phase, phase_fault_plan, phase_sched_seed, run_phase, CatEntry, PhaseEnd,
+    PhaseOutcome, PhaseStats, SoakLog,
 };
 pub use testcases::{
-    reproduce_fig6, run_case, run_case_chaos, run_case_chaos_in, run_case_chaos_with, testcases,
-    CaseResult, ChaosRunOutcome, Fig6Row, TestCase,
+    reproduce_fig6, run_case, run_case_chaos, testcases, CaseResult, ChaosRunOutcome, Fig6Row,
+    TestCase,
 };
 pub use workload::{
     apply_chaos, generate, phase_cells, ChaosSpec, DialogCell, DialogClass, FlowKind, ScenarioSpec,

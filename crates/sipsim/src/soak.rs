@@ -37,7 +37,7 @@ use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{ClientOp, Cond, Expr, ProcId, Program, SyncKind, SyncOp};
 use vexec::sched::SeededRandom;
 use vexec::tool::CountingTool;
-use vexec::vm::{run_flat, Termination, VmMode, VmOptions};
+use vexec::vm::{run_flat, Termination, VmOptions};
 
 /// Message block layout: `[0]` handler code, `[8]` touches, `[16]`
 /// re-INVITEs. 32 bytes so the block spans several shadow granules.
@@ -432,26 +432,11 @@ pub fn run_phase(
     use_filter: bool,
     max_slots: Option<u64>,
 ) -> PhaseOutcome {
-    run_phase_in(spec, phase, det, use_filter, max_slots, VmMode::default())
-}
-
-/// [`run_phase`] on an explicit interpreter core (`--vm-reference` passes
-/// [`VmMode::Reference`]). The core is observationally identical, so the
-/// phase outcome — including the catalogue fingerprint — must not change.
-pub fn run_phase_in(
-    spec: &SoakSpec,
-    phase: u32,
-    det: Option<AnyDetector>,
-    use_filter: bool,
-    max_slots: Option<u64>,
-    mode: VmMode,
-) -> PhaseOutcome {
     let program = build_soak_phase(spec, phase);
     let flat = program.lower();
     let opts = VmOptions {
         faults: Some(phase_fault_plan(spec, phase)),
         max_slots: max_slots.unwrap_or(VmOptions::default().max_slots),
-        mode,
         ..Default::default()
     };
     let mut sched = SeededRandom::new(phase_sched_seed(spec, phase));
@@ -546,15 +531,21 @@ fn phase_warnings(outcome: &PhaseOutcome) -> Vec<WarnRecord> {
 /// [`helgrind_core::commitlog`]'s.
 #[derive(Clone, Debug, Default)]
 pub struct SoakLog {
+    /// The workload ([`SoakSpec::params_line`]), echoed in the summary.
     pub params: String,
+    /// The driver's detector settings, starting `detector=`: the header's
+    /// `spec` line records them after `params`, so a resume under another
+    /// engine, budget or filter setting is refused rather than folding two
+    /// configurations into one catalogue.
+    pub settings: String,
     pub phases: Vec<PhaseStats>,
     /// Fingerprint → catalogue entry (BTreeMap: deterministic order).
     pub catalogue: BTreeMap<String, CatEntry>,
 }
 
 impl SoakLog {
-    pub fn new(spec: &SoakSpec) -> Self {
-        SoakLog { params: spec.params_line(), ..Default::default() }
+    pub fn new(spec: &SoakSpec, settings: &str) -> Self {
+        SoakLog { params: spec.params_line(), settings: settings.to_string(), ..Default::default() }
     }
 
     /// First phase index not yet committed.
@@ -564,7 +555,7 @@ impl SoakLog {
 
     /// Log header (magic + spec echo), written once at run start.
     pub fn header(&self) -> String {
-        format!("{LOG_MAGIC}\nspec {}\n", self.params)
+        format!("{LOG_MAGIC}\nspec {} {}\n", self.params, self.settings)
     }
 
     /// The appendable block committing `outcome`: per-location `warn`
@@ -643,14 +634,23 @@ impl SoakLog {
             Some(l) if l.trim() == LOG_MAGIC => {}
             other => return Err(format!("bad soak log header: {other:?}")),
         }
-        let params = match lines.next() {
+        let spec = match lines.next() {
             Some(l) => l
                 .strip_prefix("spec ")
-                .ok_or_else(|| format!("soak log line 2: expected spec line, got {l:?}"))?
-                .to_string(),
+                .ok_or_else(|| format!("soak log line 2: expected spec line, got {l:?}"))?,
             None => return Err("soak log: missing spec line".into()),
         };
-        let mut log = SoakLog { params, ..Default::default() };
+        // A log without settings parses with empty ones, which no driver
+        // requests, so a resume refuses it.
+        let (params, settings) = match spec.find(" detector=") {
+            Some(at) => (&spec[..at], &spec[at + 1..]),
+            None => (spec, ""),
+        };
+        let mut log = SoakLog {
+            params: params.to_string(),
+            settings: settings.to_string(),
+            ..Default::default()
+        };
         // Pending `warn` lines of the not-yet-committed phase.
         let mut pending: Vec<WarnRecord> = Vec::new();
         for (ln, line) in lines.enumerate() {
@@ -822,6 +822,8 @@ mod tests {
         }
     }
 
+    const SETTINGS: &str = "detector=hybrid";
+
     fn det() -> AnyDetector {
         AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::default())
     }
@@ -871,7 +873,7 @@ mod tests {
     #[test]
     fn soak_finds_the_planted_races_and_only_them() {
         let spec = SoakSpec { kill_permille: 0, ..small_spec() };
-        let mut log = SoakLog::new(&spec);
+        let mut log = SoakLog::new(&spec, SETTINGS);
         for phase in 0..spec.phases {
             log.fold_phase(&run_phase(&spec, phase, Some(det()), true, None));
         }
@@ -929,7 +931,7 @@ mod tests {
     #[test]
     fn log_roundtrips_and_repairs_torn_tails() {
         let spec = small_spec();
-        let mut log = SoakLog::new(&spec);
+        let mut log = SoakLog::new(&spec, SETTINGS);
         let mut file = log.header();
         let mut blocks = Vec::new();
         for phase in 0..spec.phases {
@@ -940,6 +942,10 @@ mod tests {
         }
         assert_eq!(committed(&file), file, "a whole log is all committed");
         let parsed = SoakLog::parse(&file).unwrap();
+        assert_eq!((&parsed.params, &parsed.settings), (&log.params, &log.settings));
+        // A header without settings (an older log) leaves them empty.
+        let bare = SoakLog::parse(&format!("{LOG_MAGIC}\nspec {}\n", log.params)).unwrap();
+        assert_eq!((&bare.params, bare.settings.as_str()), (&log.params, ""));
         assert_eq!(parsed.phases, log.phases);
         assert_eq!(parsed.catalogue, log.catalogue);
         assert_eq!(parsed.render_summary(true), log.render_summary(true));
@@ -969,7 +975,7 @@ mod tests {
     fn resumed_runs_reproduce_the_uninterrupted_summary() {
         let spec = small_spec();
         // Uninterrupted run.
-        let mut full = SoakLog::new(&spec);
+        let mut full = SoakLog::new(&spec, SETTINGS);
         for phase in 0..spec.phases {
             full.fold_phase(&run_phase(&spec, phase, Some(det()), true, None));
         }

@@ -13,11 +13,11 @@
 use crate::proxy::{build_proxy, BuiltProxy, Dispatch, ProxyConfig, SiteLabel};
 use crate::workload::ScenarioSpec;
 use helgrind_core::report::ReportKind;
-use helgrind_core::{DetectorConfig, EraserDetector};
+use helgrind_core::{AnyDetector, DetectorConfig, EraserDetector};
 use vexec::faults::{FaultPlan, FaultStats};
 use vexec::filter::FilterTool;
 use vexec::sched::{RoundRobin, SeededRandom};
-use vexec::vm::{run_flat, run_program, Termination, VmMode, VmOptions};
+use vexec::vm::{run_flat, run_program, Termination, VmOptions};
 
 /// One evaluation test case.
 #[derive(Clone, Debug)]
@@ -156,7 +156,7 @@ pub struct ChaosRunOutcome {
     /// What the injector actually did.
     pub fault_stats: Option<FaultStats>,
     /// FNV-1a hash over termination + every report + fault stats; two runs
-    /// with the same (case, cfg, plan, schedule seed) must agree exactly.
+    /// with the same (case, detector, plan, schedule seed) must agree exactly.
     pub fingerprint: u64,
 }
 
@@ -167,63 +167,33 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Run a built proxy under fault injection with a seeded-random schedule.
-/// Tolerates every termination kind; panics only propagate from genuine
-/// detector/VM bugs (which is what the chaos harness exists to catch).
-/// Runs with the redundant-access filter enabled; fingerprints are
-/// filter-invariant (see `run_case_chaos_with`).
+/// Run a built proxy under `det` with fault injection and a seeded-random
+/// schedule. Tolerates every termination kind; panics only propagate from
+/// genuine detector/VM bugs (which is what the chaos harness exists to
+/// catch). The redundant-access filter sits in front of `det` when
+/// `use_filter` is set; it is report-preserving, so the fingerprint must
+/// not change with it — a dedicated test asserts on/off equality.
 pub fn run_case_chaos(
     built: &BuiltProxy,
-    cfg: DetectorConfig,
-    plan: FaultPlan,
-    sched_seed: u64,
-    max_slots: Option<u64>,
-) -> ChaosRunOutcome {
-    run_case_chaos_with(built, cfg, plan, sched_seed, max_slots, true)
-}
-
-/// [`run_case_chaos`] with explicit control over the redundant-access
-/// filter cache. The filter is report-preserving, so `use_filter` must not
-/// change the outcome — the chaos fingerprint doubles as the equivalence
-/// evidence under fault injection, and a dedicated test asserts on/off
-/// equality.
-pub fn run_case_chaos_with(
-    built: &BuiltProxy,
-    cfg: DetectorConfig,
+    det: AnyDetector,
     plan: FaultPlan,
     sched_seed: u64,
     max_slots: Option<u64>,
     use_filter: bool,
-) -> ChaosRunOutcome {
-    run_case_chaos_in(built, cfg, plan, sched_seed, max_slots, use_filter, VmMode::default())
-}
-
-/// [`run_case_chaos_with`] on an explicit interpreter core. The chaos
-/// fingerprint doubles as compiled≡reference equivalence evidence under
-/// fault injection: both cores must produce the identical hash.
-pub fn run_case_chaos_in(
-    built: &BuiltProxy,
-    cfg: DetectorConfig,
-    plan: FaultPlan,
-    sched_seed: u64,
-    max_slots: Option<u64>,
-    use_filter: bool,
-    mode: VmMode,
 ) -> ChaosRunOutcome {
     let flat = built.program.lower();
     let mut sched = SeededRandom::new(sched_seed);
     let opts = VmOptions {
         faults: Some(plan),
         max_slots: max_slots.unwrap_or(VmOptions::default().max_slots),
-        mode,
         ..Default::default()
     };
-    let (r, det) = if use_filter {
-        let mut tool = FilterTool::new(EraserDetector::new(cfg));
+    let (r, mut det) = if use_filter {
+        let mut tool = FilterTool::new(det);
         let r = run_flat(&flat, &mut tool, &mut sched, opts);
         (r, tool.into_parts().0)
     } else {
-        let mut det = EraserDetector::new(cfg);
+        let mut det = det;
         let r = run_flat(&flat, &mut det, &mut sched, opts);
         (r, det)
     };
@@ -231,7 +201,7 @@ pub fn run_case_chaos_in(
     let mut out = ChaosRunOutcome {
         clean: r.termination.is_clean(),
         deadlocked: matches!(r.termination, Termination::Deadlock(_)),
-        guest_error: det.guest_fault.clone(),
+        guest_error: det.guest_fault().map(str::to_string),
         fuel_exhausted: matches!(r.termination, Termination::FuelExhausted),
         truncated: det.truncated(),
         fault_stats: r.faults,
@@ -240,8 +210,14 @@ pub fn run_case_chaos_in(
 
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     fnv1a(&mut h, format!("{:?}", r.termination).as_bytes());
-    for rep in det.sink.reports() {
-        if matches!(rep.kind, ReportKind::RaceRead | ReportKind::RaceWrite) {
+    for rep in det.take_reports() {
+        if matches!(
+            rep.kind,
+            ReportKind::RaceRead
+                | ReportKind::RaceWrite
+                | ReportKind::HbRaceRead
+                | ReportKind::HbRaceWrite
+        ) {
             match built.sites.classify(&rep.file, rep.line) {
                 Some(SiteLabel::RealRace) => {
                     out.real_hits += 1;
@@ -306,6 +282,7 @@ pub fn reproduce_fig6() -> Vec<Fig6Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helgrind_core::SuppressionSet;
 
     #[test]
     fn presets_reconstruct_paper_totals() {
@@ -342,18 +319,21 @@ mod tests {
         assert_eq!(hwlc_dr.real, 49);
     }
 
+    fn hwlc_dr() -> AnyDetector {
+        AnyDetector::by_name("hwlc-dr", DetectorConfig::hwlc_dr(), SuppressionSet::new())
+    }
+
     #[test]
     fn chaos_run_is_deterministic_and_tolerates_faults() {
         let tc = &testcases()[2]; // T3, the smallest case
         let built = tc.build();
         let plan = FaultPlan::from_seed(0xC0FFEE);
-        let a = run_case_chaos(&built, DetectorConfig::hwlc_dr(), plan, 7, None);
-        let b = run_case_chaos(&built, DetectorConfig::hwlc_dr(), plan, 7, None);
+        let a = run_case_chaos(&built, hwlc_dr(), plan, 7, None, true);
+        let b = run_case_chaos(&built, hwlc_dr(), plan, 7, None, true);
         assert_eq!(a.fingerprint, b.fingerprint, "{a:?} vs {b:?}");
         assert_eq!(a.real_hits, b.real_hits);
         // A disabled plan under the same schedule behaves like run_case.
-        let calm =
-            run_case_chaos(&built, DetectorConfig::hwlc_dr(), FaultPlan::disabled(), 7, None);
+        let calm = run_case_chaos(&built, hwlc_dr(), FaultPlan::disabled(), 7, None, true);
         assert!(calm.clean, "{calm:?}");
         assert!(calm.real_hits > 0);
         assert_eq!(calm.fault_stats.map(|f| f.total()), Some(0));
@@ -369,11 +349,13 @@ mod tests {
         let built = tc.build();
         for (plan_seed, sched_seed) in [(0xC0FFEEu64, 7u64), (0xBEEF, 11), (42, 3)] {
             let plan = FaultPlan::from_seed(plan_seed);
-            for cfg in
-                [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()]
-            {
-                let on = run_case_chaos_with(&built, cfg, plan, sched_seed, None, true);
-                let off = run_case_chaos_with(&built, cfg, plan, sched_seed, None, false);
+            for name in ["original", "hwlc", "hwlc-dr", "djit", "hybrid"] {
+                let det = || {
+                    let cfg = DetectorConfig::by_name(name).unwrap();
+                    AnyDetector::by_name(name, cfg, SuppressionSet::new())
+                };
+                let on = run_case_chaos(&built, det(), plan, sched_seed, None, true);
+                let off = run_case_chaos(&built, det(), plan, sched_seed, None, false);
                 assert_eq!(
                     on.fingerprint, off.fingerprint,
                     "plan {plan_seed:#x} sched {sched_seed}: {on:?} vs {off:?}"

@@ -47,21 +47,6 @@ impl SlotMeter {
     }
 }
 
-/// Which interpreter core executes guest opcodes. Both produce bit-for-bit
-/// identical event streams, terminations, and fault interactions; only the
-/// dispatch machinery differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VmMode {
-    /// Operand-specialized linear bytecode ([`crate::ir::compile`]): fixed
-    /// operand forms, fused superinstructions, contiguous per-thread
-    /// register stack. The production engine.
-    #[default]
-    Compiled,
-    /// The original tree-walking interpreter over [`FlatProgram`] ops.
-    /// Retained as the equivalence oracle (`--vm-reference`).
-    Reference,
-}
-
 /// VM tuning knobs.
 #[derive(Clone, Debug)]
 pub struct VmOptions {
@@ -77,8 +62,6 @@ pub struct VmOptions {
     /// Optional shared meter credited with every slot this VM consumes,
     /// live, for sweep-wide watchdogs across worker threads.
     pub slot_meter: Option<std::sync::Arc<SlotMeter>>,
-    /// Which interpreter core to use (see [`VmMode`]).
-    pub mode: VmMode,
 }
 
 impl Default for VmOptions {
@@ -89,7 +72,6 @@ impl Default for VmOptions {
             max_frames: 256,
             faults: None,
             slot_meter: None,
-            mode: VmMode::default(),
         }
     }
 }
@@ -439,9 +421,12 @@ pub struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    /// Build a VM running the reference tree-walking core. Note this
-    /// ignores `opts.mode` — mode selection happens in [`run_flat`] /
-    /// [`PreparedProgram`]; `Vm::new` is the reference constructor.
+    /// Build a VM running the reference core: the tree-walking
+    /// interpreter over [`FlatProgram`] ops that the compiled core
+    /// replaced. Production runs go through [`run_flat`],
+    /// [`PreparedProgram`] or [`Vm::with_compiled`]; this constructor is
+    /// kept for the equivalence tests, which run both cores and demand
+    /// identical events, terminations, counters and fault interactions.
     pub fn new(prog: &'p FlatProgram, opts: VmOptions) -> Self {
         let mut heap = Heap::new();
         let global_addrs = prog
@@ -1958,57 +1943,39 @@ impl<'p> Vm<'p> {
 }
 
 /// A program prepared for repeated execution: compile once, run many.
-/// Sweeps (explore, chaos, benches, soak) hoist the compile out of their
-/// per-seed loops with this; a single `check` run can just use
-/// [`run_flat`].
+/// Sweeps (explore, benches) hoist the compile out of their per-seed
+/// loops with this; a single `check` run can just use [`run_flat`].
 pub struct PreparedProgram<'p> {
     prog: &'p FlatProgram,
-    code: Option<CompiledProgram>,
+    code: CompiledProgram,
 }
 
 impl<'p> PreparedProgram<'p> {
-    pub fn new(prog: &'p FlatProgram, mode: VmMode) -> Self {
-        let code = match mode {
-            VmMode::Compiled => Some(compile::compile(prog)),
-            VmMode::Reference => None,
-        };
-        PreparedProgram { prog, code }
-    }
-
-    pub fn mode(&self) -> VmMode {
-        if self.code.is_some() {
-            VmMode::Compiled
-        } else {
-            VmMode::Reference
-        }
+    pub fn new(prog: &'p FlatProgram) -> Self {
+        PreparedProgram { prog, code: compile::compile(prog) }
     }
 
     pub fn program(&self) -> &'p FlatProgram {
         self.prog
     }
 
-    /// Static compile statistics (compiled mode only).
-    pub fn compile_stats(&self) -> Option<compile::CompileStats> {
-        self.code.as_ref().map(|c| c.stats)
+    /// Static compile statistics.
+    pub fn compile_stats(&self) -> compile::CompileStats {
+        self.code.stats
     }
 
-    /// Run one execution on the prepared core. The engine choice is fixed
-    /// at construction; `opts.mode` is ignored here.
+    /// Run one execution on the compiled core.
     pub fn run(
         &self,
         tool: &mut dyn Tool,
         sched: &mut dyn Scheduler,
         opts: VmOptions,
     ) -> RunResult {
-        match &self.code {
-            Some(code) => Vm::with_compiled(self.prog, code, opts).run(tool, sched),
-            None => Vm::new(self.prog, opts).run(tool, sched),
-        }
+        Vm::with_compiled(self.prog, &self.code, opts).run(tool, sched)
     }
 }
 
-/// Convenience: lower (if needed) and run a program, honouring
-/// `opts.mode`. Compiles per call in [`VmMode::Compiled`]; use
+/// Convenience: compile and run a lowered program. Compiles per call; use
 /// [`PreparedProgram`] to amortise the compile over many runs.
 pub fn run_flat(
     prog: &FlatProgram,
@@ -2016,13 +1983,7 @@ pub fn run_flat(
     sched: &mut dyn Scheduler,
     opts: VmOptions,
 ) -> RunResult {
-    match opts.mode {
-        VmMode::Compiled => {
-            let code = compile::compile(prog);
-            Vm::with_compiled(prog, &code, opts).run(tool, sched)
-        }
-        VmMode::Reference => Vm::new(prog, opts).run(tool, sched),
-    }
+    PreparedProgram::new(prog).run(tool, sched, opts)
 }
 
 /// Convenience: run a structured [`crate::ir::Program`] with defaults.

@@ -11,25 +11,47 @@ use proptest::prelude::*;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::lower::FlatProgram;
 use vexec::ir::{Cond, Expr, SyncKind, SyncOp};
+use vexec::sched::Scheduler;
 use vexec::sched::{RoundRobin, SeededRandom};
 use vexec::tool::RecordingTool;
-use vexec::vm::{run_flat, InterpStats, VmMode, VmOptions};
+use vexec::vm::{run_flat, InterpStats, RunResult, Vm, VmOptions};
 use vexec::FaultPlan;
+
+/// Which core runs a program: `run_flat` compiles it, `Vm::new` builds the
+/// tree-walking reference core.
+#[derive(Clone, Copy, Debug)]
+enum Core {
+    Compiled,
+    Reference,
+}
+
+/// Run `prog` on `core`, recording every event.
+fn record(
+    core: Core,
+    prog: &FlatProgram,
+    sched: &mut dyn Scheduler,
+    opts: VmOptions,
+) -> (Vec<vexec::Event>, RunResult) {
+    let mut tool = RecordingTool::new();
+    let r = match core {
+        Core::Compiled => run_flat(prog, &mut tool, sched, opts),
+        Core::Reference => Vm::new(prog, opts).run(&mut tool, sched),
+    };
+    (tool.events, r)
+}
 
 /// Run one program on both cores with identical options (bar the mode) and
 /// assert every observable matches.
 fn assert_equivalent(prog: &FlatProgram, seed: Option<u64>, faults: Option<FaultPlan>) {
-    let run = |mode: VmMode| {
-        let mut tool = RecordingTool::new();
-        let opts = VmOptions { faults, mode, ..Default::default() };
-        let r = match seed {
-            Some(s) => run_flat(prog, &mut tool, &mut SeededRandom::new(s), opts),
-            None => run_flat(prog, &mut tool, &mut RoundRobin::new(), opts),
-        };
-        (tool.events, r)
+    let run = |core: Core| {
+        let opts = VmOptions { faults, ..Default::default() };
+        match seed {
+            Some(s) => record(core, prog, &mut SeededRandom::new(s), opts),
+            None => record(core, prog, &mut RoundRobin::new(), opts),
+        }
     };
-    let (ev_c, r_c) = run(VmMode::Compiled);
-    let (ev_r, r_r) = run(VmMode::Reference);
+    let (ev_c, r_c) = run(Core::Compiled);
+    let (ev_r, r_r) = run(Core::Reference);
     assert_eq!(ev_c, ev_r, "event streams diverge (seed {seed:?}, faults {faults:?})");
     assert_eq!(
         format!("{:?}", r_c.termination),
@@ -340,14 +362,12 @@ fn cores_agree_on_silent_budget_trips() {
     let prog = pb.finish().lower();
 
     for budget in [10u32, 11, 12, 13, 100] {
-        let run = |mode: VmMode| {
-            let mut tool = RecordingTool::new();
-            let opts = VmOptions { silent_op_budget: budget, mode, ..Default::default() };
-            let r = run_flat(&prog, &mut tool, &mut RoundRobin::new(), opts);
-            (tool.events, r)
+        let run = |core: Core| {
+            let opts = VmOptions { silent_op_budget: budget, ..Default::default() };
+            record(core, &prog, &mut RoundRobin::new(), opts)
         };
-        let (ev_c, r_c) = run(VmMode::Compiled);
-        let (ev_r, r_r) = run(VmMode::Reference);
+        let (ev_c, r_c) = run(Core::Compiled);
+        let (ev_r, r_r) = run(Core::Reference);
         assert_eq!(ev_c, ev_r);
         assert_eq!(format!("{:?}", r_c.termination), format!("{:?}", r_r.termination));
         assert_eq!(r_c.stats.ops, r_r.stats.ops, "budget {budget}: op counts diverge");
@@ -362,14 +382,12 @@ fn cores_agree_on_silent_budget_trips() {
     pb.set_entry(id);
     let prog = pb.finish().lower();
     for budget in [7u32, 8, 9, 10, 11] {
-        let run = |mode: VmMode| {
-            let mut tool = RecordingTool::new();
-            let opts = VmOptions { silent_op_budget: budget, mode, ..Default::default() };
-            let r = run_flat(&prog, &mut tool, &mut RoundRobin::new(), opts);
-            (tool.events, r)
+        let run = |core: Core| {
+            let opts = VmOptions { silent_op_budget: budget, ..Default::default() };
+            record(core, &prog, &mut RoundRobin::new(), opts)
         };
-        let (ev_c, r_c) = run(VmMode::Compiled);
-        let (ev_r, r_r) = run(VmMode::Reference);
+        let (ev_c, r_c) = run(Core::Compiled);
+        let (ev_r, r_r) = run(Core::Reference);
         assert_eq!(ev_c, ev_r);
         assert_eq!(format!("{:?}", r_c.termination), format!("{:?}", r_r.termination));
         assert_eq!(r_c.stats.ops, r_r.stats.ops, "budget {budget}: op counts diverge");

@@ -7,7 +7,7 @@ use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{Cond, Expr};
 use vexec::sched::RoundRobin;
 use vexec::tool::{CountingTool, NullTool};
-use vexec::vm::{run_flat, GuestErrorKind, Termination, Vm, VmMode, VmOptions};
+use vexec::vm::{run_flat, GuestErrorKind, Termination, Vm, VmOptions};
 
 fn run_with_opts(prog: &vexec::Program, opts: VmOptions) -> Termination {
     let flat = prog.lower();
@@ -120,10 +120,13 @@ fn client_request_leaving_guest_memory_is_a_guest_error() {
     pb.set_entry(main_id);
     let flat = pb.finish().lower();
 
-    for mode in [VmMode::Compiled, VmMode::Reference] {
+    for mode in ["compiled", "reference"] {
         let mut tool = CountingTool::new();
-        let opts = VmOptions { mode, ..Default::default() };
-        let r = run_flat(&flat, &mut tool, &mut RoundRobin::new(), opts);
+        let (sched, opts) = (&mut RoundRobin::new(), VmOptions::default());
+        let r = match mode {
+            "compiled" => run_flat(&flat, &mut tool, sched, opts),
+            _ => Vm::new(&flat, opts).run(&mut tool, sched),
+        };
         match r.termination {
             Termination::GuestError(e) => {
                 assert!(

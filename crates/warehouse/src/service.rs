@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use helgrind_core::commitlog;
-use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
-use helgrind_core::{DetectorConfig, SuppressionSet};
+use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint};
+use helgrind_core::{AnyDetector, DetectorConfig, SuppressionSet};
 use raceline_trace::format::Fnv1a;
 
 use crate::render::{
@@ -45,6 +45,8 @@ pub struct ServiceConfig {
     /// [`DetectorConfig::by_name`].
     pub engine: String,
     /// Run HB read state as the reference vector clock (§13 oracle mode).
+    /// `raceline serve` always opens with `false`; the field stays because
+    /// the benchmark harness builds this struct.
     pub hb_reference: bool,
     /// Concurrent analysis slots (`--jobs`). Values < 1 clamp to 1.
     pub jobs: usize,
@@ -77,7 +79,7 @@ pub fn analyze_for_warehouse(
     engine: &str,
     cfg: DetectorConfig,
 ) -> Result<(TraceWarnings, u64), String> {
-    let detector = ReplayDetector::by_name(engine, cfg, SuppressionSet::new());
+    let detector = AnyDetector::by_name(engine, cfg, SuppressionSet::new());
     let outcome = analyze_trace_bytes(bytes, detector, 1, 0).map_err(|e| e.to_string())?;
     let mut by_fp = std::collections::BTreeMap::new();
     for r in &outcome.reports {

@@ -44,16 +44,6 @@
 //!                           rate, epoch-representation counters and
 //!                           shadow-overflow counters to stderr
 //!                           (also valid for analyze; stdout is unchanged)
-//!   --hb-reference          run the HB engines on the reference full-VC
-//!                           read state instead of the adaptive FastTrack
-//!                           epoch lattice (reports are identical; the
-//!                           epoch-equivalence gates pin it — also valid
-//!                           for analyze, chaos and soak)
-//!   --vm-reference          run the guest on the tree-walking reference
-//!                           interpreter instead of the compiled operand-
-//!                           specialized bytecode (output is byte-identical;
-//!                           the interp-equivalence gates pin it — also
-//!                           valid for record, --explore, chaos and soak)
 //!   --static-cross-check    also run the static analysis and label each
 //!                           finding confirmed-both / static-only /
 //!                           dynamic-only (joined by kind, file, line; an
@@ -78,11 +68,11 @@ use helgrind_core::explore::{
     explore_schedules_directed, explore_schedules_with, DirectedTarget, ExploreCheckpoint,
     ExploreLimits,
 };
-use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint, ReplayDetector};
+use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint};
 use helgrind_core::ReportKind;
 use helgrind_core::{
-    commitlog, BudgetSpec, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report,
-    Suppression, SuppressionSet,
+    commitlog, run_indexed, AnyDetector, BudgetSpec, DetectorConfig, Report, Suppression,
+    SuppressionSet,
 };
 use minicpp::analysis::escape::EscapeFinding;
 use minicpp::pipeline::{run_pipeline, SourceFile};
@@ -94,12 +84,11 @@ use raceline_warehouse::{
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use vexec::faults::{parse_u64, FaultPlan, FaultStats};
+use vexec::faults::{parse_u64, FaultPlan};
 use vexec::filter::{FilterStats, FilterTool};
 use vexec::ir::lower::FlatProgram;
 use vexec::sched::{Pct, RoundRobin, Scheduler, SeededRandom};
-use vexec::tool::Tool;
-use vexec::vm::{run_flat, BlockOn, RunResult, RunStats, Termination, VmMode, VmOptions};
+use vexec::vm::{run_flat, BlockOn, RunResult, RunStats, Termination, VmOptions};
 
 fn usage() -> ! {
     eprintln!(
@@ -108,36 +97,34 @@ fn usage() -> ! {
          [--schedule rr|random:<seed>|pct:<seed>:<depth>] \
          [--suppressions <file>] [--gen-suppressions] [--explore <n>] \
          [--checkpoint <file>] [--faults <spec>] [--budget <spec>] \
-         [--jobs <n>] [--static-cross-check] [--directed] [--no-filter] [--hb-reference] \
-         [--vm-reference] [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
+         [--jobs <n>] [--static-cross-check] [--directed] [--no-filter] \
+         [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
          \x20      raceline record <file.mcpp>... [--out <trace.rltrace>] \
          [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
-         [--no-filter] [--vm-reference] [--stats]\n\
+         [--no-filter] [--stats]\n\
          \x20      raceline record --case <T1..T8> [--out <trace.rltrace>] \
          [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
-         [--no-filter] [--vm-reference] [--stats]\n\
+         [--no-filter] [--stats]\n\
          \x20      raceline analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
          [--from-epoch <k>] [--suppressions <file>] [--gen-suppressions] [--budget <spec>] \
-         [--repair] [--hb-reference] [--stats] [--json]\n\
+         [--repair] [--stats] [--json]\n\
          \x20      raceline soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--workers <n>] \
          [--resize <n>] [--hops <n>] [--churn <permille>] [--options <permille>] \
          [--reinvites <n>] [--kill <permille>] [--max-kills <n>] [--no-reclaim] \
          [--detector <name>] [--budget <spec>] [--jobs <n>] [--checkpoint <file>] \
-         [--max-slots <n>] [--no-filter] [--hb-reference] [--vm-reference] [--mem-report]\n\
+         [--max-slots <n>] [--no-filter] [--mem-report]\n\
          \x20      raceline trace-diff <old.rltrace> <new.rltrace> [--detector <name>] \
          [--detector-a <name>] [--detector-b <name>] [--jobs <n>] [--json]\n\
          \x20      raceline serve --listen <addr> --spool <dir> [--detector <name>] \
-         [--jobs <n>] [--hb-reference]\n\
-         \x20      raceline serve --fold [--detector <name>] [--hb-reference] \
-         <build>=<trace.rltrace>...\n\
+         [--jobs <n>]\n\
+         \x20      raceline serve --fold [--detector <name>] <build>=<trace.rltrace>...\n\
          \x20      raceline client --connect <addr> submit --build <n> <trace.rltrace>\n\
          \x20      raceline client --connect <addr> query|stats|ping|shutdown\n\
          \x20      raceline client --connect <addr> diff --a <build> --b <build>\n\
          \x20      raceline client --connect <addr> suppress <fingerprint> [--off]\n\
          \x20      raceline lint <file.mcpp>... [--raw <file.mcpp>]... [--json]\n\
          \x20      raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
-         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--no-filter] \
-         [--hb-reference] [--vm-reference] [--json]"
+         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--no-filter] [--json]"
     );
     std::process::exit(2);
 }
@@ -231,17 +218,23 @@ fn explore_spec(
 ) -> String {
     let mut h = Fnv1a::default();
     h.update(vexec::ir::disasm::disassemble(&program.lower()).as_bytes());
-    let b = cfg.budget;
     format!(
-        "program={:016x} detector={detector} shadow={} locksets={} reports={} faults={:?} \
-         slots={:?} no_filter={} directed={directed}",
+        "program={:016x} {} faults={:?} slots={:?} no_filter={} directed={directed}",
         h.0,
-        b.max_shadow_words,
-        b.max_locksets,
-        b.max_reports,
+        detector_spec(detector, cfg),
         limits.faults,
         limits.max_slots_per_run,
         limits.no_filter,
+    )
+}
+
+/// The engine part of a checkpoint's spec, shared by the explore
+/// checkpoint and the soak log: the detector name and its budget caps.
+fn detector_spec(detector: &str, cfg: &DetectorConfig) -> String {
+    let b = cfg.budget;
+    format!(
+        "detector={detector} shadow={} locksets={} reports={}",
+        b.max_shadow_words, b.max_locksets, b.max_reports
     )
 }
 
@@ -343,8 +336,6 @@ fn main() {
     let mut record_case: Option<String> = None;
     let mut epoch_events: Option<u64> = None;
     let mut no_filter = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
     let mut stats = false;
 
     let args: Vec<String> = args.collect();
@@ -392,8 +383,6 @@ fn main() {
             "--emit-ir" => emit_ir = true,
             "--json" => json = true,
             "--no-filter" => no_filter = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
             "--stats" => stats = true,
             "--static-cross-check" => cross_check = true,
             "--directed" => directed = true,
@@ -410,7 +399,6 @@ fn main() {
             _ => usage(),
         }
     }
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
     // `record --case NAME` records a built-in sipsim proxy scenario (the
     // T1–T8 Fig 6 cases) instead of compiling sources — the trace corpus
     // the serve gates and benches upload.
@@ -431,7 +419,6 @@ fn main() {
                 .as_ref()
                 .and_then(|b| b.max_slots)
                 .unwrap_or(VmOptions::default().max_slots),
-            mode: vm_mode,
             ..Default::default()
         };
         run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
@@ -469,7 +456,6 @@ fn main() {
     if let Some(b) = &budget {
         cfg.budget = b.detector;
     }
-    cfg.hb_reference = hb_reference;
 
     // Exploration mode: aggregate warnings across many schedules.
     if let Some(runs) = explore {
@@ -479,7 +465,6 @@ fn main() {
             faults,
             jobs,
             no_filter,
-            vm_reference,
         };
         let spec = explore_spec(&out.program, &detector_name, &cfg, &limits, directed);
         let resume = checkpoint_path.as_ref().and_then(|p| {
@@ -657,7 +642,6 @@ fn main() {
             .as_ref()
             .and_then(|b| b.max_slots)
             .unwrap_or(VmOptions::default().max_slots),
-        mode: vm_mode,
         ..Default::default()
     };
     // Record mode: run the VM once with the trace writer as the tool and
@@ -666,56 +650,19 @@ fn main() {
         run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
     }
 
-    let termination;
-    let truncated;
-    let fault_stats: Option<FaultStats>;
-    let run_stats: RunStats;
-    let engine_stats: Vec<helgrind_core::EngineStats>;
-    let filter_stats: Option<vexec::filter::FilterStats>;
-    let dynamic: Vec<Report> = match detector_name.as_str() {
-        "djit" => {
-            let det = DjitDetector::new(cfg);
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-        "hybrid" | "hybrid-queue" => {
-            let det = HybridDetector::new(cfg);
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-        _ => {
-            // Eraser applies suppressions inside its sink already.
-            let det = EraserDetector::with_suppressions(cfg, suppressions.clone());
-            let (r, mut det, fstats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
-            termination = r.termination;
-            fault_stats = r.faults;
-            run_stats = r.stats;
-            truncated = det.truncated();
-            engine_stats = det.engine_stats();
-            filter_stats = fstats;
-            det.sink.take_reports()
-        }
-    };
+    // Eraser applies suppressions inside its sink already.
+    let det = AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
+    let (r, mut det, filter_stats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
     if stats {
-        print_engine_stats(&engine_stats);
+        print_engine_stats(&det.engine_stats());
         if let Some(fs) = filter_stats {
             print_filter_stats(&fs);
         }
-        print_interp_stats(&run_stats, vm_mode);
+        print_interp_stats(&r.stats);
     }
-    let dynamic: Vec<Report> = dynamic.into_iter().filter(|r| !suppressions.matches(r)).collect();
+    let truncated = det.truncated();
+    let dynamic: Vec<Report> =
+        det.take_reports().into_iter().filter(|r| !suppressions.matches(r)).collect();
 
     // Static cross-check: join the two report streams by (kind, file,
     // line). The static side sees paths no schedule exercised; the
@@ -765,8 +712,8 @@ fn main() {
         (text, value)
     });
 
-    let (end, term_label) = end_of_termination(&termination);
-    let faults_out = fault_stats.map(|fs| FaultCounts {
+    let (end, term_label) = end_of_termination(&r.termination);
+    let faults_out = r.faults.map(|fs| FaultCounts {
         total: fs.total(),
         spurious_wakeups: fs.spurious_wakeups,
         lock_failures: fs.lock_failures,
@@ -797,16 +744,16 @@ struct FaultCounts {
     kills: u64,
 }
 
-/// Run any detector through the VM, with the redundant-access filter in
+/// Run a detector through the VM, with the redundant-access filter in
 /// front unless `--no-filter`. The filter is report-preserving (the
 /// equivalence gates enforce it), so both paths print identical stdout.
-fn run_detector<T: Tool>(
+fn run_detector(
     flat: &FlatProgram,
-    det: T,
+    det: AnyDetector,
     sched: &mut dyn Scheduler,
     opts: VmOptions,
     no_filter: bool,
-) -> (RunResult, T, Option<FilterStats>) {
+) -> (RunResult, AnyDetector, Option<FilterStats>) {
     if no_filter {
         let mut det = det;
         let r = run_flat(flat, &mut det, sched, opts);
@@ -854,17 +801,12 @@ fn print_filter_stats(fs: &FilterStats) {
 }
 
 /// `--stats` interpreter counters, stderr only: stdout identity between
-/// the compiled and reference cores is a hard contract (the
-/// interp-equivalence gates pin it), so per-core telemetry never lands
-/// on stdout.
-fn print_interp_stats(stats: &RunStats, mode: VmMode) {
+/// the compiled and reference cores is a hard contract (the interp golden
+/// suite pins it), so per-core telemetry never lands on stdout.
+fn print_interp_stats(stats: &RunStats) {
     let i = &stats.interp;
-    let core = match mode {
-        VmMode::Compiled => "compiled",
-        VmMode::Reference => "reference",
-    };
     eprintln!(
-        "stats: interp ({core}) {} op(s): {} arith, {} branch, {} mem, {} call, \
+        "stats: interp (compiled) {} op(s): {} arith, {} branch, {} mem, {} call, \
          {} sync, {} thread, {} heap, {} misc",
         i.total(),
         i.arith,
@@ -879,7 +821,7 @@ fn print_interp_stats(stats: &RunStats, mode: VmMode) {
     let covered = i.fused * 2;
     let pct = if stats.ops > 0 { covered as f64 / stats.ops as f64 * 100.0 } else { 0.0 };
     eprintln!(
-        "stats: interp ({core}) {} superinstruction(s) covering {pct:.1}% of ops; \
+        "stats: interp (compiled) {} superinstruction(s) covering {pct:.1}% of ops; \
          {} eval-slot fallback(s)",
         i.fused, i.slot_evals
     );
@@ -1040,7 +982,6 @@ fn run_record(
     if let Some(n) = epoch_events {
         writer = writer.with_epoch_events(n);
     }
-    let mode = opts.mode;
     // The filter elides exact-repeat accesses before they reach the
     // writer: smaller traces, same reports on replay (elided events
     // are state-transition no-ops). --no-filter forces full streams.
@@ -1061,7 +1002,7 @@ fn run_record(
         if let Some(fs) = filter_stats {
             print_filter_stats(&fs);
         }
-        print_interp_stats(&r.stats, mode);
+        print_interp_stats(&r.stats);
     }
     match &r.termination {
         Termination::AllExited => {}
@@ -1101,7 +1042,6 @@ fn run_analyze(args: Vec<String>) -> ! {
     let mut json = false;
     let mut stats = false;
     let mut repair = false;
-    let mut hb_reference = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1115,7 +1055,6 @@ fn run_analyze(args: Vec<String>) -> ! {
             }
             "--stats" => stats = true,
             "--repair" => repair = true,
-            "--hb-reference" => hb_reference = true,
             "--suppressions" => {
                 let path = it.next().unwrap_or_else(|| usage());
                 let text = read_source(path);
@@ -1149,8 +1088,7 @@ fn run_analyze(args: Vec<String>) -> ! {
     if let Some(b) = &budget {
         cfg.budget = b.detector;
     }
-    cfg.hb_reference = hb_reference;
-    let detector = ReplayDetector::by_name(&detector_name, cfg, suppressions.clone());
+    let detector = AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
     let outcome = if repair {
         let (outcome, info) =
             helgrind_core::analyze_trace_repair(&bytes, detector, jobs.max(1), from_epoch)
@@ -1227,7 +1165,7 @@ fn run_trace_diff(args: Vec<String>) -> ! {
 
     let analyze_one = |path: &str, name: &str| -> BTreeMap<String, Report> {
         let bytes = read_trace(path);
-        let det = ReplayDetector::by_name(name, parse_detector(name), suppressions.clone());
+        let det = AnyDetector::by_name(name, parse_detector(name), suppressions.clone());
         let outcome = analyze_trace_bytes(&bytes, det, jobs.max(1), 0).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
             std::process::exit(EXIT_ERROR);
@@ -1292,7 +1230,6 @@ fn run_serve(args: Vec<String>) -> ! {
     let mut listen: Option<String> = None;
     let mut spool: Option<String> = None;
     let mut detector_name = "hwlc-dr".to_string();
-    let mut hb_reference = false;
     let mut jobs: usize = 1;
     let mut fold = false;
     let mut uploads: Vec<(u64, String)> = Vec::new();
@@ -1303,7 +1240,6 @@ fn run_serve(args: Vec<String>) -> ! {
             "--listen" => listen = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--spool" => spool = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--hb-reference" => hb_reference = true,
             "--fold" => fold = true,
             "--jobs" => {
                 jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
@@ -1322,9 +1258,8 @@ fn run_serve(args: Vec<String>) -> ! {
     if fold {
         // Sequential offline fold: same analysis, same commutative state,
         // same renderer as the server — only the transport is missing.
-        let mut cfg = parse_detector(&detector_name);
-        cfg.hb_reference = hb_reference;
-        let mut log = WarehouseLog::new(&detector_name, hb_reference);
+        let cfg = parse_detector(&detector_name);
+        let mut log = WarehouseLog::new(&detector_name, false);
         for (build, path) in &uploads {
             let bytes = read_trace(path);
             let hash = raceline_warehouse::content_hash(&bytes);
@@ -1350,7 +1285,7 @@ fn run_serve(args: Vec<String>) -> ! {
     let service = Service::open(ServiceConfig {
         spool: spool.into(),
         engine: detector_name,
-        hb_reference,
+        hb_reference: false,
         jobs,
     })
     .unwrap_or_else(|e| {
@@ -1514,15 +1449,11 @@ fn run_chaos(args: Vec<String>) -> ! {
     let mut jobs: usize = 1;
     let mut json = false;
     let mut no_filter = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--no-filter" => no_filter = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
             "--jobs" => {
                 jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
             }
@@ -1552,9 +1483,8 @@ fn run_chaos(args: Vec<String>) -> ! {
             _ => usage(),
         }
     }
-    let mut cfg = parse_detector(&detector_name);
-    cfg.hb_reference = hb_reference;
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
+    let cfg = parse_detector(&detector_name);
+    let detector = || AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
 
     let cases: Vec<sipsim::TestCase> = sipsim::testcases()
         .into_iter()
@@ -1599,8 +1529,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         let ci = i % cases.len();
         let sched_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
         let b = &built[ci];
-        let run =
-            || sipsim::run_case_chaos_in(b, cfg, plan, sched_seed, max_slots, !no_filter, vm_mode);
+        let run = || sipsim::run_case_chaos(b, detector(), plan, sched_seed, max_slots, !no_filter);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).ok();
         // Determinism probe on a sample of runs: the same (plan, schedule)
         // must reproduce the exact report fingerprint.
@@ -1664,16 +1593,16 @@ fn run_chaos(args: Vec<String>) -> ! {
         for i in 0..runs.clamp(1, 25) {
             let plan = FaultPlan::from_seed(seed.wrapping_add(i as u64));
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut det = EraserDetector::new(cfg);
+                let mut det = detector();
                 let mut sched: Box<dyn Scheduler> = match &bug.schedule {
                     Some(order) => Box::new(vexec::sched::PriorityOrder::new(
                         order.iter().map(|&t| vexec::ThreadId(t)).collect(),
                     )),
                     None => Box::new(RoundRobin::new()),
                 };
-                let opts = VmOptions { faults: Some(plan), mode: vm_mode, ..Default::default() };
+                let opts = VmOptions { faults: Some(plan), ..Default::default() };
                 let _ = run_flat(&flat, &mut det, sched.as_mut(), opts);
-                det.sink.reports().iter().any(|r| r.func == bug.expected_func)
+                det.take_reports().iter().any(|r| r.func == bug.expected_func)
             }));
             match attempt {
                 Ok(true) => {
@@ -1751,8 +1680,7 @@ fn run_chaos(args: Vec<String>) -> ! {
 /// resumed run recomputes bit-identically. Exit contract: 0 = clean run,
 /// 1 = catalogue non-empty or a phase deadlocked, 2 = tool/guest error.
 fn run_soak(args: Vec<String>) -> ! {
-    use helgrind_core::AnyDetector;
-    use sipsim::{run_phase_in, PhaseEnd, SoakLog, SoakSpec};
+    use sipsim::{run_phase, PhaseEnd, SoakLog, SoakSpec};
 
     let mut spec = SoakSpec::default();
     let mut detector_name = "hybrid".to_string();
@@ -1762,8 +1690,6 @@ fn run_soak(args: Vec<String>) -> ! {
     let mut max_slots: Option<u64> = None;
     let mut no_filter = false;
     let mut mem_report = false;
-    let mut hb_reference = false;
-    let mut vm_reference = false;
 
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
@@ -1796,8 +1722,6 @@ fn run_soak(args: Vec<String>) -> ! {
             "--max-slots" => max_slots = Some(num(&mut it)),
             "--no-filter" => no_filter = true,
             "--mem-report" => mem_report = true,
-            "--hb-reference" => hb_reference = true,
-            "--vm-reference" => vm_reference = true,
             _ => usage(),
         }
     }
@@ -1805,8 +1729,6 @@ fn run_soak(args: Vec<String>) -> ! {
     if let Some(b) = &budget {
         cfg.budget = b.detector;
     }
-    cfg.hb_reference = hb_reference;
-    let vm_mode = if vm_reference { VmMode::Reference } else { VmMode::Compiled };
     if let Some(b) = &budget {
         if let Some(slots) = b.max_slots {
             max_slots.get_or_insert(slots);
@@ -1815,15 +1737,21 @@ fn run_soak(args: Vec<String>) -> ! {
     let use_filter = !no_filter;
 
     // Resume from a checkpoint if one exists; otherwise start fresh (and
-    // seed the log file with its header so appends have a base).
-    let mut log = SoakLog::new(&spec);
+    // seed the log file with its header so appends have a base). The log
+    // records the detector settings too, so a resume under another engine
+    // cannot fold two configurations into one catalogue.
+    let settings = format!(
+        "{} slots={max_slots:?} no_filter={no_filter}",
+        detector_spec(&detector_name, &cfg)
+    );
+    let mut log = SoakLog::new(&spec, &settings);
     if let Some(path) = &checkpoint_path {
         let (parsed, cut) = commitlog::recover(path, &log.header(), |text| {
             let parsed = SoakLog::parse(text)?;
-            if parsed.params != log.params {
+            if (&parsed.params, &parsed.settings) != (&log.params, &log.settings) {
                 return Err(format!(
-                    "recorded with different parameters\n  checkpoint: {}\n  requested:  {}",
-                    parsed.params, log.params
+                    "recorded with different parameters\n  checkpoint: {} {}\n  requested:  {} {}",
+                    parsed.params, parsed.settings, log.params, log.settings
                 ));
             }
             Ok(parsed)
@@ -1850,9 +1778,8 @@ fn run_soak(args: Vec<String>) -> ! {
     while phase < spec.phases {
         let chunk = jobs.min((spec.phases - phase) as usize);
         let outcomes = run_indexed(jobs, chunk, |i| {
-            let det =
-                AnyDetector::by_name(&detector_name, cfg, helgrind_core::SuppressionSet::new());
-            run_phase_in(&spec, phase + i as u32, Some(det), use_filter, max_slots, vm_mode)
+            let det = AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
+            run_phase(&spec, phase + i as u32, Some(det), use_filter, max_slots)
         });
         for out in outcomes {
             if let Some(path) = &checkpoint_path {
@@ -1892,42 +1819,4 @@ fn run_soak(args: Vec<String>) -> ! {
         std::process::exit(EXIT_ERROR);
     }
     std::process::exit(if log.catalogue.is_empty() && !deadlocked { 0 } else { EXIT_FINDINGS });
-}
-
-/// Run `n` independent jobs on a scoped worker pool and return the results
-/// in index order. Workers claim indices from a shared counter; because
-/// every job is a pure function of its index, the merged vector — and any
-/// sequential fold over it — is bit-identical to running `(0..n).map(f)`
-/// inline, which is exactly what `jobs <= 1` does.
-fn run_indexed<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs.min(n))
-            .map(|_| {
-                let (next, f) = (&next, &f);
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter().map(|v| v.expect("all indices claimed")).collect()
 }

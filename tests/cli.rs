@@ -102,6 +102,25 @@ fn bad_usage_exits_2() {
     assert_eq!(code, 2);
     let (_, _, code) = raceline(&["bench-snapshot"]);
     assert_eq!(code, 2);
+    // The oracle switches are test code now: each retired flag is bad
+    // usage on every subcommand that used to accept it.
+    let retired: &[&[&str]] = &[
+        &["check", "--vm-reference", SAMPLE],
+        &["record", "--vm-reference", SAMPLE, "--out", "unused.rltrace"],
+        &["chaos", "--vm-reference", "--runs", "1"],
+        &["soak", "--vm-reference", "--dialogs", "10", "--phases", "1"],
+        &["check", "--hb-reference", SAMPLE],
+        &["analyze", "--hb-reference", "unused.rltrace"],
+        &["chaos", "--hb-reference", "--runs", "1"],
+        &["soak", "--hb-reference", "--dialogs", "10", "--phases", "1"],
+        &["serve", "--hb-reference", "--fold"],
+        &["serve", "--hb-reference"],
+    ];
+    for args in retired {
+        let (_, stderr, code) = raceline(args);
+        assert_eq!(code, 2, "{args:?}\n{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}\n{stderr}");
+    }
 }
 
 // -------------------------------------------------------------------
@@ -349,6 +368,20 @@ fn chaos_smoke_run_is_resilient() {
     assert!(line.contains("\"resilient\":true"), "{stdout}");
     assert!(line.contains("\"panics\":0"), "{stdout}");
     assert!(line.contains("\"nondeterministic\":0"), "{stdout}");
+}
+
+/// `--detector` picks the engine chaos runs: DJIT reports happens-before
+/// races where the lockset engine reports lockset races, so the sweeps
+/// differ.
+#[test]
+fn chaos_runs_the_named_detector() {
+    let sweep = |det: &str| {
+        let args = ["chaos", "--runs", "8", "--seed", "0xC0FFEE", "--json", "--detector", det];
+        let (stdout, stderr, code) = raceline(&args);
+        assert!(code == 0 || code == 2, "{det}: {stdout}{stderr}");
+        stdout
+    };
+    assert_ne!(sweep("djit"), sweep("hwlc-dr"));
 }
 
 #[test]

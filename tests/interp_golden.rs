@@ -1,36 +1,37 @@
 //! Golden interp-equivalence gate: the compiled operand-specialized
 //! bytecode core must be invisible in every report a user can read.
 //!
-//! Each of the eight evaluation cases T1–T8 is run under all six detector
-//! configurations, once on the compiled bytecode core and once on the
-//! tree-walking reference interpreter (`--vm-reference`), and the complete
-//! observable output — termination, the truncation flag, the rendered
-//! report text, and the run counters the trace footer persists — must be
-//! byte-identical. A second sweep repeats the matrix under an aggressive
-//! fault-injection plan and a seeded random scheduler, so the equivalence
-//! is exercised off the happy path too (killed threads, failed
-//! allocations, spurious wakeups). A third sweep pins the chaos harness
-//! fingerprint — an FNV-1a hash over termination, every report, and the
-//! injector counters — across both cores. A fourth runs the soak guest
-//! (a bounded request queue, contended mutexes, dialog-teardown client
-//! requests, worker kills) phase by phase on both cores.
+//! Every program of the shared matrix (T1–T8 and the shipped examples) is
+//! run under all six detector configurations, once on the compiled
+//! bytecode core and once on the tree-walking reference core (`Vm::new`),
+//! and the complete observable output — termination, the truncation flag,
+//! the rendered report text, and the run counters the trace footer
+//! persists — must be byte-identical. A second sweep repeats the matrix
+//! under an aggressive fault-injection plan and a seeded random scheduler,
+//! so the equivalence is exercised off the happy path too (killed threads,
+//! failed allocations, spurious wakeups). A third sweep runs the chaos
+//! harness's (case, plan, schedule) triples and the §4.1 bug catalogue on
+//! both cores. A fourth runs the soak guest (a bounded request queue,
+//! contended mutexes, dialog-teardown client requests, worker kills)
+//! phase by phase on both cores. A fifth records traces on both cores.
 //!
 //! Only the stderr-side statistics (`--stats` interp counters) may differ
 //! between the two runs; nothing here looks at those.
 //!
 //! Both cores share `Vm::run`, the scheduler boundary and the sync-op
 //! bodies, so a change there moves both sides alike and every
-//! compiled/reference comparison still passes. Each sweep therefore also
-//! folds its compiled-core output into one FNV-1a-64 digest and pins it
-//! to a literal: a schedule, report or fault counter that drifts from the
-//! recorded behaviour fails here even when the two cores agree.
+//! compiled/reference comparison still passes. The first three sweeps
+//! therefore also fold their compiled-core output into one FNV-1a-64
+//! digest and pin it to a literal: a schedule, report or fault counter
+//! that drifts from the recorded behaviour fails here even when the two
+//! cores agree.
 
-use raceline::helgrind_core::{AnyDetector, ReportSink, SuppressionSet};
-use raceline::prelude::*;
+mod common;
+
+use common::{PRODUCTION, REFERENCE_CORE};
 use raceline::sipsim;
-use raceline::vexec::ir::lower::FlatProgram;
-use raceline::vexec::vm::{run_flat, VmMode};
-use raceline::vexec::FaultPlan;
+use raceline::vexec::sched::{PriorityOrder, RoundRobin, Scheduler, SeededRandom};
+use raceline::vexec::{FaultPlan, ThreadId, VmOptions};
 use raceline_trace::format::Fnv1a;
 
 /// FNV-1a-64 over the compiled-core `observe` strings of the clean T1–T8
@@ -42,171 +43,91 @@ const FAULTED_PIN: u64 = 0xcf42_0ba1_d59f_513c;
 /// order.
 const CHAOS_PIN: u64 = 0x5d05_86d7_9cea_2da7;
 
-/// Run one detector over `flat` through the production filtered path and
-/// fold everything the user observes into a single string. The slot/op
-/// counters ride along: they feed the trace footer and the soak log, so
-/// the compiled core must reproduce them exactly, not just the reports.
-fn observe<T: Tool>(
-    flat: &FlatProgram,
-    det: T,
-    sink_of: impl Fn(&T) -> &ReportSink,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    mode: VmMode,
-) -> String {
-    let mut sched: Box<dyn Scheduler> = match seed {
-        Some(s) => Box::new(SeededRandom::new(s)),
-        None => Box::new(RoundRobin::new()),
-    };
-    let mut tool = FilterTool::new(det);
-    let opts = VmOptions { mode, ..opts.clone() };
-    let r = run_flat(flat, &mut tool, sched.as_mut(), opts);
-    let det = tool.into_parts().0;
-    let sink = sink_of(&det);
-    let mut out = format!(
-        "termination: {:?}\ntruncated: {}\nslots: {} events: {} ops: {} threads: {} allocs: {}\n",
-        r.termination,
-        sink.truncated(),
-        r.stats.slots,
-        r.stats.events,
-        r.stats.ops,
-        r.stats.threads_created,
-        r.stats.allocs
-    );
-    for rep in sink.reports() {
-        out.push_str(&rep.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// All six engine configurations against one program; panics on the first
-/// compiled/reference divergence. Folds each compiled-core output into
-/// `pin`.
-fn assert_six_engines_equivalent(
-    flat: &FlatProgram,
-    opts: &VmOptions,
-    seed: Option<u64>,
-    label: &str,
-    pin: &mut Fnv1a,
-) {
-    let eraser_cfgs =
-        [DetectorConfig::original(), DetectorConfig::hwlc(), DetectorConfig::hwlc_dr()];
-    for cfg in eraser_cfgs {
-        let compiled =
-            observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, EraserDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: eraser {cfg:?} diverged");
-        pin.update(compiled.as_bytes());
-    }
-    {
-        let cfg = DetectorConfig::djit();
-        let compiled =
-            observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, DjitDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: djit diverged");
-        pin.update(compiled.as_bytes());
-    }
-    for cfg in [DetectorConfig::hybrid(), DetectorConfig::hybrid_queue_hb()] {
-        let compiled =
-            observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Compiled);
-        let refr =
-            observe(flat, HybridDetector::new(cfg), |d| &d.sink, opts, seed, VmMode::Reference);
-        assert_eq!(compiled, refr, "{label}: hybrid {cfg:?} diverged");
-        pin.update(compiled.as_bytes());
-    }
-}
-
-/// T1–T8 × 6 engines, clean deterministic schedule.
+/// Every program × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_compiled_and_reference_are_byte_identical() {
-    let mut pin = Fnv1a::default();
-    for case in sipsim::testcases() {
-        let built = case.build();
-        let flat = built.program.lower();
-        assert_six_engines_equivalent(&flat, &VmOptions::default(), None, case.name, &mut pin);
-    }
-    assert_eq!(pin.0, CLEAN_PIN, "clean T1-T8 matrix drifted from the pinned schedules");
+    let digest = common::assert_matrix(REFERENCE_CORE, false);
+    assert_eq!(digest, CLEAN_PIN, "clean T1-T8 matrix drifted from the pinned schedules");
 }
 
-/// T1–T8 × 6 engines under fault injection and a randomized schedule:
-/// the equivalence must survive killed threads, failed allocations and
-/// spurious wakeups, where runs legitimately end in deadlocks or guest
-/// errors. The injector consults its counters at fixed points in the
-/// dispatch, so any drift in the compiled core's op sequencing would
-/// change which faults fire and show up here immediately.
+/// Every program × 6 engines under fault injection and a randomized
+/// schedule: the equivalence must survive killed threads, failed
+/// allocations and spurious wakeups, where runs legitimately end in
+/// deadlocks or guest errors. The injector consults its counters at fixed
+/// points in the dispatch, so any drift in the compiled core's op
+/// sequencing would change which faults fire and show up here immediately.
 #[test]
 fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
-    let opts = VmOptions {
-        faults: Some(FaultPlan {
-            seed: 11,
-            wakeup_permille: 120,
-            lockfail_permille: 60,
-            allocfail_permille: 25,
-            kill_permille: 8,
-            max_kills: 2,
-        }),
-        ..VmOptions::default()
+    let digest = common::assert_matrix(REFERENCE_CORE, true);
+    assert_eq!(digest, FAULTED_PIN, "faulted T1-T8 matrix drifted from the pinned schedules");
+}
+
+/// One run on both cores, compared on the observation plus the injector's
+/// counters; returns the compiled side's.
+fn assert_cores_agree(
+    flat: &raceline::vexec::ir::lower::FlatProgram,
+    engine: &str,
+    opts: &VmOptions,
+    sched: impl Fn() -> Box<dyn Scheduler>,
+    label: &str,
+) -> (String, String) {
+    let observe = |side| {
+        let (r, mut det) = common::run(flat, engine, opts, sched().as_mut(), side);
+        (common::render(&r, &mut det), format!("{:?}", r.faults))
     };
+    let compiled = observe(PRODUCTION);
+    assert_eq!(compiled, observe(REFERENCE_CORE), "{label}: cores diverged");
+    compiled
+}
+
+/// The chaos harness's (case, plan, schedule) triples and the §4.1 bug
+/// catalogue under fault plans, on both cores. The compiled side is what
+/// `raceline chaos` runs; its fingerprints are pinned.
+#[test]
+fn chaos_fingerprints_are_core_invariant() {
     let mut pin = Fnv1a::default();
     for (i, case) in sipsim::testcases().into_iter().enumerate() {
         let built = case.build();
         let flat = built.program.lower();
-        let seed = Some(0xC0FFEE + i as u64);
-        assert_six_engines_equivalent(&flat, &opts, seed, case.name, &mut pin);
-    }
-    assert_eq!(pin.0, FAULTED_PIN, "faulted T1-T8 matrix drifted from the pinned schedules");
-}
-
-/// Chaos harness fingerprints pin the full outcome (termination, reports,
-/// fault counters) per (case, plan, schedule) across both cores — the
-/// same invariance the `chaos` CLI gate checks over full sweeps.
-#[test]
-fn chaos_fingerprints_are_core_invariant() {
-    let cfg = DetectorConfig::hwlc_dr();
-    let mut pin = Fnv1a::default();
-    for (i, case) in sipsim::testcases().into_iter().enumerate() {
-        let built = case.build();
         for p in 0..4u64 {
             let plan = FaultPlan::from_seed(0xFACE + i as u64 * 13 + p);
             let sched_seed = 0xBEEF ^ (i as u64) << 8 | p;
-            let compiled = sipsim::run_case_chaos_in(
-                &built,
-                cfg,
-                plan,
-                sched_seed,
-                None,
-                true,
-                VmMode::Compiled,
-            );
-            let reference = sipsim::run_case_chaos_in(
-                &built,
-                cfg,
-                plan,
-                sched_seed,
-                None,
-                true,
-                VmMode::Reference,
-            );
-            assert_eq!(
-                compiled.fingerprint, reference.fingerprint,
-                "{}: chaos fingerprint diverged (plan {p}, seed {sched_seed:#x})",
-                case.name
-            );
-            assert_eq!(compiled.real_hits, reference.real_hits, "{}: real hits", case.name);
-            assert_eq!(compiled.locations, reference.locations, "{}: locations", case.name);
-            pin.update(&compiled.fingerprint.to_le_bytes());
+            let det = common::detector("hwlc-dr", false);
+            let chaos = sipsim::run_case_chaos(&built, det, plan, sched_seed, None, true);
+            pin.update(&chaos.fingerprint.to_le_bytes());
+            let opts = VmOptions { faults: Some(plan), ..VmOptions::default() };
+            let sched = || common::scheduler(Some(sched_seed));
+            assert_cores_agree(&flat, "hwlc-dr", &opts, sched, case.name);
         }
     }
     assert_eq!(pin.0, CHAOS_PIN, "chaos fingerprints drifted from the pinned schedules");
+
+    for bug in sipsim::bugs::all_bugs() {
+        let flat = bug.program.lower();
+        let sched = || -> Box<dyn Scheduler> {
+            match &bug.schedule {
+                Some(order) => {
+                    Box::new(PriorityOrder::new(order.iter().map(|&t| ThreadId(t)).collect()))
+                }
+                None => Box::new(RoundRobin::new()),
+            }
+        };
+        for p in 0..4u64 {
+            let opts = VmOptions {
+                faults: Some(FaultPlan::from_seed(0xC0FFEE + p)),
+                ..VmOptions::default()
+            };
+            assert_cores_agree(&flat, "hwlc-dr", &opts, sched, bug.name);
+        }
+    }
 }
 
 /// Soak phases under the production hybrid + filter stack: the T1–T8
 /// sweeps never block a producer on a full queue, retry a contended mutex
 /// thousands of times, or kill a worker that holds a lock, and the soak
-/// guest does all three. Odd phases are kill-armed.
+/// guest does all three. Odd phases are kill-armed. Each phase is rebuilt
+/// from the soak driver's public pieces, so the compiled side is checked
+/// against `sipsim::run_phase` too.
 #[test]
 fn soak_phases_are_core_invariant() {
     let spec = sipsim::SoakSpec {
@@ -218,16 +139,38 @@ fn soak_phases_are_core_invariant() {
     };
     let mut kills = 0;
     for phase in 0..spec.phases {
-        let run = |mode| {
-            let det =
-                AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
-            let out = sipsim::run_phase_in(&spec, phase, Some(det), true, None, mode);
-            let reports: Vec<String> = out.reports.iter().map(|r| r.render()).collect();
-            (out.stats, reports)
+        let flat = sipsim::build_soak_phase(&spec, phase).lower();
+        let opts = VmOptions {
+            faults: Some(sipsim::phase_fault_plan(&spec, phase)),
+            ..VmOptions::default()
         };
-        let compiled = run(VmMode::Compiled);
-        assert_eq!(compiled, run(VmMode::Reference), "soak phase {phase} diverged");
-        kills += compiled.0.kills;
+        let seed = sipsim::phase_sched_seed(&spec, phase);
+        let sched = || -> Box<dyn Scheduler> { Box::new(SeededRandom::new(seed)) };
+        let label = format!("soak phase {phase}");
+        let (compiled, _) = assert_cores_agree(&flat, "hybrid", &opts, sched, &label);
+
+        let out =
+            sipsim::run_phase(&spec, phase, Some(common::detector("hybrid", false)), true, None);
+        let s = &out.stats;
+        let counters = format!("slots: {} events: {} ", s.slots, s.events);
+        assert!(compiled.contains(&counters), "{label}: run_phase counters {counters}\n{compiled}");
+        let reports: String = out.reports.iter().map(|r| r.render() + "\n").collect();
+        assert!(compiled.ends_with(&reports), "{label}: run_phase reports differ");
+        kills += s.kills;
     }
     assert!(kills > 0, "no phase killed a worker, so the kill path went untested");
+}
+
+/// Traces recorded through the production filter stack are byte-identical
+/// on both cores: the event stream, the per-epoch snapshots and the
+/// footer's run counters.
+#[test]
+fn recorded_traces_are_core_invariant() {
+    for p in common::programs() {
+        if p.paper_case || p.name.ends_with("/session.mcpp") {
+            let compiled = common::record(&p.flat, 64, PRODUCTION);
+            let reference = common::record(&p.flat, 64, REFERENCE_CORE);
+            assert!(compiled == reference, "{}: traces differ between the cores", p.name);
+        }
+    }
 }

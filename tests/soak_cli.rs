@@ -176,6 +176,54 @@ fn soak_refuses_a_checkpoint_from_a_different_spec() {
     assert!(stderr.contains("different parameters"), "{stderr}");
 }
 
+/// The log records the detector settings beside the workload, so resuming
+/// a hybrid run's log under another engine is refused and leaves the file
+/// as it was, instead of folding two engines into one catalogue.
+#[test]
+fn soak_refuses_a_checkpoint_from_another_detector() {
+    let ck = tmp("detector.soaklog");
+    let _ = std::fs::remove_file(&ck);
+    let p = ck.to_str().unwrap().to_string();
+    let run = |detector: &str| {
+        raceline(&[
+            "soak",
+            "--dialogs",
+            "4000",
+            "--phases",
+            "4",
+            "--seed",
+            "0x51",
+            "--detector",
+            detector,
+            "--checkpoint",
+            &p,
+        ])
+    };
+    let (_, _, code) = run("hybrid");
+    assert_eq!(code, 1);
+    // Keep the header and phases 0-1, as a run stopped after phase 1 leaves it.
+    let log = std::fs::read_to_string(&ck).expect("log written");
+    let mut kept = String::new();
+    let mut phases = 0;
+    for line in log.split_inclusive('\n') {
+        if phases == 2 {
+            break;
+        }
+        kept.push_str(line);
+        phases += usize::from(line.starts_with("phase "));
+    }
+    assert_eq!(phases, 2, "{log}");
+    std::fs::write(&ck, &kept).unwrap();
+    let (_, stderr, code) = run("original");
+    assert_eq!(code, 2, "another detector's log is refused\n{stderr}");
+    assert!(stderr.contains("different parameters"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&ck).unwrap(), kept, "the refused log is untouched");
+    // The engine that wrote it resumes.
+    let (_, stderr, code) = run("hybrid");
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("resuming at phase 2"), "{stderr}");
+}
+
 /// Same crash hook against the explore sweep's checkpoint save. A save
 /// replaces the file atomically, so a crash in the middle of the second
 /// save of a budget-stopped sweep leaves the first checkpoint on disk byte

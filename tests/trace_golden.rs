@@ -6,70 +6,25 @@
 //! trace anywhere yields a structured error, never a panic or a wrong
 //! answer.
 
-use helgrind_core::replay::{analyze_trace_bytes, analyze_trace_repair, ReplayDetector};
-use helgrind_core::{
-    DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report, SuppressionSet,
-};
+mod common;
+
+use common::UNFILTERED;
+use helgrind_core::replay::{analyze_trace_bytes, analyze_trace_repair};
+use helgrind_core::Report;
 use raceline_trace::reader::{parse_trace, parse_trace_repair};
-use raceline_trace::writer::TraceWriter;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
+use vexec::ir::lower::FlatProgram;
 use vexec::ir::Expr;
 use vexec::sched::RoundRobin;
-use vexec::vm::{run_flat, Termination, VmOptions};
+use vexec::vm::VmOptions;
 
-const ENGINES: &[&str] = &["original", "hwlc", "hwlc-dr", "djit", "hybrid", "hybrid-queue"];
-
-fn config_of(name: &str) -> DetectorConfig {
-    match name {
-        "original" => DetectorConfig::original(),
-        "hwlc" => DetectorConfig::hwlc(),
-        "hwlc-dr" => DetectorConfig::hwlc_dr(),
-        "djit" => DetectorConfig::djit(),
-        "hybrid" => DetectorConfig::hybrid(),
-        "hybrid-queue" => DetectorConfig::hybrid_queue_hb(),
-        other => panic!("unknown engine {other}"),
-    }
-}
-
-/// Inline run: the reference the offline path must match byte for byte.
-fn run_inline(
-    flat: &vexec::ir::lower::FlatProgram,
-    engine: &str,
-) -> (Vec<String>, bool, Termination) {
-    let cfg = config_of(engine);
-    let (reports, truncated, termination): (Vec<Report>, bool, Termination) = match engine {
-        "djit" => {
-            let mut det = DjitDetector::new(cfg);
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-        "hybrid" | "hybrid-queue" => {
-            let mut det = HybridDetector::new(cfg);
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-        _ => {
-            let mut det = EraserDetector::with_suppressions(cfg, SuppressionSet::new());
-            let r = run_flat(flat, &mut det, &mut RoundRobin::new(), VmOptions::default());
-            (det.sink.take_reports(), det.truncated(), r.termination)
-        }
-    };
-    (reports.iter().map(Report::render).collect(), truncated, termination)
-}
-
-fn replay_detector(engine: &str) -> ReplayDetector {
-    let cfg = config_of(engine);
-    match engine {
-        "djit" => ReplayDetector::Djit(DjitDetector::new(cfg)),
-        "hybrid" | "hybrid-queue" => ReplayDetector::Hybrid(HybridDetector::new(cfg)),
-        _ => ReplayDetector::Eraser(EraserDetector::with_suppressions(cfg, SuppressionSet::new())),
-    }
+/// Record a bare (unfiltered) round-robin run, as the inline side runs.
+fn record_bytes(flat: &FlatProgram, epoch_events: u64) -> Vec<u8> {
+    common::record(flat, epoch_events, UNFILTERED)
 }
 
 fn analyze(bytes: &[u8], engine: &str, jobs: usize) -> (Vec<String>, bool) {
-    let outcome = analyze_trace_bytes(bytes, replay_detector(engine), jobs, 0)
-        .expect("recorded trace must analyze cleanly");
-    (outcome.reports.iter().map(Report::render).collect(), outcome.truncated)
+    common::replay(bytes, engine, false, jobs)
 }
 
 /// AB-BA, serialized: two workers take the same two mutexes in opposite
@@ -106,20 +61,24 @@ fn ab_ba_program() -> vexec::Program {
 
 #[test]
 fn record_analyze_matches_inline_for_all_cases_and_engines() {
-    let mut inputs: Vec<(&str, vexec::ir::lower::FlatProgram)> =
-        sipsim::testcases().iter().map(|tc| (tc.name, tc.build().program.lower())).collect();
-    inputs.push(("ab-ba", ab_ba_program().lower()));
+    let mut inputs: Vec<(String, FlatProgram)> =
+        common::programs().into_iter().map(|p| (p.name, p.flat)).collect();
+    inputs.push(("ab-ba".to_string(), ab_ba_program().lower()));
     for (name, flat) in &inputs {
         // Small epochs so even the small cases exercise multi-epoch decode
         // and the codec reset at every boundary.
         let bytes = record_bytes(flat, 512);
-        for engine in ENGINES {
-            let (inline_reports, inline_trunc, _) = run_inline(flat, engine);
-            if *name == "ab-ba" {
+        for engine in common::ENGINES {
+            let opts = VmOptions::default();
+            let (_, mut det) = common::run(flat, engine, &opts, &mut RoundRobin::new(), UNFILTERED);
+            let inline_trunc = det.truncated();
+            let inline_reports: Vec<String> =
+                det.take_reports().iter().map(Report::render).collect();
+            if name == "ab-ba" {
                 // Only the lockset detectors track lock order, and the
                 // joins order every access, so that cycle is the one report.
                 let cycles =
-                    if matches!(*engine, "djit" | "hybrid" | "hybrid-queue") { 0 } else { 1 };
+                    if matches!(engine, "djit" | "hybrid" | "hybrid-queue") { 0 } else { 1 };
                 assert_eq!(inline_reports.len(), cycles, "engine {engine}: {inline_reports:?}");
                 assert!(
                     inline_reports.iter().all(|r| r.starts_with("Possible LockOrder ")),
@@ -170,7 +129,7 @@ fn every_byte_mutation_is_detected() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0xFF;
         let r = std::panic::catch_unwind(|| {
-            analyze_trace_bytes(&mutated, replay_detector("hwlc-dr"), 1, 0).map(|_| ())
+            analyze_trace_bytes(&mutated, common::detector("hwlc-dr", false), 1, 0).map(|_| ())
         });
         match r {
             Ok(Err(_)) => {}
@@ -208,8 +167,8 @@ fn repair_of_a_whole_trace_is_the_identity() {
     assert!(!rt.repaired);
     assert_eq!(rt.dropped_bytes, 0);
     let strict = analyze(&bytes, "hwlc-dr", 1);
-    let (outcome, info) =
-        analyze_trace_repair(&bytes, replay_detector("hwlc-dr"), 1, 0).expect("whole trace");
+    let (outcome, info) = analyze_trace_repair(&bytes, common::detector("hwlc-dr", false), 1, 0)
+        .expect("whole trace");
     assert!(!info.repaired);
     let tolerant: Vec<String> = outcome.reports.iter().map(Report::render).collect();
     assert_eq!((tolerant, outcome.truncated), strict);
@@ -246,7 +205,7 @@ fn every_truncation_repairs_to_an_intact_prefix() {
         // the recovered epoch count changes and on a fixed stride between.
         if kept > prev_kept || len % 97 == 0 {
             let (outcome, info) =
-                analyze_trace_repair(&bytes[..len], replay_detector("hwlc-dr"), 1, 0)
+                analyze_trace_repair(&bytes[..len], common::detector("hwlc-dr", false), 1, 0)
                     .expect("recovered prefix must analyze cleanly");
             assert!(info.repaired);
             let reports: Vec<String> = outcome.reports.iter().map(Report::render).collect();
@@ -303,41 +262,13 @@ fn repaired_sharded_analysis_matches_sequential() {
     let rt = parse_trace_repair(&bytes[..cut]).expect("recoverable");
     assert!(rt.repaired && !rt.parsed.epochs.is_empty());
     let render = |jobs: usize| {
-        let (outcome, _) = analyze_trace_repair(&bytes[..cut], replay_detector("hybrid"), jobs, 0)
-            .expect("recovered prefix analyzes");
+        let (outcome, _) =
+            analyze_trace_repair(&bytes[..cut], common::detector("hybrid", false), jobs, 0)
+                .expect("recovered prefix analyzes");
         outcome.reports.iter().map(Report::render).collect::<Vec<_>>()
     };
     let seq = render(1);
     for jobs in [2, 4, 8] {
         assert_eq!(render(jobs), seq, "jobs {jobs}");
     }
-}
-
-/// Record a run into an in-memory buffer and hand the bytes back.
-fn record_bytes(flat: &vexec::ir::lower::FlatProgram, epoch_events: u64) -> Vec<u8> {
-    use std::io::Write;
-    use std::sync::{Arc, Mutex};
-
-    /// `TraceWriter::finish` consumes the writer without returning the
-    /// sink, so share the buffer with the test through an Arc.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let sink = SharedBuf::default();
-    let mut writer = TraceWriter::new(sink.clone()).with_epoch_events(epoch_events);
-    let r = run_flat(flat, &mut writer, &mut RoundRobin::new(), VmOptions::default());
-    writer
-        .finish(&r.termination, &r.stats, r.faults.as_ref())
-        .expect("in-memory trace write cannot fail");
-    let bytes = sink.0.lock().unwrap().clone();
-    bytes
 }
