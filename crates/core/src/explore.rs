@@ -372,19 +372,21 @@ fn fold_outcome(
 /// ([`crate::pool::run_indexed`]), and the result is still
 /// **bit-identical** to the sequential sweep. The protocol:
 ///
-/// 1. Workers claim seed indices in increasing order from a shared
-///    atomic counter, so the claimed set is always a contiguous prefix.
+/// 1. The sweep hands the pool [`RUNS_PER_WORKER_CHUNK`] indices per
+///    worker at a time, so memory stays bounded by the chunk, not by
+///    `runs`; the next chunk starts only after the fold has consumed this
+///    one without a budget stop.
 /// 2. A claimed index first consults the shared [`SlotMeter`] (credited
 ///    live by every VM, including in-flight runs); once it shows the
 ///    `total_slot_budget` consumed, the index starts no run. Started
-///    runs always finish — bounded by their own per-run fuel — because a
-///    later run's result may be needed by the merge.
+///    runs always finish — bounded by their own per-run fuel.
 /// 3. Each run is deterministic given its seed, so per-index outcomes are
 ///    schedule-independent; they are merged by a sequential fold in index
 ///    order that applies the budget cut-off exactly as the sequential
-///    loop would. Any index the fold reaches has run: were it not, the
-///    meter showed `>= budget` spent on *earlier* indices alone, and the
-///    fold stops at the same prefix sum.
+///    loop would. The meter also counts later indices' slots, so an index
+///    can be skipped while the slots of the indices before it are still
+///    under budget; the fold runs such an index itself. That happens
+///    only next to the cut-off.
 pub fn explore_schedules_with(
     program: &Program,
     cfg: DetectorConfig,
@@ -414,6 +416,9 @@ pub fn explore_schedules_directed(
     let probes = build_probes(targets, runs);
     explore_impl(program, cfg, runs, base_seed, limits, resume, &probes)
 }
+
+/// Seed indices each worker gets per chunk of the sweep.
+const RUNS_PER_WORKER_CHUNK: usize = 16;
 
 fn explore_impl(
     program: &Program,
@@ -452,24 +457,25 @@ fn explore_impl(
         slot_meter: limits.total_slot_budget.map(|_| meter.clone()),
         ..Default::default()
     };
-    let outcomes = run_indexed(limits.jobs, runs.saturating_sub(start), |k| {
-        (meter.total() < budget).then(|| {
-            run_index(&prepared, cfg, base_seed, start + k, &opts, limits.no_filter, probes)
-        })
-    });
-    for (k, outcome) in outcomes.into_iter().enumerate() {
-        // The fold applies the budget cut-off exactly as a sequential
-        // sweep would; an index that started no run lies past it (see
-        // the merge notes above), and degrades to a budget stop too.
-        match outcome {
-            Some(o) if summary.slots_used < budget => {
-                fold_outcome(&mut summary, &mut agg, o, start + k)
-            }
-            _ => {
+    let run = |i| run_index(&prepared, cfg, base_seed, i, &opts, limits.no_filter, probes);
+    let chunk = limits.jobs.max(1) * RUNS_PER_WORKER_CHUNK;
+    let mut next = start;
+    'sweep: while next < runs {
+        let n = chunk.min(runs - next);
+        let outcomes =
+            run_indexed(limits.jobs, n, |k| (meter.total() < budget).then(|| run(next + k)));
+        for (k, outcome) in outcomes.into_iter().enumerate() {
+            if summary.slots_used >= budget {
                 summary.timed_out = true;
-                break;
+                break 'sweep;
             }
+            // The budget is not spent before this index, so the sequential
+            // sweep runs it: a worker that skipped it saw later indices'
+            // slots on the meter (see the merge notes above).
+            let o = outcome.unwrap_or_else(|| run(next + k));
+            fold_outcome(&mut summary, &mut agg, o, next + k);
         }
+        next += n;
     }
     let mut locations: Vec<LocationHit> = agg.into_values().collect();
     locations.sort_by(|a, b| {
@@ -987,24 +993,34 @@ mod tests {
         }
     }
 
+    /// The cut-off lands in the first chunk, in the second, in the third
+    /// and after the last run, and the pool's workers race the meter at
+    /// each of them.
     #[test]
     fn parallel_budget_cutoff_matches_sequential() {
         let prog = mixed_program();
-        let full = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED);
-        let limits =
-            ExploreLimits { total_slot_budget: Some(full.slots_used / 3), ..Default::default() };
-        let seq =
-            explore_schedules_with(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED, limits, None);
-        assert!(seq.timed_out);
-        let par = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            12,
-            0xDEED,
-            ExploreLimits { jobs: 8, ..limits },
-            None,
-        );
-        assert_eq!(fingerprint(&seq), fingerprint(&par), "budget cut-off must merge identically");
+        let cfg = DetectorConfig::hwlc_dr();
+        let runs = 3 * RUNS_PER_WORKER_CHUNK;
+        let full = explore_schedules(&prog, cfg, runs, 0xDEED);
+        for tenth in 1..=10 {
+            let limits = ExploreLimits {
+                total_slot_budget: Some(full.slots_used * tenth / 10),
+                ..Default::default()
+            };
+            let seq = explore_schedules_with(&prog, cfg, runs, 0xDEED, limits, None);
+            assert_eq!(seq.timed_out, tenth < 10);
+            for jobs in [2, 3, 8] {
+                let par = explore_schedules_with(
+                    &prog,
+                    cfg,
+                    runs,
+                    0xDEED,
+                    ExploreLimits { jobs, ..limits },
+                    None,
+                );
+                assert_eq!(fingerprint(&seq), fingerprint(&par), "budget {tenth}/10, jobs {jobs}");
+            }
+        }
     }
 
     #[test]

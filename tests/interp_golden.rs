@@ -29,9 +29,11 @@
 mod common;
 
 use common::{PRODUCTION, REFERENCE_CORE};
-use raceline::sipsim;
+use raceline::helgrind_core::Report;
+use raceline::sipsim::{self, PhaseEnd, PhaseStats};
+use raceline::vexec::ir::lower::FlatProgram;
 use raceline::vexec::sched::{PriorityOrder, RoundRobin, Scheduler, SeededRandom};
-use raceline::vexec::{FaultPlan, ThreadId, VmOptions};
+use raceline::vexec::{FaultPlan, Termination, ThreadId, VmOptions};
 use raceline_trace::format::Fnv1a;
 
 /// FNV-1a-64 over the compiled-core `observe` strings of the clean T1–T8
@@ -62,22 +64,21 @@ fn t1_t8_compiled_and_reference_are_byte_identical_under_faults() {
     assert_eq!(digest, FAULTED_PIN, "faulted T1-T8 matrix drifted from the pinned schedules");
 }
 
-/// One run on both cores, compared on the observation plus the injector's
-/// counters; returns the compiled side's.
+/// One run on both cores, compared on the observation, the injector's
+/// counters and the engines' shadow statistics.
 fn assert_cores_agree(
-    flat: &raceline::vexec::ir::lower::FlatProgram,
+    flat: &FlatProgram,
     engine: &str,
     opts: &VmOptions,
     sched: impl Fn() -> Box<dyn Scheduler>,
     label: &str,
-) -> (String, String) {
+) {
     let observe = |side| {
         let (r, mut det) = common::run(flat, engine, opts, sched().as_mut(), side);
-        (common::render(&r, &mut det), format!("{:?}", r.faults))
+        let counters = format!("{:?}\n{:?}", r.faults, det.engine_stats());
+        (common::render(&r, &mut det), counters)
     };
-    let compiled = observe(PRODUCTION);
-    assert_eq!(compiled, observe(REFERENCE_CORE), "{label}: cores diverged");
-    compiled
+    assert_eq!(observe(PRODUCTION), observe(REFERENCE_CORE), "{label}: cores diverged");
 }
 
 /// The chaos harness's (case, plan, schedule) triples and the §4.1 bug
@@ -125,9 +126,11 @@ fn chaos_fingerprints_are_core_invariant() {
 /// Soak phases under the production hybrid + filter stack: the T1–T8
 /// sweeps never block a producer on a full queue, retry a contended mutex
 /// thousands of times, or kill a worker that holds a lock, and the soak
-/// guest does all three. Odd phases are kill-armed. Each phase is rebuilt
-/// from the soak driver's public pieces, so the compiled side is checked
-/// against `sipsim::run_phase` too.
+/// guest does all three; its dialog-teardown client requests are also the
+/// only ones that reclaim shadow memory. Odd phases are kill-armed. The
+/// compiled side is `sipsim::run_phase`; the reference side rebuilds the
+/// phase from the soak driver's public pieces. Every `phase` line field the
+/// soak log stores, shadow-granule counts included, must agree.
 #[test]
 fn soak_phases_are_core_invariant() {
     let spec = sipsim::SoakSpec {
@@ -139,26 +142,46 @@ fn soak_phases_are_core_invariant() {
     };
     let mut kills = 0;
     for phase in 0..spec.phases {
-        let flat = sipsim::build_soak_phase(&spec, phase).lower();
-        let opts = VmOptions {
-            faults: Some(sipsim::phase_fault_plan(&spec, phase)),
-            ..VmOptions::default()
-        };
-        let seed = sipsim::phase_sched_seed(&spec, phase);
-        let sched = || -> Box<dyn Scheduler> { Box::new(SeededRandom::new(seed)) };
-        let label = format!("soak phase {phase}");
-        let (compiled, _) = assert_cores_agree(&flat, "hybrid", &opts, sched, &label);
-
         let out =
             sipsim::run_phase(&spec, phase, Some(common::detector("hybrid", false)), true, None);
-        let s = &out.stats;
-        let counters = format!("slots: {} events: {} ", s.slots, s.events);
-        assert!(compiled.contains(&counters), "{label}: run_phase counters {counters}\n{compiled}");
-        let reports: String = out.reports.iter().map(|r| r.render() + "\n").collect();
-        assert!(compiled.ends_with(&reports), "{label}: run_phase reports differ");
-        kills += s.kills;
+        let compiled = (out.stats, out.reports.iter().map(Report::render).collect());
+        assert_eq!(compiled, reference_phase(&spec, phase), "soak phase {phase} diverged");
+        kills += compiled.0.kills;
     }
     assert!(kills > 0, "no phase killed a worker, so the kill path went untested");
+}
+
+/// One soak phase on the reference core, folded the way `run_phase` folds
+/// the compiled run into its stats and reports.
+fn reference_phase(spec: &sipsim::SoakSpec, phase: u32) -> (PhaseStats, Vec<String>) {
+    let flat = sipsim::build_soak_phase(spec, phase).lower();
+    let opts =
+        VmOptions { faults: Some(sipsim::phase_fault_plan(spec, phase)), ..VmOptions::default() };
+    let mut sched = SeededRandom::new(sipsim::phase_sched_seed(spec, phase));
+    let (r, mut det) = common::run(&flat, "hybrid", &opts, &mut sched, REFERENCE_CORE);
+    let (engines, truncated) = (det.engine_stats(), det.truncated());
+    let faults = r.faults.unwrap_or_default();
+    let reports: Vec<String> = det.take_reports().iter().map(Report::render).collect();
+    let stats = PhaseStats {
+        phase,
+        dialogs: spec.phase_dialogs(phase),
+        events: r.stats.events,
+        slots: r.stats.slots,
+        kills: faults.kills,
+        leaked_locks: faults.leaked_locks,
+        leaked_bytes: faults.leaked_bytes,
+        warnings: reports.len(),
+        peak_granules: engines.iter().map(|e| e.peak_granules).max().unwrap_or(0),
+        end_granules: engines.iter().map(|e| e.live_granules).max().unwrap_or(0),
+        truncated,
+        end: match r.termination {
+            Termination::AllExited => PhaseEnd::Clean,
+            Termination::Deadlock(waits) => PhaseEnd::Deadlock(waits.len()),
+            Termination::GuestError(e) => PhaseEnd::GuestError(e.to_string()),
+            Termination::FuelExhausted => PhaseEnd::FuelExhausted,
+        },
+    };
+    (stats, reports)
 }
 
 /// Traces recorded through the production filter stack are byte-identical
