@@ -18,8 +18,8 @@
 //! Run with: `cargo bench -p race-bench --bench shadow`
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use helgrind_core::explore::{explore_schedules_with, ExploreLimits};
-use helgrind_core::{DetectorConfig, LocksetEngine};
+use helgrind_core::explore::{explore_schedules, ExploreLimits};
+use helgrind_core::{AnyDetector, DetectorConfig, EraserDetector, LocksetEngine};
 use sipsim::native::{vm_workload_program, WorkloadSpec};
 use std::hint::black_box;
 use vexec::event::{AccessKind, AcqMode, Event, SyncId, ThreadId};
@@ -124,14 +124,9 @@ fn bench_explore(c: &mut Criterion) {
         group.bench_function(format!("sweep-24-T{jobs}"), |b| {
             b.iter(|| {
                 let limits = ExploreLimits { jobs, ..Default::default() };
-                let s = explore_schedules_with(
-                    &prog,
-                    DetectorConfig::hwlc_dr(),
-                    24,
-                    0xACE,
-                    limits,
-                    None,
-                );
+                let hwlc_dr =
+                    || AnyDetector::Eraser(EraserDetector::new(DetectorConfig::hwlc_dr()));
+                let s = explore_schedules(&prog, hwlc_dr, 24, 0xACE, limits, None, &[]);
                 black_box((s.runs, s.slots_used))
             })
         });

@@ -507,9 +507,12 @@ pub struct ExploreResult {
 /// Run the §4.3 false-negative program under many schedules: the explorer
 /// finds the flaky warning that a single run can miss.
 pub fn e14_explore() -> ExploreResult {
-    use helgrind_core::explore::explore_schedules;
+    use helgrind_core::explore::{explore_schedules, ExploreLimits};
+    use helgrind_core::AnyDetector;
     let prog = false_negative_program();
-    let summary = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 40, 0x5EED);
+    let hwlc_dr = || AnyDetector::Eraser(EraserDetector::new(DetectorConfig::hwlc_dr()));
+    let summary =
+        explore_schedules(&prog, hwlc_dr, 40, 0x5EED, ExploreLimits::default(), None, &[]);
     let (single, _) = eraser_locations(&prog, DetectorConfig::hwlc_dr(), &mut RoundRobin::new());
     ExploreResult {
         runs: summary.runs,

@@ -67,6 +67,15 @@ fn build_report(
     }
 }
 
+/// Every engine's report sink: `supp` drops matching reports before the
+/// report cap counts them, so a suppressed location never takes the place
+/// of an unsuppressed one.
+fn sink(cfg: &DetectorConfig, supp: SuppressionSet) -> ReportSink {
+    let mut sink = ReportSink::with_suppressions(supp);
+    sink.set_max_reports(cfg.budget.max_reports);
+    sink
+}
+
 /// Per-engine analysis counters, surfaced by `raceline check --stats` /
 /// `analyze --stats` (stderr only — stdout report identity is the
 /// filter-equivalence contract and these counters legitimately differ
@@ -107,12 +116,10 @@ impl EraserDetector {
     }
 
     pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
-        let mut sink = ReportSink::with_suppressions(supp);
-        sink.set_max_reports(cfg.budget.max_reports);
         EraserDetector {
             engine: LocksetEngine::new(cfg),
             lockorder: LockOrderGraph::new(),
-            sink,
+            sink: sink(&cfg, supp),
             detect_lock_order: true,
             guest_fault: None,
         }
@@ -217,9 +224,11 @@ pub struct DjitDetector {
 
 impl DjitDetector {
     pub fn new(cfg: DetectorConfig) -> Self {
-        let mut sink = ReportSink::new();
-        sink.set_max_reports(cfg.budget.max_reports);
-        DjitDetector { engine: HbEngine::new(cfg), sink, guest_fault: None }
+        Self::with_suppressions(cfg, SuppressionSet::default())
+    }
+
+    pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
+        DjitDetector { engine: HbEngine::new(cfg), sink: sink(&cfg, supp), guest_fault: None }
     }
 
     /// Analysis counters for `--stats`.
@@ -294,6 +303,10 @@ pub struct HybridDetector {
 
 impl HybridDetector {
     pub fn new(cfg: DetectorConfig) -> Self {
+        Self::with_suppressions(cfg, SuppressionSet::default())
+    }
+
+    pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
         let mut lockset = LocksetEngine::new(cfg);
         let mut hb = HbEngine::new(cfg);
         // Both engines keep flagging (no per-granule latch); the sink
@@ -301,9 +314,7 @@ impl HybridDetector {
         // it drops allocate nothing: `handle_event` renders only new ones.
         lockset.set_report_once(false);
         hb.set_report_once(false);
-        let mut sink = ReportSink::new();
-        sink.set_max_reports(cfg.budget.max_reports);
-        HybridDetector { lockset, hb, sink, guest_fault: None }
+        HybridDetector { lockset, hb, sink: sink(&cfg, supp), guest_fault: None }
     }
 
     /// Analysis counters for `--stats`.
@@ -380,8 +391,8 @@ impl Tool for HybridDetector {
 /// site. Inline it is a [`Tool`]; offline, trace replay feeds it through
 /// the same `handle_event` bodies, which is what keeps the two paths
 /// byte-identical. The name → engine mapping matches the CLI's (`djit` →
-/// HB, `hybrid*` → hybrid, everything else → lockset with suppressions
-/// applied in the sink).
+/// HB, `hybrid*` → hybrid, everything else → lockset); every engine
+/// applies `supp` in its sink.
 #[allow(clippy::large_enum_variant)] // one detector per phase, never collections of them
 pub enum AnyDetector {
     Eraser(EraserDetector),
@@ -392,8 +403,10 @@ pub enum AnyDetector {
 impl AnyDetector {
     pub fn by_name(name: &str, cfg: DetectorConfig, supp: SuppressionSet) -> Self {
         match name {
-            "djit" => AnyDetector::Djit(DjitDetector::new(cfg)),
-            "hybrid" | "hybrid-queue" => AnyDetector::Hybrid(HybridDetector::new(cfg)),
+            "djit" => AnyDetector::Djit(DjitDetector::with_suppressions(cfg, supp)),
+            "hybrid" | "hybrid-queue" => {
+                AnyDetector::Hybrid(HybridDetector::with_suppressions(cfg, supp))
+            }
             _ => AnyDetector::Eraser(EraserDetector::with_suppressions(cfg, supp)),
         }
     }

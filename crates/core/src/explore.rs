@@ -10,8 +10,7 @@
 //! sometimes.
 
 use crate::commitlog::{committed, esc, unesc};
-use crate::config::DetectorConfig;
-use crate::detector::EraserDetector;
+use crate::detector::AnyDetector;
 use crate::pool::run_indexed;
 use crate::report::{Report, ReportKind, StackFrame};
 use std::cell::Cell;
@@ -64,12 +63,8 @@ pub struct ExploreLimits {
     pub faults: Option<FaultPlan>,
     /// Worker threads for the sweep; `0` or `1` runs sequentially. Every
     /// value produces a bit-identical summary and checkpoint — see the
-    /// merge protocol notes on [`explore_schedules_with`].
+    /// merge protocol notes on [`explore_schedules`].
     pub jobs: usize,
-    /// Disable the redundant-access filter cache in front of the detector.
-    /// The filter is report-preserving, so this only trades speed for
-    /// nothing — it exists for the equivalence gates and for debugging.
-    pub no_filter: bool,
 }
 
 /// Aggregated exploration outcome.
@@ -131,49 +126,13 @@ impl ExploreSummary {
     }
 }
 
-/// Run `program` under `runs` different seeded-random schedules with a
-/// fresh detector per run and aggregate distinct warning locations.
-pub fn explore_schedules(
-    program: &Program,
-    cfg: DetectorConfig,
-    runs: usize,
-    base_seed: u64,
-) -> ExploreSummary {
-    explore_schedules_with(program, cfg, runs, base_seed, ExploreLimits::default(), None)
-}
-
-/// Everything one seeded run contributes to the summary. Each run is
-/// deterministic given `(program, seed, options)`, so an outcome does not
+/// Everything one run contributes to the summary. Each run is
+/// deterministic given `(program, index, options)`, so an outcome does not
 /// depend on which worker produced it or when.
 struct RunOutcome {
     slots: u64,
     termination: Termination,
     reports: Vec<Report>,
-}
-
-fn run_seed(
-    prog: &PreparedProgram<'_>,
-    cfg: DetectorConfig,
-    base_seed: u64,
-    i: usize,
-    opts: &VmOptions,
-    no_filter: bool,
-) -> RunOutcome {
-    let mut sched = SeededRandom::new(base_seed.wrapping_add(i as u64));
-    let (r, mut det) = if no_filter {
-        let mut det = EraserDetector::new(cfg);
-        let r = prog.run(&mut det, &mut sched, opts.clone());
-        (r, det)
-    } else {
-        let mut tool = FilterTool::new(EraserDetector::new(cfg));
-        let r = prog.run(&mut tool, &mut sched, opts.clone());
-        (r, tool.into_parts().0)
-    };
-    RunOutcome {
-        slots: r.stats.slots,
-        termination: r.termination,
-        reports: det.sink.take_reports(),
-    }
 }
 
 /// One static finding the directed sweep should try to confirm: the
@@ -211,17 +170,16 @@ fn build_probes(targets: &[DirectedTarget], runs: usize) -> Vec<DirectedProbe> {
 /// flagged for deprioritization, so another thread gets to run *inside*
 /// the release/use window before the flagged thread reaches its
 /// post-release use.
-struct WindowWatch<T> {
-    inner: T,
-    file: String,
-    line: u32,
+struct WindowWatch<'a, T> {
+    inner: &'a mut T,
+    target: &'a DirectedTarget,
     flag: Rc<Cell<Option<ThreadId>>>,
 }
 
-impl<T: Tool> Tool for WindowWatch<T> {
+impl<T: Tool> Tool for WindowWatch<'_, T> {
     fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
         if let Event::Release { tid, loc, .. } | Event::Access { tid, loc, .. } = *ev {
-            if loc.line == self.line && vm.resolve(loc.file) == self.file {
+            if loc.line == self.target.line && vm.resolve(loc.file) == self.target.file {
                 self.flag.set(Some(tid));
             }
         }
@@ -269,60 +227,38 @@ impl Scheduler for DirectedSched {
     }
 }
 
-/// Run one directed probe. Deterministic given `(program, probe, options)`
-/// — the probe scheduler and watch share no state with other runs — so
-/// probe outcomes merge exactly like seeded ones.
-fn run_probe(
+/// Run index `i` under a fresh detector behind the redundant-access
+/// filter: the probe prefix first, then the seeded sweep (seed
+/// `base_seed + (i - probes.len())`, so the seeded tail visits the same
+/// seeds an undirected sweep starts with). A probe is deterministic given
+/// `(program, probe, options)` — its scheduler and watch share no state
+/// with other runs — so probe outcomes merge exactly like seeded ones.
+fn run_index(
     prog: &PreparedProgram<'_>,
-    cfg: DetectorConfig,
-    probe: &DirectedProbe,
+    detector: &dyn Fn() -> AnyDetector,
+    base_seed: u64,
+    i: usize,
     opts: &VmOptions,
-    no_filter: bool,
+    probes: &[DirectedProbe],
 ) -> RunOutcome {
-    let flag: Rc<Cell<Option<ThreadId>>> = Rc::new(Cell::new(None));
-    let mut sched =
-        DirectedSched { pref: 1 + probe.variant as u32, depri: Vec::new(), flag: flag.clone() };
-    let (r, mut det) = if no_filter {
-        let mut tool = WindowWatch {
-            inner: EraserDetector::new(cfg),
-            file: probe.target.file.clone(),
-            line: probe.target.line,
-            flag,
-        };
-        let r = prog.run(&mut tool, &mut sched, opts.clone());
-        (r, tool.inner)
-    } else {
-        let mut tool = WindowWatch {
-            inner: FilterTool::new(EraserDetector::new(cfg)),
-            file: probe.target.file.clone(),
-            line: probe.target.line,
-            flag,
-        };
-        let r = prog.run(&mut tool, &mut sched, opts.clone());
-        (r, tool.inner.into_parts().0)
+    let mut tool = FilterTool::new(detector());
+    let r = match probes.get(i) {
+        Some(probe) => {
+            let flag = Rc::new(Cell::new(None));
+            let pref = 1 + probe.variant as u32;
+            let mut sched = DirectedSched { pref, depri: Vec::new(), flag: flag.clone() };
+            let mut watch = WindowWatch { inner: &mut tool, target: &probe.target, flag };
+            prog.run(&mut watch, &mut sched, opts.clone())
+        }
+        None => {
+            let seed = base_seed.wrapping_add((i - probes.len()) as u64);
+            prog.run(&mut tool, &mut SeededRandom::new(seed), opts.clone())
+        }
     };
     RunOutcome {
         slots: r.stats.slots,
         termination: r.termination,
-        reports: det.sink.take_reports(),
-    }
-}
-
-/// Dispatch run index `i`: the probe prefix first, then the seeded sweep
-/// (seed `base_seed + (i - probes.len())`, so the seeded tail visits the
-/// same seeds an undirected sweep starts with).
-fn run_index(
-    prog: &PreparedProgram<'_>,
-    cfg: DetectorConfig,
-    base_seed: u64,
-    i: usize,
-    opts: &VmOptions,
-    no_filter: bool,
-    probes: &[DirectedProbe],
-) -> RunOutcome {
-    match probes.get(i) {
-        Some(p) => run_probe(prog, cfg, p, opts, no_filter),
-        None => run_seed(prog, cfg, base_seed, i - probes.len(), opts, no_filter),
+        reports: tool.into_parts().0.take_reports(),
     }
 }
 
@@ -356,19 +292,26 @@ fn fold_outcome(
     summary.completed_runs = i + 1;
 }
 
-/// [`explore_schedules`] with watchdog limits, optional fault injection,
-/// checkpoint/resume and a worker pool.
+/// Run `program` `runs` times, each under a fresh detector from `detector`
+/// behind the redundant-access filter, and aggregate the distinct warning
+/// locations.
+///
+/// The first run indices execute one directed probe per `(target,
+/// variant)` pair — a strict-priority schedule that preempts at the
+/// target's release/use window — and the rest run seeded-random schedules
+/// from `base_seed`; with no `targets` every run is seeded. `limits` adds
+/// the watchdog, fault injection and the worker pool.
 ///
 /// When `resume` is given it must come from a sweep over the same program
-/// with the same `base_seed` and options (callers compare
+/// with the same `base_seed`, detector and options (callers compare
 /// [`ExploreCheckpoint::spec`]; the explorer trusts the counters as-is).
-/// Execution continues from the first seed the checkpoint had not
+/// Execution continues from the first run the checkpoint had not
 /// completed, so an interrupted sweep plus its resumed remainder visits
-/// exactly the same seeds as an uninterrupted one.
+/// exactly the same schedules as an uninterrupted one.
 ///
 /// ## Deterministic parallel merge
 ///
-/// With `limits.jobs > 1` the seeds run on the shared worker pool
+/// With `limits.jobs > 1` the runs go to the shared worker pool
 /// ([`crate::pool::run_indexed`]), and the result is still
 /// **bit-identical** to the sequential sweep. The protocol:
 ///
@@ -380,33 +323,16 @@ fn fold_outcome(
 ///    live by every VM, including in-flight runs); once it shows the
 ///    `total_slot_budget` consumed, the index starts no run. Started
 ///    runs always finish — bounded by their own per-run fuel.
-/// 3. Each run is deterministic given its seed, so per-index outcomes are
+/// 3. Each run is deterministic given its index, so per-index outcomes are
 ///    schedule-independent; they are merged by a sequential fold in index
 ///    order that applies the budget cut-off exactly as the sequential
 ///    loop would. The meter also counts later indices' slots, so an index
 ///    can be skipped while the slots of the indices before it are still
 ///    under budget; the fold runs such an index itself. That happens
 ///    only next to the cut-off.
-pub fn explore_schedules_with(
+pub fn explore_schedules(
     program: &Program,
-    cfg: DetectorConfig,
-    runs: usize,
-    base_seed: u64,
-    limits: ExploreLimits,
-    resume: Option<&ExploreCheckpoint>,
-) -> ExploreSummary {
-    explore_impl(program, cfg, runs, base_seed, limits, resume, &[])
-}
-
-/// [`explore_schedules_with`] with a directed prefix: the first run
-/// indices execute one probe per `(target, variant)` pair — a strict
-/// priority schedule that preempts at the target's release/use window —
-/// before the sweep falls back to the usual seeded random walk. Probe
-/// runs are deterministic (no seed involved), so the whole sweep keeps
-/// the byte-identical `--jobs N` merge guarantee.
-pub fn explore_schedules_directed(
-    program: &Program,
-    cfg: DetectorConfig,
+    detector: impl Fn() -> AnyDetector + Sync,
     runs: usize,
     base_seed: u64,
     limits: ExploreLimits,
@@ -414,21 +340,6 @@ pub fn explore_schedules_directed(
     targets: &[DirectedTarget],
 ) -> ExploreSummary {
     let probes = build_probes(targets, runs);
-    explore_impl(program, cfg, runs, base_seed, limits, resume, &probes)
-}
-
-/// Seed indices each worker gets per chunk of the sweep.
-const RUNS_PER_WORKER_CHUNK: usize = 16;
-
-fn explore_impl(
-    program: &Program,
-    cfg: DetectorConfig,
-    runs: usize,
-    base_seed: u64,
-    limits: ExploreLimits,
-    resume: Option<&ExploreCheckpoint>,
-    probes: &[DirectedProbe],
-) -> ExploreSummary {
     let mut agg: FxHashMap<(String, u32, String), LocationHit> = FxHashMap::default();
     let mut summary = ExploreSummary { runs, base_seed, ..Default::default() };
     let mut start = 0usize;
@@ -457,7 +368,7 @@ fn explore_impl(
         slot_meter: limits.total_slot_budget.map(|_| meter.clone()),
         ..Default::default()
     };
-    let run = |i| run_index(&prepared, cfg, base_seed, i, &opts, limits.no_filter, probes);
+    let run = |i| run_index(&prepared, &detector, base_seed, i, &opts, &probes);
     let chunk = limits.jobs.max(1) * RUNS_PER_WORKER_CHUNK;
     let mut next = start;
     'sweep: while next < runs {
@@ -487,6 +398,9 @@ fn explore_impl(
     summary.locations = locations;
     summary
 }
+
+/// Run indices each worker gets per chunk of the sweep.
+const RUNS_PER_WORKER_CHUNK: usize = 16;
 
 /// Resumable snapshot of a (possibly interrupted) exploration sweep.
 ///
@@ -680,8 +594,28 @@ impl ExploreCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DetectorConfig;
+    use crate::suppress::SuppressionSet;
     use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
     use vexec::ir::Expr;
+
+    fn engine(name: &str) -> impl Fn() -> AnyDetector + Sync + '_ {
+        move || {
+            let cfg = DetectorConfig::by_name(name).expect("engine");
+            AnyDetector::by_name(name, cfg, SuppressionSet::new())
+        }
+    }
+
+    /// A hwlc-dr sweep over seeded schedules only.
+    fn sweep(
+        prog: &Program,
+        runs: usize,
+        seed: u64,
+        limits: ExploreLimits,
+        resume: Option<&ExploreCheckpoint>,
+    ) -> ExploreSummary {
+        explore_schedules(prog, engine("hwlc-dr"), runs, seed, limits, resume, &[])
+    }
 
     /// Program with one schedule-robust race (two unlocked writers) and
     /// one schedule-dependent race (§4.3 unlocked-vs-locked pair).
@@ -738,7 +672,7 @@ mod tests {
     #[test]
     fn explorer_separates_robust_from_flaky_warnings() {
         let prog = mixed_program();
-        let summary = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 40, 0xDEED);
+        let summary = sweep(&prog, 40, 0xDEED, ExploreLimits::default(), None);
         assert_eq!(summary.runs, 40);
         assert_eq!(summary.clean_runs, 40);
         let robust: Vec<_> = summary.robust().collect();
@@ -759,15 +693,14 @@ mod tests {
     #[test]
     fn watchdog_budget_yields_partial_summary_and_resume_completes_it() {
         let prog = mixed_program();
-        let full = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED);
+        let full = sweep(&prog, 12, 0xDEED, ExploreLimits::default(), None);
         assert!(!full.timed_out);
         assert_eq!(full.completed_runs, 12);
 
         // A tiny total budget stops the sweep early with timed_out set.
         let limits =
             ExploreLimits { total_slot_budget: Some(full.slots_used / 4), ..Default::default() };
-        let partial =
-            explore_schedules_with(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED, limits, None);
+        let partial = sweep(&prog, 12, 0xDEED, limits, None);
         assert!(partial.timed_out);
         assert!(partial.completed_runs < 12, "{partial:?}");
 
@@ -780,14 +713,7 @@ mod tests {
 
         // Resuming from the checkpoint visits exactly the remaining seeds
         // and ends in the uninterrupted sweep's state, reports and all.
-        let resumed = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            12,
-            0xDEED,
-            ExploreLimits::default(),
-            Some(&reparsed),
-        );
+        let resumed = sweep(&prog, 12, 0xDEED, ExploreLimits::default(), Some(&reparsed));
         assert_eq!(resumed.completed_runs, 12);
         assert_eq!(fingerprint(&resumed), fingerprint(&full));
     }
@@ -796,7 +722,7 @@ mod tests {
     fn per_run_fuel_cap_marks_timed_out_without_panicking() {
         let prog = mixed_program();
         let limits = ExploreLimits { max_slots_per_run: Some(3), ..Default::default() };
-        let s = explore_schedules_with(&prog, DetectorConfig::hwlc_dr(), 4, 1, limits, None);
+        let s = sweep(&prog, 4, 1, limits, None);
         assert!(s.timed_out);
         assert_eq!(s.fuel_exhausted_runs, 4);
         assert_eq!(s.completed_runs, 4);
@@ -938,51 +864,35 @@ mod tests {
         )
     }
 
+    /// Every run uses the engine the factory builds, suppressions and all:
+    /// happens-before reports under djit, lockset reports under hwlc-dr.
     #[test]
-    fn filtered_sweep_is_bit_identical_to_unfiltered() {
+    fn each_run_uses_the_factorys_detector() {
         let prog = mixed_program();
-        let filtered = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xDEED,
-            ExploreLimits::default(),
-            None,
-        );
-        let unfiltered = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xDEED,
-            ExploreLimits { no_filter: true, ..Default::default() },
-            None,
-        );
-        assert_eq!(fingerprint(&filtered), fingerprint(&unfiltered));
-        for (a, b) in filtered.locations.iter().zip(unfiltered.locations.iter()) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.report.details, b.report.details);
-        }
+        let kinds = |name: &str| {
+            let s =
+                explore_schedules(&prog, engine(name), 8, 0xDEED, Default::default(), None, &[]);
+            s.locations.iter().map(|l| l.report.kind).collect::<Vec<_>>()
+        };
+        let djit = kinds("djit");
+        assert!(!djit.is_empty());
+        assert!(djit.iter().all(|k| matches!(k, ReportKind::HbRaceRead | ReportKind::HbRaceWrite)));
+        let lockset = kinds("hwlc-dr");
+        assert!(!lockset.is_empty());
+        assert!(lockset.iter().all(|k| matches!(k, ReportKind::RaceRead | ReportKind::RaceWrite)));
+
+        let supp = SuppressionSet::parse("{\n s\n Helgrind:HbRace\n fun:robust_writer\n}").unwrap();
+        let quiet = || AnyDetector::by_name("djit", DetectorConfig::djit(), supp.clone());
+        let s = explore_schedules(&prog, quiet, 8, 0xDEED, Default::default(), None, &[]);
+        assert!(!s.locations.is_empty());
+        assert!(s.locations.iter().all(|l| l.report.func != "robust_writer"), "{s:?}");
     }
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
         let prog = mixed_program();
-        let seq = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xDEED,
-            ExploreLimits { jobs: 1, ..Default::default() },
-            None,
-        );
-        let par = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xDEED,
-            ExploreLimits { jobs: 8, ..Default::default() },
-            None,
-        );
+        let seq = sweep(&prog, 24, 0xDEED, ExploreLimits { jobs: 1, ..Default::default() }, None);
+        let par = sweep(&prog, 24, 0xDEED, ExploreLimits { jobs: 8, ..Default::default() }, None);
         assert_eq!(fingerprint(&seq), fingerprint(&par));
         // Representative reports (full detail, not just locations) match too.
         for (a, b) in seq.locations.iter().zip(par.locations.iter()) {
@@ -999,25 +909,17 @@ mod tests {
     #[test]
     fn parallel_budget_cutoff_matches_sequential() {
         let prog = mixed_program();
-        let cfg = DetectorConfig::hwlc_dr();
         let runs = 3 * RUNS_PER_WORKER_CHUNK;
-        let full = explore_schedules(&prog, cfg, runs, 0xDEED);
+        let full = sweep(&prog, runs, 0xDEED, ExploreLimits::default(), None);
         for tenth in 1..=10 {
             let limits = ExploreLimits {
                 total_slot_budget: Some(full.slots_used * tenth / 10),
                 ..Default::default()
             };
-            let seq = explore_schedules_with(&prog, cfg, runs, 0xDEED, limits, None);
+            let seq = sweep(&prog, runs, 0xDEED, limits, None);
             assert_eq!(seq.timed_out, tenth < 10);
             for jobs in [2, 3, 8] {
-                let par = explore_schedules_with(
-                    &prog,
-                    cfg,
-                    runs,
-                    0xDEED,
-                    ExploreLimits { jobs, ..limits },
-                    None,
-                );
+                let par = sweep(&prog, runs, 0xDEED, ExploreLimits { jobs, ..limits }, None);
                 assert_eq!(fingerprint(&seq), fingerprint(&par), "budget {tenth}/10, jobs {jobs}");
             }
         }
@@ -1026,36 +928,22 @@ mod tests {
     #[test]
     fn parallel_resume_is_bit_identical_to_sequential_resume() {
         let prog = mixed_program();
-        let full = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED);
+        let full = sweep(&prog, 12, 0xDEED, ExploreLimits::default(), None);
         let limits =
             ExploreLimits { total_slot_budget: Some(full.slots_used / 4), ..Default::default() };
-        let partial =
-            explore_schedules_with(&prog, DetectorConfig::hwlc_dr(), 12, 0xDEED, limits, None);
+        let partial = sweep(&prog, 12, 0xDEED, limits, None);
         let ck = partial.checkpoint();
-        let seq = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            12,
-            0xDEED,
-            ExploreLimits::default(),
-            Some(&ck),
-        );
-        let par = explore_schedules_with(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            12,
-            0xDEED,
-            ExploreLimits { jobs: 4, ..Default::default() },
-            Some(&ck),
-        );
+        let seq = sweep(&prog, 12, 0xDEED, ExploreLimits::default(), Some(&ck));
+        let par =
+            sweep(&prog, 12, 0xDEED, ExploreLimits { jobs: 4, ..Default::default() }, Some(&ck));
         assert_eq!(fingerprint(&seq), fingerprint(&par));
     }
 
     #[test]
     fn explorer_is_deterministic_per_base_seed() {
         let prog = mixed_program();
-        let a = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 10, 7);
-        let b = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 10, 7);
+        let a = sweep(&prog, 10, 7, ExploreLimits::default(), None);
+        let b = sweep(&prog, 10, 7, ExploreLimits::default(), None);
         let key = |s: &ExploreSummary| {
             s.locations
                 .iter()
@@ -1133,13 +1021,13 @@ mod tests {
                 .min()
                 .unwrap_or(usize::MAX)
         };
-        let undirected = explore_schedules(&prog, DetectorConfig::hwlc_dr(), 16, seed);
+        let undirected = sweep(&prog, 16, seed, ExploreLimits::default(), None);
         let u = first_hit(&undirected);
         assert!(u != usize::MAX, "undirected sweep must eventually find the race: {undirected:?}");
         let targets = [DirectedTarget { file: "fig7.cpp".into(), line: 30 }];
-        let directed = explore_schedules_directed(
+        let directed = explore_schedules(
             &prog,
-            DetectorConfig::hwlc_dr(),
+            engine("hwlc-dr"),
             16,
             seed,
             ExploreLimits::default(),
@@ -1158,29 +1046,18 @@ mod tests {
             DirectedTarget { file: "fig7.cpp".into(), line: 30 },
             DirectedTarget { file: "fig7.cpp".into(), line: 40 },
         ];
-        let seq = explore_schedules_directed(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xACE,
-            ExploreLimits { jobs: 1, ..Default::default() },
-            None,
-            &targets,
-        );
-        let par = explore_schedules_directed(
-            &prog,
-            DetectorConfig::hwlc_dr(),
-            24,
-            0xACE,
-            ExploreLimits { jobs: 8, ..Default::default() },
-            None,
-            &targets,
-        );
-        assert_eq!(fingerprint(&seq), fingerprint(&par));
-        for (a, b) in seq.locations.iter().zip(par.locations.iter()) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.first_run, b.first_run);
-            assert_eq!(a.report.details, b.report.details);
+        for name in ["original", "hwlc", "hwlc-dr", "djit", "hybrid", "hybrid-queue"] {
+            let directed = |jobs| {
+                let limits = ExploreLimits { jobs, ..Default::default() };
+                explore_schedules(&prog, engine(name), 24, 0xACE, limits, None, &targets)
+            };
+            let (seq, par) = (directed(1), directed(8));
+            assert_eq!(fingerprint(&seq), fingerprint(&par), "{name}");
+            for (a, b) in seq.locations.iter().zip(par.locations.iter()) {
+                assert_eq!(a.hits, b.hits);
+                assert_eq!(a.first_run, b.first_run);
+                assert_eq!(a.report.details, b.report.details);
+            }
         }
     }
 }

@@ -49,8 +49,8 @@ pub use detector::AnyDetector as ReplayDetector;
 pub use detector::{AnyDetector, DjitDetector, EngineStats, EraserDetector, HybridDetector};
 pub use eraser::{LocksetEngine, RaceInfo, VarState};
 pub use explore::{
-    explore_schedules, explore_schedules_directed, explore_schedules_with, DirectedTarget,
-    ExploreCheckpoint, ExploreLimits, ExploreSummary, LocationHit,
+    explore_schedules, DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary,
+    LocationHit,
 };
 pub use hb::{Conflict, EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};

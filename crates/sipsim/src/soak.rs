@@ -425,6 +425,8 @@ pub struct PhaseOutcome {
 /// seeded schedule, execute under `det` (or detection-off when `None`,
 /// the bench baseline), and collect the evidence. Pure in
 /// `(spec, phase, det config)` — the soak determinism contract.
+/// `use_filter` puts the redundant-access filter in front of `det`;
+/// `raceline soak` always sets it, and perfbench's soak workload passes it.
 pub fn run_phase(
     spec: &SoakSpec,
     phase: u32,

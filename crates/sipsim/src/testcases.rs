@@ -167,19 +167,16 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Run a built proxy under `det` with fault injection and a seeded-random
-/// schedule. Tolerates every termination kind; panics only propagate from
-/// genuine detector/VM bugs (which is what the chaos harness exists to
-/// catch). The redundant-access filter sits in front of `det` when
-/// `use_filter` is set; it is report-preserving, so the fingerprint must
-/// not change with it — a dedicated test asserts on/off equality.
+/// Run a built proxy under `det`, behind the redundant-access filter, with
+/// fault injection and a seeded-random schedule. Tolerates every
+/// termination kind; panics only propagate from genuine detector/VM bugs
+/// (which is what the chaos harness exists to catch).
 pub fn run_case_chaos(
     built: &BuiltProxy,
     det: AnyDetector,
     plan: FaultPlan,
     sched_seed: u64,
     max_slots: Option<u64>,
-    use_filter: bool,
 ) -> ChaosRunOutcome {
     let flat = built.program.lower();
     let mut sched = SeededRandom::new(sched_seed);
@@ -188,15 +185,9 @@ pub fn run_case_chaos(
         max_slots: max_slots.unwrap_or(VmOptions::default().max_slots),
         ..Default::default()
     };
-    let (r, mut det) = if use_filter {
-        let mut tool = FilterTool::new(det);
-        let r = run_flat(&flat, &mut tool, &mut sched, opts);
-        (r, tool.into_parts().0)
-    } else {
-        let mut det = det;
-        let r = run_flat(&flat, &mut det, &mut sched, opts);
-        (r, det)
-    };
+    let mut tool = FilterTool::new(det);
+    let r = run_flat(&flat, &mut tool, &mut sched, opts);
+    let mut det = tool.into_parts().0;
 
     let mut out = ChaosRunOutcome {
         clean: r.termination.is_clean(),
@@ -328,42 +319,15 @@ mod tests {
         let tc = &testcases()[2]; // T3, the smallest case
         let built = tc.build();
         let plan = FaultPlan::from_seed(0xC0FFEE);
-        let a = run_case_chaos(&built, hwlc_dr(), plan, 7, None, true);
-        let b = run_case_chaos(&built, hwlc_dr(), plan, 7, None, true);
+        let a = run_case_chaos(&built, hwlc_dr(), plan, 7, None);
+        let b = run_case_chaos(&built, hwlc_dr(), plan, 7, None);
         assert_eq!(a.fingerprint, b.fingerprint, "{a:?} vs {b:?}");
         assert_eq!(a.real_hits, b.real_hits);
         // A disabled plan under the same schedule behaves like run_case.
-        let calm = run_case_chaos(&built, hwlc_dr(), FaultPlan::disabled(), 7, None, true);
+        let calm = run_case_chaos(&built, hwlc_dr(), FaultPlan::disabled(), 7, None);
         assert!(calm.clean, "{calm:?}");
         assert!(calm.real_hits > 0);
         assert_eq!(calm.fault_stats.map(|f| f.total()), Some(0));
-    }
-
-    #[test]
-    fn chaos_fingerprint_is_filter_invariant() {
-        // The filter elides events before the detector sees them; under a
-        // fault plan (killed threads, failed locks, failed allocs) the
-        // fingerprint — termination, every report field, fault stats —
-        // must still match the unfiltered run bit for bit.
-        let tc = &testcases()[2]; // T3, the smallest case
-        let built = tc.build();
-        for (plan_seed, sched_seed) in [(0xC0FFEEu64, 7u64), (0xBEEF, 11), (42, 3)] {
-            let plan = FaultPlan::from_seed(plan_seed);
-            for name in ["original", "hwlc", "hwlc-dr", "djit", "hybrid"] {
-                let det = || {
-                    let cfg = DetectorConfig::by_name(name).unwrap();
-                    AnyDetector::by_name(name, cfg, SuppressionSet::new())
-                };
-                let on = run_case_chaos(&built, det(), plan, sched_seed, None, true);
-                let off = run_case_chaos(&built, det(), plan, sched_seed, None, false);
-                assert_eq!(
-                    on.fingerprint, off.fingerprint,
-                    "plan {plan_seed:#x} sched {sched_seed}: {on:?} vs {off:?}"
-                );
-                assert_eq!(on.truncated, off.truncated);
-                assert_eq!(on.locations, off.locations);
-            }
-        }
     }
 
     #[test]

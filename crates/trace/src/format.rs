@@ -10,6 +10,7 @@
 
 use crate::varint::{get_uvarint, put_ivarint, put_uvarint, unzigzag};
 use vexec::event::{AccessKind, AcqMode, ClientEv, Event, SyncId, ThreadId};
+use vexec::faults::FaultStats;
 use vexec::ir::{SrcLoc, SyncKind};
 use vexec::util::Symbol;
 use vexec::vm::BlockOn;
@@ -285,7 +286,7 @@ pub struct TraceFooter {
     pub epochs: u64,
     pub slots: u64,
     pub termination: TraceTermination,
-    pub faults: Option<TraceFaultStats>,
+    pub faults: Option<FaultStats>,
 }
 
 /// Mirror of [`vexec::vm::Termination`] with the guest error pre-rendered
@@ -309,23 +310,6 @@ pub struct TraceWait {
     pub tid: u32,
     pub on: BlockOn,
     pub holders: Vec<u32>,
-}
-
-/// Injected-fault counters, mirroring [`vexec::faults::FaultStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceFaultStats {
-    pub spurious_wakeups: u64,
-    pub lock_failures: u64,
-    pub alloc_failures: u64,
-    pub kills: u64,
-    pub leaked_locks: u64,
-    pub leaked_bytes: u64,
-}
-
-impl TraceFaultStats {
-    pub fn total(&self) -> u64 {
-        self.spurious_wakeups + self.lock_failures + self.alloc_failures + self.kills
-    }
 }
 
 /// One decoded payload record: a guest event or a stack-delta record that
@@ -947,7 +931,7 @@ pub fn decode_footer_body(c: &mut Cursor<'_>) -> Result<TraceFooter, TraceError>
             for v in &mut vals {
                 *v = c.uvarint()?;
             }
-            Some(TraceFaultStats {
+            Some(FaultStats {
                 spurious_wakeups: vals[0],
                 lock_failures: vals[1],
                 alloc_failures: vals[2],

@@ -33,10 +33,8 @@ pub mod varint;
 pub mod writer;
 
 pub use format::{
-    EpochSnapshot, HeldLock, ThreadSnap, TraceBlock, TraceError, TraceFaultStats, TraceFooter,
-    TraceHeader, TraceRecord, TraceTermination, TraceWait, MAGIC, VERSION,
+    EpochSnapshot, HeldLock, ThreadSnap, TraceBlock, TraceError, TraceFooter, TraceHeader,
+    TraceRecord, TraceTermination, TraceWait, MAGIC, VERSION,
 };
 pub use reader::{decode_epoch, parse_trace, EpochDesc, ParsedTrace, TraceReader};
-pub use writer::{
-    trace_faults, trace_termination, TraceSummary, TraceWriter, DEFAULT_EPOCH_EVENTS,
-};
+pub use writer::{trace_termination, TraceSummary, TraceWriter, DEFAULT_EPOCH_EVENTS};

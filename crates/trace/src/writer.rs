@@ -28,8 +28,7 @@ use vexec::vm::{GuestError, RunStats, Termination, VmView};
 use crate::format::{
     encode_event, encode_footer_body, encode_header, encode_snapshot, encode_stack_pop,
     encode_stack_push, CodecState, EpochSnapshot, Fnv1a, HeldLock, ThreadSnap, TraceBlock,
-    TraceError, TraceFaultStats, TraceFooter, TraceTermination, TraceWait, END_MAGIC, TAG_EPOCH,
-    TAG_FOOTER,
+    TraceError, TraceFooter, TraceTermination, TraceWait, END_MAGIC, TAG_EPOCH, TAG_FOOTER,
 };
 
 /// Default number of events per epoch frame. Small enough that `analyze
@@ -297,7 +296,7 @@ impl<W: Write> TraceWriter<W> {
             epochs: self.epoch_index,
             slots: stats.slots,
             termination: trace_termination(termination),
-            faults: faults.map(trace_faults),
+            faults: faults.copied(),
         };
         let mut tail = vec![TAG_FOOTER];
         encode_footer_body(&mut tail, &footer);
@@ -374,17 +373,5 @@ pub fn trace_termination(t: &Termination) -> TraceTermination {
         ),
         Termination::GuestError(e) => TraceTermination::GuestError(e.to_string()),
         Termination::FuelExhausted => TraceTermination::FuelExhausted,
-    }
-}
-
-/// Convert live fault counters into their trace-footer form.
-pub fn trace_faults(f: &FaultStats) -> TraceFaultStats {
-    TraceFaultStats {
-        spurious_wakeups: f.spurious_wakeups,
-        lock_failures: f.lock_failures,
-        alloc_failures: f.alloc_failures,
-        kills: f.kills,
-        leaked_locks: f.leaked_locks,
-        leaked_bytes: f.leaked_bytes,
     }
 }

@@ -291,12 +291,6 @@ impl<T: Tool> FilterTool<T> {
         FilterTool { inner, cache: FilterCache::default() }
     }
 
-    /// Use a non-default granule (must be ≥ every consumer's shadow
-    /// granule).
-    pub fn with_granule(inner: T, granule: u64) -> Self {
-        FilterTool { inner, cache: FilterCache::new(granule) }
-    }
-
     pub fn stats(&self) -> FilterStats {
         self.cache.stats
     }

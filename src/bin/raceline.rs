@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! raceline check app.mcpp [lib.mcpp ...] [options]
+//! raceline check app.mcpp [lib.mcpp ...] --explore <n> [options]
 //! raceline record app.mcpp [lib.mcpp ...] [--out <trace.rltrace>] [options]
 //! raceline record --case <T1..T8> [--out <trace.rltrace>] [options]
 //! raceline analyze trace.rltrace [--detector <name>] [--jobs <n>] [options]
@@ -16,12 +17,17 @@
 //!
 //! check options:
 //!   --detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue   (default hwlc-dr)
-//!   --schedule rr|random:<seed>|pct:<seed>:<depth>              (default rr)
+//!   --schedule rr|random:<seed>|pct:<seed>:<depth>              (default rr;
+//!                           single run and record only)
 //!   --raw <file>            compile <file> without instrumentation
 //!                           (third-party source, §3.1)
-//!   --suppressions <file>   load a Valgrind-style suppression file
+//!   --suppressions <file>   load a Valgrind-style suppression file; every
+//!                           engine drops a matching report before the
+//!                           reports= budget counts it
 //!   --gen-suppressions      print a suppression entry for each warning
-//!   --explore <n>           run under <n> random schedules and aggregate
+//!                           (single run only)
+//!   --explore <n>           run the detector under <n> random schedules
+//!                           and aggregate
 //!   --jobs <n>              (with --explore) spread the sweep over <n>
 //!                           worker threads; the summary, checkpoint and
 //!                           exit code are bit-identical to --jobs 1
@@ -36,20 +42,18 @@
 //!                           total-slots — the last is the --explore
 //!                           watchdog); capped runs degrade and set
 //!                           truncated/timed_out flags instead of aborting
-//!   --no-filter             disable the redundant-access filter cache
-//!                           (reports are identical either way; the filter
-//!                           only saves time — also valid for record,
-//!                           --explore and chaos)
 //!   --stats                 print per-engine access counts, filter hit
 //!                           rate, epoch-representation counters and
 //!                           shadow-overflow counters to stderr
-//!                           (also valid for analyze; stdout is unchanged)
+//!                           (single run, record and analyze; stdout is
+//!                           unchanged)
 //!   --static-cross-check    also run the static analysis and label each
 //!                           finding confirmed-both / static-only /
-//!                           dynamic-only (joined by kind, file, line; an
-//!                           escaping-guarded-ref finding is confirmed when
-//!                           a dynamic race lands on one of its recorded
-//!                           post-release use sites)
+//!                           dynamic-only (joined by kind, file, line, an
+//!                           HbRace keyed as the Race of the same access;
+//!                           an escaping-guarded-ref finding is confirmed
+//!                           when a dynamic race lands on one of its
+//!                           recorded post-release use sites)
 //!   --directed              (with --explore and --static-cross-check)
 //!                           spend the first schedules on probes that
 //!                           preempt at each static finding's release/use
@@ -60,14 +64,15 @@
 //!   --emit-annotated        print the annotated source (Fig 4 view)
 //!   --emit-ir               print the lowered guest IR (disassembly)
 //!
+//! Every run puts the redundant-access filter in front of the detector (in
+//! front of the trace writer for `record`); it never changes a report. A
+//! flag the chosen mode does not read is bad usage.
+//!
 //! Exit codes: 0 = ran clean, 1 = findings reported, 2 = tool or guest
 //! error (unreadable input, compile error, bad usage, guest fault).
 //! ```
 
-use helgrind_core::explore::{
-    explore_schedules_directed, explore_schedules_with, DirectedTarget, ExploreCheckpoint,
-    ExploreLimits,
-};
+use helgrind_core::explore::{explore_schedules, DirectedTarget, ExploreCheckpoint, ExploreLimits};
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint};
 use helgrind_core::ReportKind;
 use helgrind_core::{
@@ -75,8 +80,9 @@ use helgrind_core::{
     SuppressionSet,
 };
 use minicpp::analysis::escape::EscapeFinding;
+use minicpp::analysis::AnalysisResult;
 use minicpp::pipeline::{run_pipeline, SourceFile};
-use raceline_trace::format::{Fnv1a, TraceFaultStats, TraceTermination};
+use raceline_trace::format::{Fnv1a, TraceTermination};
 use raceline_trace::writer::TraceWriter;
 use raceline_warehouse::{
     client as wclient, render_diff_json, server as wserver, DiffEntry, Service, ServiceConfig,
@@ -84,27 +90,28 @@ use raceline_warehouse::{
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use vexec::faults::{parse_u64, FaultPlan};
+use vexec::faults::{parse_u64, FaultPlan, FaultStats};
 use vexec::filter::{FilterStats, FilterTool};
 use vexec::ir::lower::FlatProgram;
 use vexec::sched::{Pct, RoundRobin, Scheduler, SeededRandom};
-use vexec::vm::{run_flat, BlockOn, RunResult, RunStats, Termination, VmOptions};
+use vexec::vm::{run_flat, BlockOn, RunStats, Termination, VmOptions};
 
 fn usage() -> ! {
     eprintln!(
         "usage: raceline check <file.mcpp>... [--raw <file.mcpp>]... \
          [--detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue] \
          [--schedule rr|random:<seed>|pct:<seed>:<depth>] \
-         [--suppressions <file>] [--gen-suppressions] [--explore <n>] \
-         [--checkpoint <file>] [--faults <spec>] [--budget <spec>] \
-         [--jobs <n>] [--static-cross-check] [--directed] [--no-filter] \
-         [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
-         \x20      raceline record <file.mcpp>... [--out <trace.rltrace>] \
-         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
-         [--no-filter] [--stats]\n\
+         [--suppressions <file>] [--gen-suppressions] [--faults <spec>] [--budget <spec>] \
+         [--static-cross-check] [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
+         \x20      raceline check <file.mcpp>... --explore <n> [--raw <file.mcpp>]... \
+         [--detector <name>] [--suppressions <file>] [--faults <spec>] [--budget <spec>] \
+         [--jobs <n>] [--checkpoint <file>] [--static-cross-check] [--directed] [--json] \
+         [--emit-annotated] [--emit-ir]\n\
+         \x20      raceline record <file.mcpp>... [--raw <file.mcpp>]... \
+         [--out <trace.rltrace>] [--epoch-events <n>] [--schedule ...] [--faults <spec>] \
+         [--budget <spec>] [--stats]\n\
          \x20      raceline record --case <T1..T8> [--out <trace.rltrace>] \
-         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] \
-         [--no-filter] [--stats]\n\
+         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] [--stats]\n\
          \x20      raceline analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
          [--from-epoch <k>] [--suppressions <file>] [--gen-suppressions] [--budget <spec>] \
          [--repair] [--stats] [--json]\n\
@@ -112,7 +119,7 @@ fn usage() -> ! {
          [--resize <n>] [--hops <n>] [--churn <permille>] [--options <permille>] \
          [--reinvites <n>] [--kill <permille>] [--max-kills <n>] [--no-reclaim] \
          [--detector <name>] [--budget <spec>] [--jobs <n>] [--checkpoint <file>] \
-         [--max-slots <n>] [--no-filter] [--mem-report]\n\
+         [--max-slots <n>] [--mem-report]\n\
          \x20      raceline trace-diff <old.rltrace> <new.rltrace> [--detector <name>] \
          [--detector-a <name>] [--detector-b <name>] [--jobs <n>] [--json]\n\
          \x20      raceline serve --listen <addr> --spool <dir> [--detector <name>] \
@@ -124,7 +131,7 @@ fn usage() -> ! {
          \x20      raceline client --connect <addr> suppress <fingerprint> [--off]\n\
          \x20      raceline lint <file.mcpp>... [--raw <file.mcpp>]... [--json]\n\
          \x20      raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
-         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--no-filter] [--json]"
+         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--json]"
     );
     std::process::exit(2);
 }
@@ -165,9 +172,16 @@ fn read_source(path: &str) -> String {
     })
 }
 
-/// The (kind, file, line) key the static/dynamic join uses.
-fn join_key(r: &Report) -> (String, String, u32) {
-    (r.kind.name().to_string(), r.file.clone(), r.line)
+/// The (kind, file, line) key the static/dynamic join uses. A
+/// happens-before race keys as the lockset race of the same access, so an
+/// HB engine's report confirms the static race at its line.
+fn join_key(r: &Report) -> (ReportKind, &str, u32) {
+    let kind = match r.kind {
+        ReportKind::HbRaceRead => ReportKind::RaceRead,
+        ReportKind::HbRaceWrite => ReportKind::RaceWrite,
+        kind => kind,
+    };
+    (kind, &r.file, r.line)
 }
 
 fn reports_json(reports: &[Report]) -> Value {
@@ -177,7 +191,7 @@ fn reports_json(reports: &[Report]) -> Value {
 /// Probe targets for `--directed`, most promising first: each escape
 /// finding's release sites (the window the probe preempts into), then the
 /// locations of the static race findings themselves.
-fn directed_targets(stat: &minicpp::analysis::AnalysisResult) -> Vec<DirectedTarget> {
+fn directed_targets(stat: &AnalysisResult) -> Vec<DirectedTarget> {
     let mut targets: Vec<DirectedTarget> = Vec::new();
     for e in &stat.escapes {
         if e.release_sites.is_empty() {
@@ -205,26 +219,29 @@ fn directed_targets(stat: &minicpp::analysis::AnalysisResult) -> Vec<DirectedTar
 /// What decides run *i*'s outcome in an explore sweep, recorded in its
 /// checkpoint so a resume refuses another sweep's file: the guest program
 /// (a hash of its disassembly, source locations included), the detector
-/// and its budget caps, the fault plan, the per-run slot cap,
-/// `--no-filter` and `--directed`. The run count and the total slot
-/// budget are left out: run *i* depends on neither, so a larger
-/// `--explore N` extends a sweep.
+/// and its budget caps, the suppression set (a hash of its rendering), the
+/// fault plan, the per-run slot cap and `--directed`. The run count and
+/// the total slot budget are left out: run *i* depends on neither, so a
+/// larger `--explore N` extends a sweep.
 fn explore_spec(
     program: &vexec::ir::Program,
     detector: &str,
     cfg: &DetectorConfig,
+    suppressions: &SuppressionSet,
     limits: &ExploreLimits,
     directed: bool,
 ) -> String {
     let mut h = Fnv1a::default();
     h.update(vexec::ir::disasm::disassemble(&program.lower()).as_bytes());
+    let mut supp = Fnv1a::default();
+    supp.update(suppressions.render().as_bytes());
     format!(
-        "program={:016x} {} faults={:?} slots={:?} no_filter={} directed={directed}",
+        "program={:016x} {} suppressions={:016x} faults={:?} slots={:?} directed={directed}",
         h.0,
         detector_spec(detector, cfg),
+        supp.0,
         limits.faults,
         limits.max_slots_per_run,
-        limits.no_filter,
     )
 }
 
@@ -290,6 +307,75 @@ fn escapes_json(escapes: &[EscapeFinding], dyn_lines: &BTreeSet<(String, u32)>) 
     )
 }
 
+/// The static cross-check of one run or one sweep: each static finding is
+/// confirmed-both or static-only, and each dynamic report that shares no
+/// key with a static finding is dynamic-only.
+struct CrossCheck<'a> {
+    confirmed: Vec<&'a Report>,
+    static_only: Vec<&'a Report>,
+    dynamic_only: Vec<&'a Report>,
+    /// The `static_cross_check` JSON object, the same in both modes.
+    json: Value,
+}
+
+impl<'a> CrossCheck<'a> {
+    /// Join the static findings against `dynamic`. An escaping-guarded-ref
+    /// finding has no dynamic twin by kind; it is confirmed when a dynamic
+    /// race lands on one of its post-release use sites.
+    fn join(stat: &'a AnalysisResult, dynamic: Vec<&'a Report>) -> Self {
+        let dyn_keys: BTreeSet<_> = dynamic.iter().map(|r| join_key(r)).collect();
+        let dyn_lines: BTreeSet<(String, u32)> =
+            dynamic.iter().map(|r| (r.file.clone(), r.line)).collect();
+        let is_confirmed = |r: &Report| {
+            dyn_keys.contains(&join_key(r)) || escape_confirmed(r, &stat.escapes, &dyn_lines)
+        };
+        let stat_keys: BTreeSet<_> = stat.reports.iter().map(join_key).collect();
+        let (confirmed, static_only): (Vec<&Report>, Vec<&Report>) =
+            stat.reports.iter().partition(|r| is_confirmed(r));
+        let dynamic_only: Vec<&Report> =
+            dynamic.into_iter().filter(|r| !stat_keys.contains(&join_key(r))).collect();
+        let to_vals = |rs: &[&Report]| Value::Array(rs.iter().map(|r| r.to_value()).collect());
+        let json = Value::Object(vec![
+            ("confirmed_both".to_string(), to_vals(&confirmed)),
+            ("static_only".to_string(), to_vals(&static_only)),
+            ("dynamic_only".to_string(), to_vals(&dynamic_only)),
+            ("escapes".to_string(), escapes_json(&stat.escapes, &dyn_lines)),
+        ]);
+        CrossCheck { confirmed, static_only, dynamic_only, json }
+    }
+
+    /// The summary line, then one `[label] ` line per finding, worded by
+    /// `describe`.
+    fn render(&self, describe: impl Fn(&Report) -> String) -> String {
+        let mut text = format!(
+            "static cross-check: {} confirmed-both, {} static-only, {} dynamic-only\n",
+            self.confirmed.len(),
+            self.static_only.len(),
+            self.dynamic_only.len()
+        );
+        for (label, set) in [
+            ("confirmed-both", &self.confirmed),
+            ("static-only", &self.static_only),
+            ("dynamic-only", &self.dynamic_only),
+        ] {
+            for r in set {
+                text.push_str(&format!("[{label}] {}\n", describe(r)));
+            }
+        }
+        text
+    }
+}
+
+/// The flags each mode of the shared `check`/`record`/`lint` parser reads,
+/// as its usage line lists them; any other flag is bad usage.
+const CHECK_FLAGS: &str = "--detector --raw --suppressions --faults --budget --static-cross-check \
+                           --json --emit-annotated --emit-ir --schedule --gen-suppressions --stats";
+const EXPLORE_FLAGS: &str =
+    "--detector --raw --suppressions --faults --budget --static-cross-check \
+     --json --emit-annotated --emit-ir --explore --jobs --checkpoint --directed";
+const RECORD_FLAGS: &str = "--raw --case --out --epoch-events --schedule --faults --budget --stats";
+const LINT_FLAGS: &str = "--raw --json";
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = match args.next().as_deref() {
@@ -335,12 +421,15 @@ fn main() {
     let mut record_out: Option<String> = None;
     let mut record_case: Option<String> = None;
     let mut epoch_events: Option<u64> = None;
-    let mut no_filter = false;
     let mut stats = false;
 
     let args: Vec<String> = args.collect();
+    let mut given: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with('-') {
+            given.push(a);
+        }
         match a.as_str() {
             "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
             "--schedule" => schedule = it.next().unwrap_or_else(|| usage()).clone(),
@@ -382,7 +471,6 @@ fn main() {
             "--emit-annotated" => emit_annotated = true,
             "--emit-ir" => emit_ir = true,
             "--json" => json = true,
-            "--no-filter" => no_filter = true,
             "--stats" => stats = true,
             "--static-cross-check" => cross_check = true,
             "--directed" => directed = true,
@@ -399,11 +487,29 @@ fn main() {
             _ => usage(),
         }
     }
+    let (mode, mode_flags) = match cmd {
+        "lint" => ("lint", LINT_FLAGS),
+        "record" => ("record", RECORD_FLAGS),
+        _ if explore.is_some() => ("check --explore", EXPLORE_FLAGS),
+        _ => ("check", CHECK_FLAGS),
+    };
+    if let Some(flag) = given.into_iter().find(|f| !mode_flags.split(' ').any(|m| m == *f)) {
+        eprintln!("{flag} does not apply to {mode}");
+        usage();
+    }
+    let opts = VmOptions {
+        faults,
+        max_slots: budget
+            .as_ref()
+            .and_then(|b| b.max_slots)
+            .unwrap_or(VmOptions::default().max_slots),
+        ..Default::default()
+    };
     // `record --case NAME` records a built-in sipsim proxy scenario (the
     // T1–T8 Fig 6 cases) instead of compiling sources — the trace corpus
     // the serve gates and benches upload.
     if let Some(case) = &record_case {
-        if cmd != "record" || !files.is_empty() {
+        if !files.is_empty() {
             usage();
         }
         let tc = sipsim::testcases().into_iter().find(|t| t.name == *case).unwrap_or_else(|| {
@@ -412,16 +518,14 @@ fn main() {
             std::process::exit(EXIT_ERROR);
         });
         let flat = tc.build().program.lower();
-        let mut sched = parse_schedule(&schedule);
-        let opts = VmOptions {
-            faults,
-            max_slots: budget
-                .as_ref()
-                .and_then(|b| b.max_slots)
-                .unwrap_or(VmOptions::default().max_slots),
-            ..Default::default()
-        };
-        run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
+        run_record(
+            &flat,
+            parse_schedule(&schedule).as_mut(),
+            opts,
+            record_out,
+            epoch_events,
+            stats,
+        );
     }
     if files.is_empty() {
         usage();
@@ -441,6 +545,19 @@ fn main() {
         files.len(),
         out.deletes_annotated
     );
+    let flat = out.program.lower();
+    // Record mode: run the VM once with the trace writer as the tool and
+    // leave all detection for `raceline analyze`.
+    if cmd == "record" {
+        run_record(
+            &flat,
+            parse_schedule(&schedule).as_mut(),
+            opts,
+            record_out,
+            epoch_events,
+            stats,
+        );
+    }
     if emit_annotated {
         for (name, src) in &out.annotated_sources {
             println!("// ---- {name} (annotated) ----");
@@ -449,13 +566,14 @@ fn main() {
     }
 
     if emit_ir {
-        println!("{}", vexec::ir::disasm::disassemble(&out.program.lower()));
+        println!("{}", vexec::ir::disasm::disassemble(&flat));
     }
 
     let mut cfg = parse_detector(&detector_name);
     if let Some(b) = &budget {
         cfg.budget = b.detector;
     }
+    let stat = cross_check.then(|| minicpp::analysis::analyze(&out.units));
 
     // Exploration mode: aggregate warnings across many schedules.
     if let Some(runs) = explore {
@@ -464,9 +582,9 @@ fn main() {
             total_slot_budget: budget.as_ref().and_then(|b| b.total_slots),
             faults,
             jobs,
-            no_filter,
         };
-        let spec = explore_spec(&out.program, &detector_name, &cfg, &limits, directed);
+        let spec =
+            explore_spec(&out.program, &detector_name, &cfg, &suppressions, &limits, directed);
         let resume = checkpoint_path.as_ref().and_then(|p| {
             let bytes = match std::fs::read(p) {
                 Ok(bytes) => bytes,
@@ -508,27 +626,28 @@ fn main() {
                 }
             }
         });
-        if directed && !cross_check {
-            eprintln!("--directed requires --static-cross-check (it consumes static findings)");
-            std::process::exit(EXIT_ERROR);
-        }
-        let stat = cross_check.then(|| minicpp::analysis::analyze(&out.units));
-        let summary = if directed {
-            let stat = stat.as_ref().expect("--directed implies --static-cross-check");
-            let targets = directed_targets(stat);
-            eprintln!("directed: {} probe target(s) from static findings", targets.len());
-            explore_schedules_directed(
-                &out.program,
-                cfg,
-                runs,
-                0xACE,
-                limits,
-                resume.as_ref(),
-                &targets,
-            )
-        } else {
-            explore_schedules_with(&out.program, cfg, runs, 0xACE, limits, resume.as_ref())
+        let targets = match (&stat, directed) {
+            (_, false) => Vec::new(),
+            (Some(stat), true) => {
+                let targets = directed_targets(stat);
+                eprintln!("directed: {} probe target(s) from static findings", targets.len());
+                targets
+            }
+            (None, true) => {
+                eprintln!("--directed requires --static-cross-check (it consumes static findings)");
+                std::process::exit(EXIT_ERROR);
+            }
         };
+        let detector = || AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
+        let summary = explore_schedules(
+            &out.program,
+            detector,
+            runs,
+            0xACE,
+            limits,
+            resume.as_ref(),
+            &targets,
+        );
         if let Some(p) = &checkpoint_path {
             let ck = ExploreCheckpoint { spec, ..summary.checkpoint() };
             if let Err(e) = commitlog::replace(p, &ck.render()) {
@@ -556,52 +675,11 @@ fn main() {
                 );
             }
         }
-        let mut cross_json: Option<Value> = None;
-        if let Some(stat) = &stat {
-            // Join the static findings against every location any explored
-            // schedule hit — the union is the fairest dynamic baseline. An
-            // escaping-guarded-ref finding has no dynamic twin by kind; it
-            // is confirmed when a dynamic race lands on one of its
-            // post-release use sites.
-            let dyn_keys: BTreeSet<_> =
-                summary.locations.iter().map(|h| join_key(&h.report)).collect();
-            let dyn_lines: BTreeSet<(String, u32)> =
-                summary.locations.iter().map(|h| (h.report.file.clone(), h.report.line)).collect();
-            let is_confirmed = |r: &Report| {
-                dyn_keys.contains(&join_key(r)) || escape_confirmed(r, &stat.escapes, &dyn_lines)
-            };
-            let stat_keys: BTreeSet<_> = stat.reports.iter().map(join_key).collect();
-            let confirmed = stat.reports.iter().filter(|r| is_confirmed(r));
-            let static_only = stat.reports.iter().filter(|r| !is_confirmed(r));
-            let dynamic_only =
-                summary.locations.iter().filter(|h| !stat_keys.contains(&join_key(&h.report)));
-            if !json {
-                println!(
-                    "static cross-check: {} confirmed-both, {} static-only, {} dynamic-only",
-                    confirmed.clone().count(),
-                    static_only.clone().count(),
-                    dynamic_only.clone().count()
-                );
-                for r in confirmed.clone() {
-                    println!("[confirmed-both] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-                for r in static_only.clone() {
-                    println!("[static-only] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-                for h in dynamic_only.clone() {
-                    let r = &h.report;
-                    println!("[dynamic-only] {} at {}:{}", r.kind.name(), r.file, r.line);
-                }
-            }
-            let to_vals =
-                |rs: Vec<&Report>| Value::Array(rs.iter().map(|r| r.to_value()).collect());
-            cross_json = Some(Value::Object(vec![
-                ("confirmed_both".to_string(), to_vals(confirmed.collect())),
-                ("static_only".to_string(), to_vals(static_only.collect())),
-                ("dynamic_only".to_string(), to_vals(dynamic_only.map(|h| &h.report).collect())),
-                ("escapes".to_string(), escapes_json(&stat.escapes, &dyn_lines)),
-            ]));
-        }
+        // The union of every explored schedule's locations is the fairest
+        // dynamic baseline for the join.
+        let cross = stat.as_ref().map(|stat| {
+            CrossCheck::join(stat, summary.locations.iter().map(|h| &h.report).collect())
+        });
         if json {
             let locs = Value::Array(
                 summary
@@ -625,102 +703,42 @@ fn main() {
                 ("directed".to_string(), Value::Bool(directed)),
                 ("locations".to_string(), locs),
             ];
-            if let Some(c) = cross_json {
-                obj.push(("static_cross_check".to_string(), c));
+            if let Some(c) = cross {
+                obj.push(("static_cross_check".to_string(), c.json));
             }
             println!("{}", Value::Object(obj));
+        } else if let Some(c) = cross {
+            print!("{}", c.render(|r| format!("{} at {}:{}", r.kind.name(), r.file, r.line)));
         }
         std::process::exit(if summary.locations.is_empty() { 0 } else { 1 });
     }
 
-    // Single-run mode: collect the post-suppression dynamic findings.
-    let mut sched = parse_schedule(&schedule);
-    let flat = out.program.lower();
-    let opts = VmOptions {
-        faults,
-        max_slots: budget
-            .as_ref()
-            .and_then(|b| b.max_slots)
-            .unwrap_or(VmOptions::default().max_slots),
-        ..Default::default()
-    };
-    // Record mode: run the VM once with the trace writer as the tool and
-    // leave all detection for `raceline analyze`.
-    if cmd == "record" {
-        run_record(&flat, sched.as_mut(), opts, record_out, epoch_events, no_filter, stats);
-    }
-
-    // Eraser applies suppressions inside its sink already.
-    let det = AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
-    let (r, mut det, filter_stats) = run_detector(&flat, det, sched.as_mut(), opts, no_filter);
+    // Single-run mode: the detector's sink has already dropped every
+    // suppressed report.
+    let mut tool = FilterTool::new(AnyDetector::by_name(&detector_name, cfg, suppressions));
+    let r = run_flat(&flat, &mut tool, parse_schedule(&schedule).as_mut(), opts);
+    let (mut det, filter_stats) = tool.into_parts();
     if stats {
         print_engine_stats(&det.engine_stats());
-        if let Some(fs) = filter_stats {
-            print_filter_stats(&fs);
-        }
+        print_filter_stats(&filter_stats);
         print_interp_stats(&r.stats);
     }
     let truncated = det.truncated();
-    let dynamic: Vec<Report> =
-        det.take_reports().into_iter().filter(|r| !suppressions.matches(r)).collect();
+    let dynamic = det.take_reports();
 
     // Static cross-check: join the two report streams by (kind, file,
     // line). The static side sees paths no schedule exercised; the
     // dynamic side sees heap/alias behaviour the static side abstracts.
-    let cross = cross_check.then(|| {
-        let stat = minicpp::analysis::analyze(&out.units);
-        let dyn_keys: BTreeSet<_> = dynamic.iter().map(join_key).collect();
-        let dyn_lines: BTreeSet<(String, u32)> =
-            dynamic.iter().map(|r| (r.file.clone(), r.line)).collect();
-        let is_confirmed = |r: &Report| {
-            dyn_keys.contains(&join_key(r)) || escape_confirmed(r, &stat.escapes, &dyn_lines)
-        };
-        let stat_keys: BTreeSet<_> = stat.reports.iter().map(join_key).collect();
-        let confirmed: Vec<&Report> = stat.reports.iter().filter(|r| is_confirmed(r)).collect();
-        let static_only: Vec<&Report> = stat.reports.iter().filter(|r| !is_confirmed(r)).collect();
-        let dynamic_only: Vec<&Report> =
-            dynamic.iter().filter(|r| !stat_keys.contains(&join_key(r))).collect();
-        let mut text = format!(
-            "static cross-check: {} confirmed-both, {} static-only, {} dynamic-only\n",
-            confirmed.len(),
-            static_only.len(),
-            dynamic_only.len()
-        );
-        for (label, set) in [
-            ("confirmed-both", &confirmed),
-            ("static-only", &static_only),
-            ("dynamic-only", &dynamic_only),
-        ] {
-            for r in set.iter() {
-                text.push_str(&format!(
-                    "[{label}] {} at {} ({}:{}) — {}\n",
-                    r.kind.name(),
-                    r.func,
-                    r.file,
-                    r.line,
-                    r.details
-                ));
-            }
-        }
-        let to_vals = |rs: &[&Report]| Value::Array(rs.iter().map(|r| r.to_value()).collect());
-        let value = Value::Object(vec![
-            ("confirmed_both".to_string(), to_vals(&confirmed)),
-            ("static_only".to_string(), to_vals(&static_only)),
-            ("dynamic_only".to_string(), to_vals(&dynamic_only)),
-            ("escapes".to_string(), escapes_json(&stat.escapes, &dyn_lines)),
-        ]);
-        (text, value)
+    let cross = stat.as_ref().map(|stat| {
+        let c = CrossCheck::join(stat, dynamic.iter().collect());
+        let text = c.render(|r| {
+            format!("{} at {} ({}:{}) — {}", r.kind.name(), r.func, r.file, r.line, r.details)
+        });
+        (text, c.json)
     });
 
     let (end, term_label) = end_of_termination(&r.termination);
-    let faults_out = r.faults.map(|fs| FaultCounts {
-        total: fs.total(),
-        spurious_wakeups: fs.spurious_wakeups,
-        lock_failures: fs.lock_failures,
-        alloc_failures: fs.alloc_failures,
-        kills: fs.kills,
-    });
-    finish_run(dynamic, truncated, end, term_label, faults_out, cross, gen_suppressions, json);
+    finish_run(&dynamic, truncated, end, term_label, r.faults, cross, gen_suppressions, json);
 }
 
 /// How a run (live or replayed) ended, reduced to what the CLI prints.
@@ -733,37 +751,6 @@ enum EndKind {
     Deadlock(Vec<(u32, BlockOn, Vec<u32>)>),
     GuestError(String),
     TimedOut,
-}
-
-/// Injected-fault counters in CLI-neutral form (live or from the footer).
-struct FaultCounts {
-    total: u64,
-    spurious_wakeups: u64,
-    lock_failures: u64,
-    alloc_failures: u64,
-    kills: u64,
-}
-
-/// Run a detector through the VM, with the redundant-access filter in
-/// front unless `--no-filter`. The filter is report-preserving (the
-/// equivalence gates enforce it), so both paths print identical stdout.
-fn run_detector(
-    flat: &FlatProgram,
-    det: AnyDetector,
-    sched: &mut dyn Scheduler,
-    opts: VmOptions,
-    no_filter: bool,
-) -> (RunResult, AnyDetector, Option<FilterStats>) {
-    if no_filter {
-        let mut det = det;
-        let r = run_flat(flat, &mut det, sched, opts);
-        (r, det, None)
-    } else {
-        let mut tool = FilterTool::new(det);
-        let r = run_flat(flat, &mut tool, sched, opts);
-        let (det, fstats) = tool.into_parts();
-        (r, det, Some(fstats))
-    }
 }
 
 /// `--stats` output, stderr only: stdout report identity between filtered
@@ -869,11 +856,11 @@ fn end_of_trace(t: &TraceTermination) -> (EndKind, String) {
 /// the 0/1/2 contract.
 #[allow(clippy::too_many_arguments)]
 fn finish_run(
-    dynamic: Vec<Report>,
+    dynamic: &[Report],
     truncated: bool,
     end: EndKind,
     term_label: String,
-    faults: Option<FaultCounts>,
+    faults: Option<FaultStats>,
     cross: Option<(String, Value)>,
     gen_suppressions: bool,
     json: bool,
@@ -930,7 +917,7 @@ fn finish_run(
             ("termination".to_string(), Value::Str(term_label)),
             ("truncated".to_string(), Value::Bool(truncated)),
             ("timed_out".to_string(), Value::Bool(timed_out)),
-            ("reports".to_string(), reports_json(&dynamic)),
+            ("reports".to_string(), reports_json(dynamic)),
         ];
         if let Some(e) = &guest_error {
             obj.push(("guest_error".to_string(), Value::Str(e.clone())));
@@ -939,7 +926,7 @@ fn finish_run(
             obj.push((
                 "injected_faults".to_string(),
                 Value::Object(vec![
-                    ("total".to_string(), Value::UInt(fs.total)),
+                    ("total".to_string(), Value::UInt(fs.total())),
                     ("spurious_wakeups".to_string(), Value::UInt(fs.spurious_wakeups)),
                     ("lock_failures".to_string(), Value::UInt(fs.lock_failures)),
                     ("alloc_failures".to_string(), Value::UInt(fs.alloc_failures)),
@@ -970,7 +957,6 @@ fn run_record(
     opts: VmOptions,
     record_out: Option<String>,
     epoch_events: Option<u64>,
-    no_filter: bool,
     stats: bool,
 ) -> ! {
     let out_path = record_out.unwrap_or_else(|| "trace.rltrace".to_string());
@@ -984,24 +970,16 @@ fn run_record(
     }
     // The filter elides exact-repeat accesses before they reach the
     // writer: smaller traces, same reports on replay (elided events
-    // are state-transition no-ops). --no-filter forces full streams.
-    let (r, writer, filter_stats) = if no_filter {
-        let r = run_flat(flat, &mut writer, sched, opts);
-        (r, writer, None)
-    } else {
-        let mut tool = FilterTool::new(writer);
-        let r = run_flat(flat, &mut tool, sched, opts);
-        let (writer, fstats) = tool.into_parts();
-        (r, writer, Some(fstats))
-    };
+    // are state-transition no-ops).
+    let mut tool = FilterTool::new(writer);
+    let r = run_flat(flat, &mut tool, sched, opts);
+    let (writer, filter_stats) = tool.into_parts();
     let summary = writer.finish(&r.termination, &r.stats, r.faults.as_ref()).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(EXIT_ERROR);
     });
     if stats {
-        if let Some(fs) = filter_stats {
-            print_filter_stats(&fs);
-        }
+        print_filter_stats(&filter_stats);
         print_interp_stats(&r.stats);
     }
     match &r.termination {
@@ -1088,7 +1066,7 @@ fn run_analyze(args: Vec<String>) -> ! {
     if let Some(b) = &budget {
         cfg.budget = b.detector;
     }
-    let detector = AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
+    let detector = AnyDetector::by_name(&detector_name, cfg, suppressions);
     let outcome = if repair {
         let (outcome, info) =
             helgrind_core::analyze_trace_repair(&bytes, detector, jobs.max(1), from_epoch)
@@ -1119,17 +1097,18 @@ fn run_analyze(args: Vec<String>) -> ! {
         print_engine_stats(&outcome.engine_stats);
     }
 
-    let dynamic: Vec<Report> =
-        outcome.reports.into_iter().filter(|r| !suppressions.matches(r)).collect();
     let (end, term_label) = end_of_trace(&outcome.footer.termination);
-    let faults = outcome.footer.faults.map(|fs: TraceFaultStats| FaultCounts {
-        total: fs.total(),
-        spurious_wakeups: fs.spurious_wakeups,
-        lock_failures: fs.lock_failures,
-        alloc_failures: fs.alloc_failures,
-        kills: fs.kills,
-    });
-    finish_run(dynamic, outcome.truncated, end, term_label, faults, None, gen_suppressions, json);
+    let faults = outcome.footer.faults;
+    finish_run(
+        &outcome.reports,
+        outcome.truncated,
+        end,
+        term_label,
+        faults,
+        None,
+        gen_suppressions,
+        json,
+    );
 }
 
 /// `raceline trace-diff`: analyze two traces (or one trace under two
@@ -1161,11 +1140,10 @@ fn run_trace_diff(args: Vec<String>) -> ! {
         usage();
     }
     let detector_b = detector_b.unwrap_or_else(|| detector_a.clone());
-    let suppressions = SuppressionSet::new();
 
     let analyze_one = |path: &str, name: &str| -> BTreeMap<String, Report> {
         let bytes = read_trace(path);
-        let det = AnyDetector::by_name(name, parse_detector(name), suppressions.clone());
+        let det = AnyDetector::by_name(name, parse_detector(name), SuppressionSet::new());
         let outcome = analyze_trace_bytes(&bytes, det, jobs.max(1), 0).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
             std::process::exit(EXIT_ERROR);
@@ -1448,12 +1426,10 @@ fn run_chaos(args: Vec<String>) -> ! {
     let mut max_slots: Option<u64> = None;
     let mut jobs: usize = 1;
     let mut json = false;
-    let mut no_filter = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--no-filter" => no_filter = true,
             "--jobs" => {
                 jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
             }
@@ -1529,7 +1505,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         let ci = i % cases.len();
         let sched_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
         let b = &built[ci];
-        let run = || sipsim::run_case_chaos(b, detector(), plan, sched_seed, max_slots, !no_filter);
+        let run = || sipsim::run_case_chaos(b, detector(), plan, sched_seed, max_slots);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).ok();
         // Determinism probe on a sample of runs: the same (plan, schedule)
         // must reproduce the exact report fingerprint.
@@ -1688,7 +1664,6 @@ fn run_soak(args: Vec<String>) -> ! {
     let mut jobs: usize = 1;
     let mut checkpoint_path: Option<String> = None;
     let mut max_slots: Option<u64> = None;
-    let mut no_filter = false;
     let mut mem_report = false;
 
     let mut it = args.iter();
@@ -1720,7 +1695,6 @@ fn run_soak(args: Vec<String>) -> ! {
             "--jobs" => jobs = num(&mut it).max(1) as usize,
             "--checkpoint" => checkpoint_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--max-slots" => max_slots = Some(num(&mut it)),
-            "--no-filter" => no_filter = true,
             "--mem-report" => mem_report = true,
             _ => usage(),
         }
@@ -1734,16 +1708,12 @@ fn run_soak(args: Vec<String>) -> ! {
             max_slots.get_or_insert(slots);
         }
     }
-    let use_filter = !no_filter;
 
     // Resume from a checkpoint if one exists; otherwise start fresh (and
     // seed the log file with its header so appends have a base). The log
     // records the detector settings too, so a resume under another engine
     // cannot fold two configurations into one catalogue.
-    let settings = format!(
-        "{} slots={max_slots:?} no_filter={no_filter}",
-        detector_spec(&detector_name, &cfg)
-    );
+    let settings = format!("{} slots={max_slots:?}", detector_spec(&detector_name, &cfg));
     let mut log = SoakLog::new(&spec, &settings);
     if let Some(path) = &checkpoint_path {
         let (parsed, cut) = commitlog::recover(path, &log.header(), |text| {
@@ -1779,7 +1749,7 @@ fn run_soak(args: Vec<String>) -> ! {
         let chunk = jobs.min((spec.phases - phase) as usize);
         let outcomes = run_indexed(jobs, chunk, |i| {
             let det = AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
-            run_phase(&spec, phase + i as u32, Some(det), use_filter, max_slots)
+            run_phase(&spec, phase + i as u32, Some(det), true, max_slots)
         });
         for out in outcomes {
             if let Some(path) = &checkpoint_path {

@@ -15,6 +15,9 @@
 
 mod common;
 
+use vexec::vm::VmOptions;
+use vexec::FaultPlan;
+
 /// Every program × 6 engines, clean deterministic schedule.
 #[test]
 fn t1_t8_filtered_runs_are_byte_identical() {
@@ -28,4 +31,28 @@ fn t1_t8_filtered_runs_are_byte_identical() {
 #[test]
 fn t1_t8_filtered_runs_are_byte_identical_under_faults() {
     common::assert_matrix(common::UNFILTERED, true);
+}
+
+/// T3 under the (fault plan, schedule) pairs of `raceline chaos`'s seeded
+/// plans: the filter must not change the run, the reports or the
+/// injected-fault counters.
+#[test]
+fn chaos_plans_are_filter_invariant() {
+    let t3 = common::program("T3");
+    for (plan_seed, sched_seed) in [(0xC0FFEE, 7), (0xBEEF, 11), (42, 3)] {
+        let opts =
+            VmOptions { faults: Some(FaultPlan::from_seed(plan_seed)), ..VmOptions::default() };
+        for engine in common::ENGINES {
+            let observe = |side| {
+                let mut sched = common::scheduler(Some(sched_seed));
+                let (r, mut det) = common::run(&t3.flat, engine, &opts, sched.as_mut(), side);
+                format!("{}faults: {:?}\n", common::render(&r, &mut det), r.faults)
+            };
+            assert_eq!(
+                observe(common::PRODUCTION),
+                observe(common::UNFILTERED),
+                "{engine}: plan {plan_seed:#x} schedule {sched_seed}"
+            );
+        }
+    }
 }

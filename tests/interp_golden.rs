@@ -94,7 +94,7 @@ fn chaos_fingerprints_are_core_invariant() {
             let plan = FaultPlan::from_seed(0xFACE + i as u64 * 13 + p);
             let sched_seed = 0xBEEF ^ (i as u64) << 8 | p;
             let det = common::detector("hwlc-dr", false);
-            let chaos = sipsim::run_case_chaos(&built, det, plan, sched_seed, None, true);
+            let chaos = sipsim::run_case_chaos(&built, det, plan, sched_seed, None);
             pin.update(&chaos.fingerprint.to_le_bytes());
             let opts = VmOptions { faults: Some(plan), ..VmOptions::default() };
             let sched = || common::scheduler(Some(sched_seed));

@@ -300,13 +300,16 @@ fn explore_refuses_another_sweeps_checkpoint() {
     let (_, _, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &p]);
     assert_eq!(code, 1);
     let saved = std::fs::read(&ck).unwrap();
+    let supp_file = tmp("other_sweep.supp");
+    std::fs::write(&supp_file, "{\n   s\n   Helgrind:Race\n   fun:no_such_function\n}\n").unwrap();
+    let supp = supp_file.to_str().unwrap().to_string();
 
     for other in [
         &["examples/programs/racy_global.mcpp"][..],
         &[SAMPLE, "--detector", "djit"],
         &[SAMPLE, "--faults", "seed=9,wakeup=25"],
         &[SAMPLE, "--budget", "slots=5000"],
-        &[SAMPLE, "--no-filter"],
+        &[SAMPLE, "--suppressions", &supp],
         &[SAMPLE, "--static-cross-check", "--directed"],
     ] {
         let mut args = vec!["check"];

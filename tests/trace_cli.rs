@@ -313,3 +313,34 @@ fn checkpoint_survives_torn_final_line() {
     assert!(stderr.contains("resuming from"), "{stderr}");
     assert_eq!(stdout, full, "the resumed sweep prints the uninterrupted one");
 }
+
+/// Every engine drops a suppressed report in its sink, before the report
+/// cap counts it: under `reports=5` a suppression of T3's 46 djit
+/// `std::string::string` locations leaves five of the other 61 to print,
+/// not an empty report.
+#[test]
+fn analyze_applies_suppressions_before_the_report_cap() {
+    let trace = tmp("t3_capped.rltrace");
+    let t = trace.to_str().unwrap().to_string();
+    let (_, stderr, code) = raceline(&["record", "--case", "T3", "--out", &t]);
+    assert_eq!(code, 0, "{stderr}");
+    let supp = tmp("string_ctor.supp");
+    std::fs::write(
+        &supp,
+        "{\n   string-ctor\n   Helgrind:HbRace\n   fun:std::string::string\n   ...\n}\n",
+    )
+    .unwrap();
+    let s = supp.to_str().unwrap();
+
+    let args = ["analyze", &t, "--detector", "djit", "--budget", "reports=5", "--suppressions", s];
+    let (stdout, stderr, code) = raceline(&args);
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    assert!(stderr.contains("5 warning(s)"), "{stderr}");
+    assert_eq!(stdout.matches("Possible HbRace").count(), 5, "{stdout}");
+    assert!(!stdout.contains("at std::string::string"), "{stdout}");
+
+    let (stdout, stderr, code) =
+        raceline(&["analyze", &t, "--detector", "djit", "--suppressions", s]);
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    assert!(stderr.contains("61 warning(s)"), "{stderr}");
+}

@@ -8,9 +8,9 @@
 
 mod common;
 
-use common::UNFILTERED;
+use common::{PRODUCTION, UNFILTERED};
 use helgrind_core::replay::{analyze_trace_bytes, analyze_trace_repair};
-use helgrind_core::Report;
+use helgrind_core::{AnyDetector, DetectorConfig, Report, SuppressionSet};
 use raceline_trace::reader::{parse_trace, parse_trace_repair};
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::lower::FlatProgram;
@@ -18,9 +18,9 @@ use vexec::ir::Expr;
 use vexec::sched::RoundRobin;
 use vexec::vm::VmOptions;
 
-/// Record a bare (unfiltered) round-robin run, as the inline side runs.
+/// Record a round-robin run through the filter, as `raceline record` does.
 fn record_bytes(flat: &FlatProgram, epoch_events: u64) -> Vec<u8> {
-    common::record(flat, epoch_events, UNFILTERED)
+    common::record(flat, epoch_events, PRODUCTION)
 }
 
 fn analyze(bytes: &[u8], engine: &str, jobs: usize) -> (Vec<String>, bool) {
@@ -59,6 +59,9 @@ fn ab_ba_program() -> vexec::Program {
     pb.finish()
 }
 
+/// Filtered recordings are what `raceline record` writes; bare ones are
+/// what older `--no-filter` recordings hold, and `analyze` still reads
+/// them. Both replay to the inline run's reports.
 #[test]
 fn record_analyze_matches_inline_for_all_cases_and_engines() {
     let mut inputs: Vec<(String, FlatProgram)> =
@@ -67,10 +70,10 @@ fn record_analyze_matches_inline_for_all_cases_and_engines() {
     for (name, flat) in &inputs {
         // Small epochs so even the small cases exercise multi-epoch decode
         // and the codec reset at every boundary.
-        let bytes = record_bytes(flat, 512);
+        let recordings = [PRODUCTION, UNFILTERED].map(|side| common::record(flat, 512, side));
         for engine in common::ENGINES {
             let opts = VmOptions::default();
-            let (_, mut det) = common::run(flat, engine, &opts, &mut RoundRobin::new(), UNFILTERED);
+            let (_, mut det) = common::run(flat, engine, &opts, &mut RoundRobin::new(), PRODUCTION);
             let inline_trunc = det.truncated();
             let inline_reports: Vec<String> =
                 det.take_reports().iter().map(Report::render).collect();
@@ -85,12 +88,14 @@ fn record_analyze_matches_inline_for_all_cases_and_engines() {
                     "engine {engine}: {inline_reports:?}"
                 );
             }
-            let (replayed, replay_trunc) = analyze(&bytes, engine, 1);
-            assert_eq!(
-                replayed, inline_reports,
-                "case {name} engine {engine}: offline reports differ from inline"
-            );
-            assert_eq!(replay_trunc, inline_trunc, "case {name} engine {engine}");
+            for (bytes, kind) in recordings.iter().zip(["filtered", "bare"]) {
+                let (replayed, replay_trunc) = analyze(bytes, engine, 1);
+                assert_eq!(
+                    replayed, inline_reports,
+                    "case {name} engine {engine}: {kind} recording replays other reports"
+                );
+                assert_eq!(replay_trunc, inline_trunc, "case {name} engine {engine} ({kind})");
+            }
         }
     }
 }
@@ -270,5 +275,33 @@ fn repaired_sharded_analysis_matches_sequential() {
     let seq = render(1);
     for jobs in [2, 4, 8] {
         assert_eq!(render(jobs), seq, "jobs {jobs}");
+    }
+}
+
+/// Each engine's sink drops exactly the reports a filter over its
+/// unsuppressed output drops, when no report cap is set: T3 replayed under
+/// every engine with a `Race` and an `HbRace` suppression of the string
+/// refcount sites.
+#[test]
+fn sink_suppressions_drop_what_a_post_filter_drops() {
+    let bytes = record_bytes(&common::program("T3").flat, 512);
+    for kind in ["Race", "HbRace"] {
+        let text = format!("{{\n   s\n   Helgrind:{kind}\n   fun:std::string::*\n   ...\n}}\n");
+        let supp = SuppressionSet::parse(&text).unwrap();
+        for engine in common::ENGINES {
+            let cfg = DetectorConfig::by_name(engine).unwrap();
+            let replay = |supp: SuppressionSet| {
+                let det = AnyDetector::by_name(engine, cfg, supp);
+                analyze_trace_bytes(&bytes, det, 1, 0).expect("trace analyzes").reports
+            };
+            let all = replay(SuppressionSet::new());
+            let kept: Vec<String> =
+                all.iter().filter(|r| !supp.matches(r)).map(Report::render).collect();
+            let sunk: Vec<String> = replay(supp.clone()).iter().map(Report::render).collect();
+            assert_eq!(sunk, kept, "{engine} with a {kind} suppression");
+            if kept.len() < all.len() {
+                assert!(!sunk.is_empty(), "{engine}: only the string sites are suppressed");
+            }
+        }
     }
 }
