@@ -47,6 +47,13 @@ impl SlotMeter {
     }
 }
 
+/// Revision of the VM's schedule semantics: bump when a VM change moves
+/// schedules. Files that replay a sweep from recorded seeds (explore
+/// checkpoints, soak logs) record it and are refused under another.
+/// Revision 2 wakes one waiter per mutex release; revision 1, never
+/// recorded, woke them all.
+pub const SCHEDULE_REVISION: u32 = 2;
+
 /// VM tuning knobs.
 #[derive(Clone, Debug)]
 pub struct VmOptions {
@@ -510,6 +517,12 @@ impl<'p> Vm<'p> {
                 break if self.blocked.is_empty() {
                     Termination::AllExited
                 } else {
+                    // A mutex release wakes one waiter and a kill hands a
+                    // lost wakeup on, so no waiter sleeps on a free mutex.
+                    debug_assert!(
+                        self.blocked.iter().all(|&t| self.free_mutex_of(t).is_none()),
+                        "lost wakeup: a thread sleeps on a free mutex"
+                    );
                     Termination::Deadlock(self.wait_infos())
                 };
             }
@@ -635,6 +648,11 @@ impl<'p> Vm<'p> {
     /// blocks stay allocated. Joiners are woken (as if the thread exited),
     /// but anything blocked on a lock it held now deadlocks — exactly the
     /// failure shape a crashed worker leaves behind in a real server.
+    ///
+    /// The victim may be the one waiter a mutex release woke, and its
+    /// wakeup would die with it. So the kill hands it on: it wakes the
+    /// first waiter of every free mutex that still has waiters. A spare
+    /// wake costs its waiter one failed retry.
     fn kill_thread(&mut self, victim: ThreadId) {
         let locks = self.syncs.iter().filter(|s| s.is_held_by(victim)).count() as u64;
         let (_, bytes) = self.heap.live_blocks_by(victim);
@@ -648,6 +666,13 @@ impl<'p> Vm<'p> {
         self.set_state(victim, ThreadState::Exited);
         self.pending.push(Event::ThreadExit { tid: victim });
         self.wake_joiners(victim);
+        let mut free: Vec<SyncId> =
+            self.blocked.iter().filter_map(|&t| self.free_mutex_of(t)).collect();
+        free.sort_unstable();
+        free.dedup();
+        for sid in free {
+            self.wake_mutex_waiter(sid);
+        }
     }
 
     fn inject_lock_fail(&mut self) -> bool {
@@ -1680,7 +1705,7 @@ impl<'p> Vm<'p> {
         let (sid, obj) = self.sync_obj(tid, h, loc)?;
         obj.mutex_unlock(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
         self.advance(tid);
-        self.wake_blocked_on(|b| matches!(b, BlockOn::Mutex(s) if *s == sid));
+        self.wake_mutex_waiter(sid);
         Ok(Flow::Emitted(Event::Release { tid, sync: sid, kind: SyncKind::Mutex, loc }))
     }
 
@@ -1780,7 +1805,7 @@ impl<'p> Vm<'p> {
             let (csid, cobj) = self.sync_obj(tid, ch, loc)?;
             cobj.cond_park(tid).map_err(|e| self.err_at(tid, loc, GuestErrorKind::Sync(e)))?;
             self.set_state(tid, ThreadState::Blocked(BlockOn::Cond(csid)));
-            self.wake_blocked_on(|b| matches!(b, BlockOn::Mutex(s) if *s == msid));
+            self.wake_mutex_waiter(msid);
             Ok(Flow::Emitted(Event::Release { tid, sync: msid, kind: SyncKind::Mutex, loc }))
         }
     }
@@ -1925,7 +1950,32 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Wake one waiter of mutex `sid`: the lowest-id thread blocked on it.
+    /// The rest stay blocked, as behind a futex-based mutex. The woken
+    /// waiter either takes the lock, and its release wakes the next, or
+    /// finds it retaken and blocks again behind a holder whose release
+    /// will. Waking them all would make all but one retry in vain.
+    fn wake_mutex_waiter(&mut self, sid: SyncId) {
+        let waiting = ThreadState::Blocked(BlockOn::Mutex(sid));
+        if let Some(&tid) = self.blocked.iter().find(|t| self.threads[t.index()].state == waiting) {
+            self.set_state(tid, ThreadState::Runnable);
+        }
+    }
+
+    /// The mutex `tid` is blocked on, if nobody holds it.
+    fn free_mutex_of(&self, tid: ThreadId) -> Option<SyncId> {
+        match self.threads[tid.index()].state {
+            ThreadState::Blocked(BlockOn::Mutex(s))
+                if self.syncs[s.index()].mutex_owner().is_none() =>
+            {
+                Some(s)
+            }
+            _ => None,
+        }
+    }
+
     /// Make every blocked thread whose wait `pred` accepts runnable.
+    /// Joins, rwlocks, semaphores and queues wake this way.
     fn wake_blocked_on(&mut self, pred: impl Fn(&BlockOn) -> bool) {
         let mut i = 0;
         while let Some(&tid) = self.blocked.get(i) {

@@ -4,10 +4,10 @@
 
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{Cond, Expr, SyncKind, SyncOp};
-use vexec::sched::{PriorityOrder, RoundRobin, SeededRandom};
-use vexec::tool::{CountingTool, RecordingTool};
-use vexec::vm::{run_program, BlockOn, Termination};
-use vexec::{Event, ThreadId};
+use vexec::sched::{PriorityOrder, RoundRobin, Scheduler, SeededRandom};
+use vexec::tool::{CountingTool, NullTool, RecordingTool, Tool};
+use vexec::vm::{run_program, BlockOn, PreparedProgram, Termination, VmOptions, VmView};
+use vexec::{Event, FaultPlan, ThreadId};
 
 /// Two workers each increment a global counter `n` times under a mutex;
 /// final value must be exactly 2n under every scheduler.
@@ -555,4 +555,191 @@ fn client_requests_reach_tools() {
         .filter(|e| matches!(e, Event::Client { req: vexec::ClientEv::HgDestruct { .. }, .. }))
         .collect();
     assert_eq!(destructs.len(), 1);
+}
+
+/// Runs the highest-id runnable thread and records the runnable list that
+/// every pick sees: `picks[s]` is what the pick after slot `s` saw.
+#[derive(Default)]
+struct RecordingScheduler {
+    picks: Vec<Vec<ThreadId>>,
+}
+
+impl Scheduler for RecordingScheduler {
+    fn pick(&mut self, runnable: &[ThreadId], slot: u64) -> usize {
+        assert_eq!(slot as usize, self.picks.len());
+        self.picks.push(runnable.to_vec());
+        runnable.len() - 1
+    }
+}
+
+/// Records every event with the slot that produced it.
+#[derive(Default)]
+struct SlotEvents(Vec<(u64, Event)>);
+
+impl Tool for SlotEvents {
+    fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
+        self.0.push((vm.slot(), *ev));
+    }
+}
+
+/// Main makes a sync object of `kind`, spawns three workers that block on
+/// it, and releases it. Returns the runnable list the first pick after
+/// main's first event of `release` kind saw.
+fn runnable_after_release(
+    kind: SyncKind,
+    worker: impl FnOnce(&mut ProcBuilder, vexec::ir::GlobalId),
+    main_release: impl FnOnce(&mut ProcBuilder, vexec::ir::GlobalId),
+    release: &str,
+) -> Vec<ThreadId> {
+    let mut pb = ProgramBuilder::new();
+    let cells = pb.global("cells", 16); // [object, condvar]
+    let loc = pb.loc("wake.cpp", 4, "worker");
+    let mut w = ProcBuilder::new(0);
+    w.at(loc);
+    worker(&mut w, cells);
+    let worker = pb.add_proc("worker", w);
+
+    let loc = pb.loc("wake.cpp", 12, "main");
+    let mut main = ProcBuilder::new(0);
+    main.at(loc);
+    let obj = main.new_sync(kind, 0u64);
+    let cv = main.new_sync(SyncKind::CondVar, 0u64);
+    main.store(cells, obj, 8);
+    main.store(Expr::Global(cells).add(8u64.into()), cv, 8);
+    if kind == SyncKind::Mutex {
+        main.lock(obj);
+    }
+    let hs: Vec<_> = (0..3).map(|_| main.spawn(worker, vec![])).collect();
+    main_release(&mut main, cells);
+    for h in hs {
+        main.join(h);
+    }
+    let main_id = pb.add_proc("main", main);
+    pb.set_entry(main_id);
+    let prog = pb.finish();
+
+    let mut tool = SlotEvents::default();
+    let mut sched = RecordingScheduler::default();
+    let r = run_program(&prog, &mut tool, &mut sched);
+    assert!(r.termination.is_clean(), "{:?}", r.termination);
+    let (slot, _) = tool
+        .0
+        .iter()
+        .find(|(_, ev)| ev.tid() == ThreadId::MAIN && ev.kind_name() == release)
+        .expect("main releases the object");
+    sched.picks[*slot as usize].clone()
+}
+
+/// A mutex release wakes one waiter, the lowest-id one; a semaphore post
+/// still wakes every waiter.
+#[test]
+fn a_release_wakes_the_lowest_id_mutex_waiter_only() {
+    let t = |ids: &[u32]| ids.iter().map(|&i| ThreadId(i)).collect::<Vec<_>>();
+    let lock_unlock = |w: &mut ProcBuilder, cells| {
+        let m = w.load_new(Expr::Global(cells), 8);
+        w.lock(m);
+        w.unlock(m);
+    };
+
+    // Main holds the mutex while the workers block on it, then unlocks.
+    let unlock = |main: &mut ProcBuilder, cells| {
+        let m = main.load_new(Expr::Global(cells), 8);
+        main.unlock(m);
+    };
+    let seen = runnable_after_release(SyncKind::Mutex, lock_unlock, unlock, "release");
+    assert_eq!(seen, t(&[0, 1]), "unlock wakes worker 1 only");
+
+    // Main waits on a condvar instead of unlocking; the wait releases the
+    // mutex. A worker that gets the mutex signals main back.
+    let signal = |w: &mut ProcBuilder, cells| {
+        let m = w.load_new(Expr::Global(cells), 8);
+        let cv = w.load_new(Expr::Global(cells).add(8u64.into()), 8);
+        w.lock(m);
+        w.sync(SyncOp::CondSignal(Expr::Reg(cv)));
+        w.unlock(m);
+    };
+    let wait = |main: &mut ProcBuilder, cells| {
+        let m = main.load_new(Expr::Global(cells), 8);
+        let cv = main.load_new(Expr::Global(cells).add(8u64.into()), 8);
+        main.sync(SyncOp::CondWait { cond: Expr::Reg(cv), mutex: Expr::Reg(m) });
+        main.unlock(m);
+    };
+    let seen = runnable_after_release(SyncKind::Mutex, signal, wait, "release");
+    assert_eq!(seen, t(&[1]), "the wait's release wakes worker 1 only");
+
+    // Three workers wait on a semaphore; main's first post wakes them all.
+    let sem_wait = |w: &mut ProcBuilder, cells| {
+        let s = w.load_new(Expr::Global(cells), 8);
+        w.sync(SyncOp::SemWait(Expr::Reg(s)));
+    };
+    let post = |main: &mut ProcBuilder, cells| {
+        let s = main.load_new(Expr::Global(cells), 8);
+        for _ in 0..3 {
+            main.sync(SyncOp::SemPost(Expr::Reg(s)));
+        }
+    };
+    let seen = runnable_after_release(SyncKind::Semaphore, sem_wait, post, "sem-post");
+    assert_eq!(seen, t(&[0, 1, 2, 3]), "a post wakes every waiter");
+}
+
+/// A mutex release wakes one waiter. If that waiter is killed before it
+/// retries, the kill hands the wakeup on; otherwise the other waiters
+/// sleep on a free mutex and the run ends in a deadlock no leaked lock
+/// explains. Sweeps seeded kill plans against seeded schedules of three
+/// workers contending for one mutex.
+#[test]
+fn a_killed_waiter_hands_its_wakeup_on() {
+    let mut pb = ProgramBuilder::new();
+    let cell = pb.global("mutex_cell", 8);
+    let data = pb.global("data", 8);
+    let loc = pb.loc("handon.cpp", 4, "worker");
+    let mut w = ProcBuilder::new(0);
+    w.at(loc);
+    let m = w.load_new(cell, 8);
+    w.lock(m);
+    w.store(data, 1u64, 8);
+    w.store(data, 2u64, 8);
+    w.unlock(m);
+    let worker = pb.add_proc("worker", w);
+    let loc = pb.loc("handon.cpp", 12, "main");
+    let mut main = ProcBuilder::new(0);
+    main.at(loc);
+    let m = main.new_mutex();
+    main.store(cell, m, 8);
+    let hs: Vec<_> = (0..3).map(|_| main.spawn(worker, vec![])).collect();
+    for h in hs {
+        main.join(h);
+    }
+    let main_id = pb.add_proc("main", main);
+    pb.set_entry(main_id);
+    let flat = pb.finish().lower();
+    let prepared = PreparedProgram::new(&flat);
+
+    let (mut killed, mut leaked) = (0, 0);
+    for plan_seed in 0..64u64 {
+        for sched_seed in 0..50u64 {
+            let plan = FaultPlan {
+                seed: plan_seed,
+                kill_permille: 150,
+                max_kills: 1,
+                ..FaultPlan::disabled()
+            };
+            let opts = VmOptions { faults: Some(plan), ..VmOptions::default() };
+            let r = prepared.run(&mut NullTool, &mut SeededRandom::new(sched_seed), opts);
+            let f = r.faults.expect("a plan was attached");
+            killed += u32::from(f.kills > 0);
+            match r.termination {
+                Termination::AllExited => {}
+                Termination::Deadlock(_) if f.leaked_locks > 0 => leaked += 1,
+                other => panic!(
+                    "plan {plan_seed}, schedule {sched_seed}: {other:?} with {} leaked lock(s)",
+                    f.leaked_locks
+                ),
+            }
+        }
+    }
+    assert!(
+        killed > 1000 && leaked > 100,
+        "the sweep kills workers: {killed} kills, {leaked} leaks"
+    );
 }

@@ -246,12 +246,17 @@ fn explore_spec(
 }
 
 /// The engine part of a checkpoint's spec, shared by the explore
-/// checkpoint and the soak log: the detector name and its budget caps.
+/// checkpoint and the soak log: the detector name, its budget caps and
+/// the VM's schedule revision, so a file saved under other schedules is
+/// refused.
 fn detector_spec(detector: &str, cfg: &DetectorConfig) -> String {
     let b = cfg.budget;
     format!(
-        "detector={detector} shadow={} locksets={} reports={}",
-        b.max_shadow_words, b.max_locksets, b.max_reports
+        "detector={detector} shadow={} locksets={} reports={} schedules={}",
+        b.max_shadow_words,
+        b.max_locksets,
+        b.max_reports,
+        vexec::SCHEDULE_REVISION
     )
 }
 

@@ -38,12 +38,12 @@ use raceline_trace::format::Fnv1a;
 
 /// FNV-1a-64 over the compiled-core `observe` strings of the clean T1–T8
 /// × 6-engine matrix, in case then engine order.
-const CLEAN_PIN: u64 = 0x2f50_def8_82cf_aa04;
+const CLEAN_PIN: u64 = 0x2ca3_66f2_36a1_f715;
 /// The same digest for the faulted, seeded-random matrix.
-const FAULTED_PIN: u64 = 0xcf42_0ba1_d59f_513c;
+const FAULTED_PIN: u64 = 0x66ad_3e60_56b4_6789;
 /// FNV-1a-64 over the little-endian chaos fingerprints, in case then plan
 /// order.
-const CHAOS_PIN: u64 = 0x5d05_86d7_9cea_2da7;
+const CHAOS_PIN: u64 = 0x1b2a_5577_42ad_fa17;
 
 /// Every program × 6 engines, clean deterministic schedule.
 #[test]

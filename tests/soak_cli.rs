@@ -342,6 +342,42 @@ fn explore_refuses_another_sweeps_checkpoint() {
     assert_eq!(std::fs::read_to_string(&ck).unwrap(), v1);
 }
 
+/// A soak log and an explore checkpoint both record the VM's schedule
+/// revision. A file saved under other schedule semantics (here, one
+/// without the revision, as every file saved while a mutex release woke
+/// all its waiters) would fold two kinds of schedule into one sweep, so
+/// it is refused with exit 2 and left as it was.
+#[test]
+fn soak_and_explore_refuse_files_from_another_schedule_revision() {
+    let token = format!(" schedules={}", raceline::vexec::SCHEDULE_REVISION);
+    let log = tmp("revision.soaklog");
+    let ck = tmp("revision.checkpoint");
+    let (log_p, ck_p) = (log.to_str().unwrap(), ck.to_str().unwrap());
+    let soak =
+        ["soak", "--dialogs", "2000", "--phases", "2", "--seed", "77", "--checkpoint", log_p];
+    let explore = ["check", SAMPLE, "--explore", "4", "--checkpoint", ck_p];
+    for (args, file, refusal) in [
+        (&soak[..], &log, "different parameters"),
+        (&explore[..], &ck, "recorded by a different sweep"),
+    ] {
+        let _ = std::fs::remove_file(file);
+        let (_, stderr, code) = raceline(args);
+        assert_eq!(code, 1, "{args:?}\n{stderr}");
+        let saved = std::fs::read_to_string(file).expect("file saved");
+        assert_eq!(saved.matches(&token).count(), 1, "{saved}");
+        let stripped = saved.replacen(&token, "", 1);
+        std::fs::write(file, &stripped).unwrap();
+        let (_, stderr, code) = raceline(args);
+        assert_eq!(code, 2, "{args:?}\n{stderr}");
+        assert!(stderr.contains(refusal), "{args:?}\n{stderr}");
+        assert_eq!(
+            std::fs::read_to_string(file).unwrap(),
+            stripped,
+            "{args:?} left the file alone"
+        );
+    }
+}
+
 /// `analyze --repair` on a crash-truncated trace: strict mode refuses,
 /// repair mode analyzes the intact prefix and says what it dropped.
 #[test]
