@@ -9,11 +9,17 @@
 //! same code inline and offline; byte-identical reports follow by
 //! construction.
 //!
-//! Sharding: epoch payloads are codec-independent, so decoding fans out
-//! over a scoped thread pool (workers claim epoch indices from a shared
-//! atomic counter, the PR-3 pattern). Detector dispatch is a *sequential
-//! fold in epoch order* over the decoded records — identical for any
-//! `--jobs N`, which is what makes parallel analysis bit-reproducible.
+//! Sharding: epoch payloads are codec-independent, so a *window* of
+//! `max(jobs, 1)` epochs decodes at once on the shared worker pool
+//! ([`with_workers`], spawned once per replay), and the detector folds
+//! that window in epoch order before the next one is decoded. Dispatch is one sequential fold in
+//! stream order, identical for any `--jobs N`, which is what makes
+//! parallel analysis bit-reproducible; decoded records never outnumber one
+//! window's. Each epoch's checks run in stream order too: its snapshot
+//! against the records before it, then its decode, then its records one
+//! by one. So a corrupt trace reports its first defect in stream order,
+//! whatever the window, and an epoch that fails to decode dispatches none
+//! of its records.
 //!
 //! Starting mid-trace (`from_epoch > 0`) replays stack/block context from
 //! the beginning (cheap — no detector work) and primes the detector's
@@ -31,13 +37,15 @@
 use std::collections::BTreeMap;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
-use raceline_trace::reader::{decode_epoch, parse_trace, parse_trace_repair, ParsedTrace};
+use raceline_trace::reader::{
+    decode_epoch, parse_trace_hashed, parse_trace_repair, EpochDesc, ParsedTrace,
+};
 use vexec::event::{ClientEv, Event, ThreadId};
 use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
 
 use crate::detector::{AnyDetector, EngineStats};
-use crate::pool::run_indexed;
+use crate::pool::with_workers;
 use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
 
 /// What offline analysis hands back to the caller.
@@ -136,34 +144,34 @@ impl ReportCtx for ReplayCtx {
     }
 }
 
-/// Decode every epoch payload, fanning out over `jobs` worker threads.
-/// Results come back in epoch order, so the output (including which error
-/// surfaces when several epochs are corrupt) is independent of thread
-/// timing.
-fn decode_epochs(
-    bytes: &[u8],
-    parsed: &ParsedTrace,
-    jobs: usize,
-) -> Result<Vec<Vec<TraceRecord>>, TraceError> {
-    let nsyms = parsed.header.symbols.len() as u32;
-    run_indexed(jobs, parsed.epochs.len(), |i| decode_epoch(bytes, &parsed.epochs[i], nsyms))
-        .into_iter()
-        .collect()
-}
-
 /// Run `detector` over a complete `.rltrace` byte stream.
 ///
-/// `jobs` parallelises epoch *decoding* only; dispatch is a sequential
-/// fold in epoch order, so the outcome is byte-identical for any `jobs`.
-/// `from_epoch` skips detector dispatch for earlier epochs (context is
-/// still replayed) and primes lock state from that epoch's snapshot.
+/// `jobs` parallelises epoch *decoding* only, a window of `jobs` epochs
+/// at a time; dispatch is a sequential fold in epoch order, so the outcome
+/// is byte-identical for any `jobs`. `from_epoch` skips detector dispatch
+/// for earlier epochs (context is still replayed) and primes lock state
+/// from that epoch's snapshot.
 pub fn analyze_trace_bytes(
     bytes: &[u8],
     detector: AnyDetector,
     jobs: usize,
     from_epoch: u64,
 ) -> Result<ReplayOutcome, TraceError> {
-    let parsed = parse_trace(bytes)?;
+    analyze_trace_hashed(bytes, None, detector, jobs, from_epoch)
+}
+
+/// [`analyze_trace_bytes`] for a caller that has already hashed the
+/// trace: `body_hash` is the FNV-1a of every byte before the trailer, and
+/// stands in for the checksum pass (see
+/// [`raceline_trace::reader::parse_trace_hashed`]).
+pub fn analyze_trace_hashed(
+    bytes: &[u8],
+    body_hash: Option<u64>,
+    detector: AnyDetector,
+    jobs: usize,
+    from_epoch: u64,
+) -> Result<ReplayOutcome, TraceError> {
+    let parsed = parse_trace_hashed(bytes, body_hash)?;
     analyze_parsed(bytes, parsed, detector, jobs, from_epoch)
 }
 
@@ -195,40 +203,77 @@ pub fn analyze_trace_repair(
 fn analyze_parsed(
     bytes: &[u8],
     parsed: ParsedTrace,
-    mut detector: AnyDetector,
+    detector: AnyDetector,
     jobs: usize,
     from_epoch: u64,
 ) -> Result<ReplayOutcome, TraceError> {
-    let decoded = decode_epochs(bytes, &parsed, jobs)?;
-
-    let blocks: BTreeMap<u64, (u64, u32, bool)> = parsed
-        .header
-        .initial_blocks
-        .iter()
-        .map(|b| (b.addr, (b.size, b.alloc_tid, b.freed)))
-        .collect();
-    let mut ctx = ReplayCtx::new(parsed.header.symbols.clone(), blocks);
-    let mut counts: Vec<u64> = Vec::new();
-    let mut dispatched: u64 = 0;
-
-    for (desc, recs) in parsed.epochs.iter().zip(&decoded) {
-        let epoch = desc.snapshot.index;
-        // Cross-check the snapshot's per-thread sequence numbers against
-        // the stream decoded so far: cheap end-to-end integrity on top of
-        // the file checksum.
-        for (i, t) in desc.snapshot.threads.iter().enumerate() {
-            let have = counts.get(i).copied().unwrap_or(0);
-            if have != t.seq {
-                return Err(TraceError::Corrupt {
-                    offset: desc.payload_offset as u64,
-                    detail: format!(
-                        "epoch {epoch} snapshot says thread {i} emitted {} events, stream has {have}",
-                        t.seq
-                    ),
-                });
+    let ParsedTrace { header, epochs, footer } = parsed;
+    let nsyms = header.symbols.len() as u32;
+    let blocks: BTreeMap<u64, (u64, u32, bool)> =
+        header.initial_blocks.iter().map(|b| (b.addr, (b.size, b.alloc_tid, b.freed))).collect();
+    let mut fold = Fold {
+        ctx: ReplayCtx::new(header.symbols, blocks),
+        detector,
+        counts: Vec::new(),
+        dispatched: 0,
+        from_epoch,
+    };
+    // The workers are spawned once and decode only the window in hand, so
+    // decoded records never outnumber one window's.
+    let window = jobs.max(1);
+    let decode = |i: usize| decode_epoch(bytes, &epochs[i], nsyms);
+    with_workers(jobs.min(epochs.len()), decode, |decode_window| {
+        for start in (0..epochs.len()).step_by(window) {
+            let end = (start + window).min(epochs.len());
+            for (desc, decoded) in epochs[start..end].iter().zip(decode_window(start..end)) {
+                fold.epoch(desc, decoded)?;
             }
         }
-        if epoch == from_epoch && from_epoch > 0 {
+        Ok::<_, TraceError>(())
+    })?;
+    let Fold { mut detector, counts, dispatched, .. } = fold;
+    let total: u64 = counts.iter().sum();
+    if total != footer.events {
+        return Err(TraceError::Corrupt {
+            offset: bytes.len() as u64,
+            detail: format!("footer claims {} events, stream decoded {total}", footer.events),
+        });
+    }
+    detector.handle_finish();
+    Ok(ReplayOutcome {
+        truncated: detector.truncated(),
+        engine_stats: detector.engine_stats(),
+        reports: detector.take_reports(),
+        events: dispatched,
+        footer,
+    })
+}
+
+/// The sequential half of a replay: the report context and the detector,
+/// fed every epoch in stream order.
+struct Fold {
+    ctx: ReplayCtx,
+    detector: AnyDetector,
+    /// Events per thread so far, for the snapshot and footer checks.
+    counts: Vec<u64>,
+    /// Events handed to the detector (the suffix only under `from_epoch`).
+    dispatched: u64,
+    from_epoch: u64,
+}
+
+impl Fold {
+    /// Fold one epoch: check its snapshot against the stream so far, then
+    /// its decode result, then each record as it is dispatched.
+    fn epoch(
+        &mut self,
+        desc: &EpochDesc,
+        decoded: Result<Vec<TraceRecord>, TraceError>,
+    ) -> Result<(), TraceError> {
+        check_snapshot(desc, &self.counts)?;
+        let recs = decoded?;
+        let (ctx, detector) = (&mut self.ctx, &mut self.detector);
+        let epoch = desc.snapshot.index;
+        if epoch == self.from_epoch && self.from_epoch > 0 {
             // Prime lock state: the suffix starts with these locks held.
             // Snapshot order is acquisition order, so lock-order edges
             // between them are faithful too.
@@ -242,13 +287,13 @@ fn analyze_parsed(
                             mode: h.mode,
                             loc: h.loc,
                         };
-                        detector.handle_event(&ev, &ctx);
+                        detector.handle_event(&ev, ctx);
                     }
                 }
             }
         }
         for rec in recs {
-            match *rec {
+            match rec {
                 TraceRecord::StackPush { tid, func, loc } => {
                     ctx.stack_mut(tid).push((func, loc));
                 }
@@ -279,37 +324,48 @@ fn analyze_parsed(
                             });
                         }
                     }
-                    if epoch >= from_epoch {
-                        detector.handle_event(&ev, &ctx);
-                        dispatched += 1;
+                    if epoch >= self.from_epoch {
+                        detector.handle_event(&ev, ctx);
+                        self.dispatched += 1;
                     }
                     let i = ev.tid().index();
-                    if i >= counts.len() {
-                        counts.resize(i + 1, 0);
+                    if i >= self.counts.len() {
+                        self.counts.resize(i + 1, 0);
                     }
-                    counts[i] += 1;
+                    self.counts[i] += 1;
                 }
             }
         }
+        Ok(())
     }
-    let total: u64 = counts.iter().sum();
-    if total != parsed.footer.events {
-        return Err(TraceError::Corrupt {
-            offset: bytes.len() as u64,
-            detail: format!(
-                "footer claims {} events, stream decoded {total}",
-                parsed.footer.events
-            ),
-        });
+}
+
+/// Cross-check an epoch's snapshot against the events decoded before it
+/// (`counts`, per thread): every thread it lists has emitted exactly its
+/// sequence number, and every thread it omits has emitted nothing. The
+/// writer snapshots every thread it has seen, so a recorded trace passes;
+/// a dropped or forged record is a structured error, not a skew.
+fn check_snapshot(desc: &EpochDesc, counts: &[u64]) -> Result<(), TraceError> {
+    let epoch = desc.snapshot.index;
+    let corrupt =
+        |detail: String| TraceError::Corrupt { offset: desc.payload_offset as u64, detail };
+    for (i, t) in desc.snapshot.threads.iter().enumerate() {
+        let have = counts.get(i).copied().unwrap_or(0);
+        if have != t.seq {
+            return Err(corrupt(format!(
+                "epoch {epoch} snapshot says thread {i} emitted {} events, stream has {have}",
+                t.seq
+            )));
+        }
     }
-    detector.handle_finish();
-    Ok(ReplayOutcome {
-        truncated: detector.truncated(),
-        engine_stats: detector.engine_stats(),
-        reports: detector.take_reports(),
-        events: dispatched,
-        footer: parsed.footer,
-    })
+    for (i, &have) in counts.iter().enumerate().skip(desc.snapshot.threads.len()) {
+        if have != 0 {
+            return Err(corrupt(format!(
+                "epoch {epoch} snapshot omits thread {i} which already emitted {have} events"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Stable identity of a warning across runs and engines, for `trace-diff`:

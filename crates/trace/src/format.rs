@@ -19,6 +19,9 @@ use vexec::vm::BlockOn;
 pub const MAGIC: &[u8; 8] = b"RLTRACE1";
 /// Trailing magic, last 8 bytes; its absence means a torn write.
 pub const END_MAGIC: &[u8; 8] = b"RLTREND\0";
+/// The trailer after the checksummed body: the `u64` checksum, then
+/// [`END_MAGIC`]. The body is every byte before it.
+pub const TRAILER_LEN: usize = 8 + END_MAGIC.len();
 /// Current format version (little-endian `u32` after the magic).
 pub const VERSION: u32 = 1;
 
@@ -200,7 +203,24 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
+    /// Read a LEB128 varint. Most fields on the wire (thread ids, small
+    /// deltas, line numbers) fit one byte, so that case is read inline and
+    /// everything else takes the general loop.
+    #[inline]
     pub fn uvarint(&mut self) -> Result<u64, TraceError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.uvarint_multi(),
+        }
+    }
+
+    /// The general varint loop and its errors, kept out of line so the
+    /// one-byte path stays small enough to inline at every call site.
+    #[inline(never)]
+    fn uvarint_multi(&mut self) -> Result<u64, TraceError> {
         match get_uvarint(&self.buf[self.pos..]) {
             Some((v, n)) => {
                 self.pos += n;
@@ -943,4 +963,67 @@ pub fn decode_footer_body(c: &mut Cursor<'_>) -> Result<TraceFooter, TraceError>
         other => return Err(c.corrupt(format!("bad fault-stats flag {other}"))),
     };
     Ok(TraceFooter { events, epochs, slots, termination, faults })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `Cursor::uvarint` returned before its one-byte path: the
+    /// general decode, with the cursor's error rules around it. Errors are
+    /// compared by their rendering, which carries the offset.
+    fn general_uvarint(buf: &[u8], pos: usize, base: u64) -> Result<(u64, usize), String> {
+        let remaining = buf.len() - pos;
+        match get_uvarint(&buf[pos..]) {
+            Some((v, n)) => Ok((v, pos + n)),
+            None if remaining < 10 => {
+                Err(TraceError::Truncated { offset: base + pos as u64 }.to_string())
+            }
+            None => Err(TraceError::Corrupt {
+                offset: base + pos as u64,
+                detail: "overlong varint".into(),
+            }
+            .to_string()),
+        }
+    }
+
+    fn cursor_uvarint(buf: &[u8], pos: usize, base: u64) -> Result<(u64, usize), String> {
+        let mut c = Cursor { buf, pos, base };
+        c.uvarint().map(|v| (v, c.pos)).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn uvarint_fast_path_matches_the_general_decode() {
+        let base = 1000;
+        // Every 1- and 2-byte input, read from the start of the buffer and
+        // behind a one-byte prefix, so offsets are checked off zero too.
+        for hi in 0..=255u8 {
+            for buf in [vec![hi], vec![0x7f, hi]] {
+                let pos = buf.len() - 1;
+                assert_eq!(cursor_uvarint(&buf, pos, base), general_uvarint(&buf, pos, base));
+            }
+            for lo in 0..=255u8 {
+                for buf in [vec![hi, lo], vec![0x7f, hi, lo]] {
+                    let pos = buf.len() - 2;
+                    assert_eq!(
+                        cursor_uvarint(&buf, pos, base),
+                        general_uvarint(&buf, pos, base),
+                        "{buf:02x?}"
+                    );
+                }
+            }
+        }
+        // At the end of the buffer: the same truncation offset.
+        for buf in [&[][..], &[0x01], &[0x81, 0x01]] {
+            let end = buf.len();
+            let got = cursor_uvarint(buf, end, base);
+            assert_eq!(got, general_uvarint(buf, end, base));
+            assert_eq!(got, Err(TraceError::Truncated { offset: base + end as u64 }.to_string()));
+        }
+        // An 11-byte run of continuation bytes is overlong, not truncated.
+        let overlong = [0xff; 11];
+        let got = cursor_uvarint(&overlong, 0, base);
+        assert_eq!(got, general_uvarint(&overlong, 0, base));
+        assert!(got.is_err_and(|e| e.contains("overlong varint")));
+    }
 }

@@ -36,5 +36,5 @@ pub use format::{
     EpochSnapshot, HeldLock, ThreadSnap, TraceBlock, TraceError, TraceFooter, TraceHeader,
     TraceRecord, TraceTermination, TraceWait, MAGIC, VERSION,
 };
-pub use reader::{decode_epoch, parse_trace, EpochDesc, ParsedTrace, TraceReader};
+pub use reader::{decode_epoch, parse_trace, EpochDesc, ParsedTrace};
 pub use writer::{trace_termination, TraceSummary, TraceWriter, DEFAULT_EPOCH_EVENTS};

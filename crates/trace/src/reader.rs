@@ -1,24 +1,24 @@
-//! Reading `.rltrace` files: whole-file structural parse, per-epoch
-//! decode, and an epoch-at-a-time [`TraceReader`].
+//! Reading `.rltrace` files: a whole-file structural parse and a
+//! per-epoch decode.
 //!
 //! [`parse_trace`] validates the envelope up front — magic, version, end
 //! magic, whole-file checksum — then walks the frame sequence recording
 //! each epoch's snapshot and payload extent *without* decoding payloads.
 //! That split is what makes sharded analysis possible: epoch payloads are
 //! codec-independent, so [`decode_epoch`] calls can run on any thread in
-//! any order.
+//! any order. The checks that span frames (each snapshot's per-thread
+//! sequence numbers against the records decoded before it, the footer's
+//! event count against the whole stream) need the records in stream
+//! order, so they run in the replay fold (`helgrind_core::replay`).
 //!
-//! [`TraceReader`] layers sequential consumption on top: it yields one
-//! epoch's records at a time (decoded-record memory stays bounded by one
-//! epoch) and cross-checks the per-thread sequence numbers in every epoch
-//! snapshot against the event stream actually decoded so far.
-
-use std::io::Read;
+//! A caller that has already hashed the file passes the hash of its body
+//! to [`parse_trace_hashed`], which compares it with the stored checksum
+//! instead of hashing every byte a second time.
 
 use crate::format::{
     decode_footer_body, decode_header, decode_record, decode_snapshot, CodecState, Cursor,
     EpochSnapshot, Fnv1a, TraceError, TraceFooter, TraceHeader, TraceRecord, TraceTermination,
-    END_MAGIC, MAGIC, TAG_EPOCH, TAG_FOOTER, VERSION,
+    END_MAGIC, MAGIC, TAG_EPOCH, TAG_FOOTER, TRAILER_LEN, VERSION,
 };
 
 /// One epoch frame located by [`parse_trace`]: its snapshot plus the byte
@@ -43,6 +43,15 @@ pub struct ParsedTrace {
 /// verified before anything else, so a single flipped byte anywhere in
 /// the file is guaranteed to surface as an error here.
 pub fn parse_trace(bytes: &[u8]) -> Result<ParsedTrace, TraceError> {
+    parse_trace_hashed(bytes, None)
+}
+
+/// [`parse_trace`], given the FNV-1a of the body when the caller already
+/// has it. The body is every byte before the [`TRAILER_LEN`]-byte trailer;
+/// `Some(hash)` is compared with the stored checksum in place of hashing
+/// the body here, and `None` hashes it. The checks and their order are the
+/// same either way.
+pub fn parse_trace_hashed(bytes: &[u8], body_hash: Option<u64>) -> Result<ParsedTrace, TraceError> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(TraceError::BadMagic);
     }
@@ -55,20 +64,22 @@ pub fn parse_trace(bytes: &[u8]) -> Result<ParsedTrace, TraceError> {
         return Err(TraceError::BadVersion { found: version, expected: VERSION });
     }
     // Envelope: ... | checksum u64 LE | END_MAGIC (neither is hashed).
-    let tail = END_MAGIC.len() + 8;
-    if bytes.len() < 12 + tail || &bytes[bytes.len() - END_MAGIC.len()..] != END_MAGIC {
+    if bytes.len() < 12 + TRAILER_LEN || &bytes[bytes.len() - END_MAGIC.len()..] != END_MAGIC {
         return Err(TraceError::Truncated { offset: bytes.len() as u64 });
     }
-    let body = &bytes[..bytes.len() - tail];
-    // Infallible: the envelope check above guarantees `tail` trailing
-    // bytes, and the slice is exactly tail - END_MAGIC.len() == 8 wide.
+    let body = &bytes[..bytes.len() - TRAILER_LEN];
+    // Infallible: the envelope check above guarantees the trailer, and the
+    // slice is exactly TRAILER_LEN - END_MAGIC.len() == 8 wide.
     let stored = u64::from_le_bytes(
-        bytes[bytes.len() - tail..bytes.len() - END_MAGIC.len()].try_into().expect("8 bytes"),
+        bytes[body.len()..bytes.len() - END_MAGIC.len()].try_into().expect("8 bytes"),
     );
-    let mut h = Fnv1a::default();
-    h.update(body);
-    if h.0 != stored {
-        return Err(TraceError::ChecksumMismatch { expected: stored, found: h.0 });
+    let found = body_hash.unwrap_or_else(|| {
+        let mut h = Fnv1a::default();
+        h.update(body);
+        h.0
+    });
+    if found != stored {
+        return Err(TraceError::ChecksumMismatch { expected: stored, found });
     }
     let mut c = Cursor::new(body, 0);
     let header = decode_header(&mut c)?;
@@ -77,18 +88,7 @@ pub fn parse_trace(bytes: &[u8]) -> Result<ParsedTrace, TraceError> {
     loop {
         let tag = c.u8()?;
         if tag == TAG_EPOCH {
-            let index = c.uvarint()?;
-            if index != epochs.len() as u64 {
-                return Err(c.corrupt(format!(
-                    "epoch index {index} out of order (expected {})",
-                    epochs.len()
-                )));
-            }
-            let snapshot = decode_snapshot(&mut c, index, nsyms)?;
-            let payload_len = c.count("payload byte", 1)?;
-            let payload_offset = c.pos;
-            c.bytes(payload_len)?;
-            epochs.push(EpochDesc { snapshot, payload_offset, payload_len });
+            epochs.push(epoch_frame(&mut c, epochs.len(), nsyms)?);
         } else if tag == TAG_FOOTER {
             let footer = decode_footer_body(&mut c)?;
             if !c.is_empty() {
@@ -106,6 +106,21 @@ pub fn parse_trace(bytes: &[u8]) -> Result<ParsedTrace, TraceError> {
             return Err(c.corrupt(format!("unknown frame tag {tag:#04x}")));
         }
     }
+}
+
+/// Read one epoch frame after its tag: the index, which must be
+/// `expected`, the snapshot and the payload's extent. The payload is
+/// skipped, not decoded.
+fn epoch_frame(c: &mut Cursor<'_>, expected: usize, nsyms: u32) -> Result<EpochDesc, TraceError> {
+    let index = c.uvarint()?;
+    if index != expected as u64 {
+        return Err(c.corrupt(format!("epoch index {index} out of order (expected {expected})")));
+    }
+    let snapshot = decode_snapshot(c, index, nsyms)?;
+    let payload_len = c.count("payload byte", 1)?;
+    let payload_offset = c.pos;
+    c.bytes(payload_len)?;
+    Ok(EpochDesc { snapshot, payload_offset, payload_len })
 }
 
 /// A crash-truncated trace recovered by [`parse_trace_repair`].
@@ -150,21 +165,7 @@ pub fn parse_trace_repair(bytes: &[u8]) -> Result<RepairedTrace, TraceError> {
             // against a checksum, so treat it like any other torn tail.
             break;
         }
-        let frame = (|| -> Result<EpochDesc, TraceError> {
-            let index = c.uvarint()?;
-            if index != epochs.len() as u64 {
-                return Err(c.corrupt(format!(
-                    "epoch index {index} out of order (expected {})",
-                    epochs.len()
-                )));
-            }
-            let snapshot = decode_snapshot(&mut c, index, nsyms)?;
-            let payload_len = c.count("payload byte", 1)?;
-            let payload_offset = c.pos;
-            c.bytes(payload_len)?;
-            Ok(EpochDesc { snapshot, payload_offset, payload_len })
-        })();
-        match frame {
+        match epoch_frame(&mut c, epochs.len(), nsyms) {
             Ok(desc) => {
                 end_of_good = c.pos;
                 epochs.push(desc);
@@ -174,10 +175,15 @@ pub fn parse_trace_repair(bytes: &[u8]) -> Result<RepairedTrace, TraceError> {
     }
     // An epoch frame can be structurally whole while its payload tail is
     // garbage (the torn write landed inside the declared extent). Verify
-    // the final epochs actually decode, dropping any that do not.
+    // the final epochs actually decode, dropping any that do not; the
+    // decode that keeps the last epoch also counts its events.
+    let mut in_last = 0u64;
     while let Some(desc) = epochs.last() {
         match decode_epoch(bytes, desc, nsyms) {
-            Ok(_) => break,
+            Ok(recs) => {
+                in_last = recs.iter().filter(|r| matches!(r, TraceRecord::Event(_))).count() as u64;
+                break;
+            }
             Err(_) => {
                 end_of_good = epochs[..epochs.len() - 1]
                     .last()
@@ -188,22 +194,12 @@ pub fn parse_trace_repair(bytes: &[u8]) -> Result<RepairedTrace, TraceError> {
     }
     // The synthesized footer's event count must match the decoded stream
     // (analyze cross-checks it): events before the last epoch are the sum
-    // of its snapshot's per-thread sequence numbers; the last epoch's own
-    // events need one decode.
-    let events = match epochs.last() {
-        None => 0,
-        Some(desc) => {
-            let before: u64 = desc.snapshot.threads.iter().map(|t| t.seq).sum();
-            // The loop above only keeps a last epoch it decoded
-            // successfully, so this re-decode cannot fail — but repair
-            // runs on hostile bytes, and a miscounted footer beats a
-            // panic, so fall back to the snapshot count defensively.
-            let in_last = decode_epoch(bytes, desc, nsyms).map_or(0, |recs| {
-                recs.iter().filter(|r| matches!(r, TraceRecord::Event(_))).count() as u64
-            });
-            before + in_last
-        }
-    };
+    // of its snapshot's per-thread sequence numbers, plus the last epoch's
+    // own. The sum saturates: the snapshot is unverified input, and a
+    // miscounted footer fails analysis where an overflow would panic.
+    let events = epochs.last().map_or(0, |desc| {
+        desc.snapshot.threads.iter().fold(in_last, |n, t| n.saturating_add(t.seq))
+    });
     let footer = TraceFooter {
         events,
         epochs: epochs.len() as u64,
@@ -234,101 +230,4 @@ pub fn decode_epoch(
         recs.push(decode_record(&mut c, &mut state, nsyms)?);
     }
     Ok(recs)
-}
-
-/// Sequential epoch-at-a-time consumer with cross-frame validation.
-pub struct TraceReader {
-    buf: Vec<u8>,
-    parsed: ParsedTrace,
-    next: usize,
-    counts: Vec<u64>,
-    verified: bool,
-}
-
-impl TraceReader {
-    /// Read a complete trace from `r` and validate its envelope.
-    pub fn from_reader<R: Read>(mut r: R) -> Result<Self, TraceError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_bytes(buf)
-    }
-
-    pub fn from_bytes(buf: Vec<u8>) -> Result<Self, TraceError> {
-        let parsed = parse_trace(&buf)?;
-        Ok(TraceReader { buf, parsed, next: 0, counts: Vec::new(), verified: false })
-    }
-
-    pub fn header(&self) -> &TraceHeader {
-        &self.parsed.header
-    }
-
-    pub fn footer(&self) -> &TraceFooter {
-        &self.parsed.footer
-    }
-
-    pub fn epoch_count(&self) -> usize {
-        self.parsed.epochs.len()
-    }
-
-    /// Decode and return the next epoch's snapshot and records, verifying
-    /// the snapshot's per-thread sequence numbers against the stream
-    /// decoded so far. Returns `Ok(None)` after the last epoch (at which
-    /// point the footer's event count has also been cross-checked).
-    #[allow(clippy::type_complexity)]
-    pub fn next_epoch(&mut self) -> Result<Option<(EpochSnapshot, Vec<TraceRecord>)>, TraceError> {
-        if self.next >= self.parsed.epochs.len() {
-            if !self.verified {
-                self.verified = true;
-                let total: u64 = self.counts.iter().sum();
-                if total != self.parsed.footer.events {
-                    return Err(TraceError::Corrupt {
-                        offset: self.buf.len() as u64,
-                        detail: format!(
-                            "footer claims {} events, stream decoded {total}",
-                            self.parsed.footer.events
-                        ),
-                    });
-                }
-            }
-            return Ok(None);
-        }
-        let desc = &self.parsed.epochs[self.next];
-        for (i, t) in desc.snapshot.threads.iter().enumerate() {
-            let have = self.counts.get(i).copied().unwrap_or(0);
-            if have != t.seq {
-                return Err(TraceError::Corrupt {
-                    offset: desc.payload_offset as u64,
-                    detail: format!(
-                        "epoch {} snapshot says thread {i} emitted {} events, stream has {have}",
-                        desc.snapshot.index, t.seq
-                    ),
-                });
-            }
-        }
-        for (i, &cnt) in self.counts.iter().enumerate().skip(desc.snapshot.threads.len()) {
-            if cnt != 0 {
-                return Err(TraceError::Corrupt {
-                    offset: desc.payload_offset as u64,
-                    detail: format!(
-                        "epoch {} snapshot omits thread {i} which already emitted {cnt} events",
-                        desc.snapshot.index
-                    ),
-                });
-            }
-        }
-        let nsyms = self.parsed.header.symbols.len() as u32;
-        let recs = decode_epoch(&self.buf, desc, nsyms)?;
-        for r in &recs {
-            if let TraceRecord::Event(ev) = r {
-                let i = ev.tid().index();
-                if i >= self.counts.len() {
-                    self.counts.resize(i + 1, 0);
-                }
-                self.counts[i] += 1;
-            }
-        }
-        let snapshot = desc.snapshot.clone();
-        self.next += 1;
-        Ok(Some((snapshot, recs)))
-    }
 }

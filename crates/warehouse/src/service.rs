@@ -23,9 +23,9 @@ use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use helgrind_core::commitlog;
-use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint};
+use helgrind_core::replay::{analyze_trace_hashed, warning_fingerprint};
 use helgrind_core::{AnyDetector, DetectorConfig, SuppressionSet};
-use raceline_trace::format::Fnv1a;
+use raceline_trace::format::{Fnv1a, TRAILER_LEN};
 
 use crate::render::{
     diff_builds, render_catalogue, render_diff_json, render_stats, SessionCounters,
@@ -64,9 +64,30 @@ impl ServiceConfig {
 /// FNV-1a-64 over the raw upload bytes: the content half of the
 /// `(build, hash)` dedup identity.
 pub fn content_hash(bytes: &[u8]) -> u64 {
+    upload_hashes(bytes).content
+}
+
+/// What one FNV-1a pass over an upload yields.
+#[derive(Clone, Copy)]
+struct UploadHashes {
+    /// Over every byte: [`content_hash`].
+    content: u64,
+    /// Over the trace body, every byte before the trailer: what the trace's
+    /// stored checksum must equal, so replay need not hash it again.
+    body: u64,
+}
+
+/// Hash an upload once. FNV-1a runs byte by byte, so the body's hash is
+/// the running value where the trailer starts, on the way to the content
+/// hash. An upload shorter than the trailer has an empty body; replay
+/// refuses it before it reads a checksum.
+fn upload_hashes(bytes: &[u8]) -> UploadHashes {
+    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(TRAILER_LEN));
     let mut h = Fnv1a::default();
-    h.update(bytes);
-    h.0
+    h.update(body);
+    let body = h.0;
+    h.update(trailer);
+    UploadHashes { content: h.0, body }
 }
 
 /// Analyze one trace the exact way `raceline analyze` would (same
@@ -79,8 +100,20 @@ pub fn analyze_for_warehouse(
     engine: &str,
     cfg: DetectorConfig,
 ) -> Result<(TraceWarnings, u64), String> {
+    analyze_hashed(bytes, None, engine, cfg)
+}
+
+/// [`analyze_for_warehouse`], with the body hash of an upload that
+/// [`upload_hashes`] has already hashed.
+fn analyze_hashed(
+    bytes: &[u8],
+    body_hash: Option<u64>,
+    engine: &str,
+    cfg: DetectorConfig,
+) -> Result<(TraceWarnings, u64), String> {
     let detector = AnyDetector::by_name(engine, cfg, SuppressionSet::new());
-    let outcome = analyze_trace_bytes(bytes, detector, 1, 0).map_err(|e| e.to_string())?;
+    let outcome =
+        analyze_trace_hashed(bytes, body_hash, detector, 1, 0).map_err(|e| e.to_string())?;
     let mut by_fp = std::collections::BTreeMap::new();
     for r in &outcome.reports {
         by_fp.insert(warning_fingerprint(r), (r.kind, r.file.clone(), r.line, r.func.clone()));
@@ -217,13 +250,14 @@ impl Service {
                 Ok(b) => b,
                 Err(e) => return Err(format!("{}: {e}", path.display())),
             };
-            if content_hash(&bytes) != hash {
+            let hashes = upload_hashes(&bytes);
+            if hashes.content != hash {
                 // A spool file that does not match its name cannot be
                 // trusted; drop it rather than commit a lie.
                 let _ = std::fs::remove_file(&path);
                 continue;
             }
-            match analyze_for_warehouse(&bytes, &self.config.engine, self.detector_cfg) {
+            match self.analyze(&bytes, hashes) {
                 Ok((warnings, events)) => {
                     self.commit(build, hash, events, &warnings)?;
                 }
@@ -238,7 +272,8 @@ impl Service {
     /// Ingest one uploaded trace. Never panics on corrupt input: analysis
     /// failures come back as `Err` (and the spooled copy is removed).
     pub fn submit(&self, build: u64, bytes: &[u8]) -> Result<SubmitOutcome, String> {
-        let hash = content_hash(bytes);
+        let hashes = upload_hashes(bytes);
+        let hash = hashes.content;
         {
             let mut inner = lock_ok(&self.inner);
             inner.session.uploads += 1;
@@ -262,7 +297,7 @@ impl Service {
             inner.pending.insert((build, hash));
         }
 
-        let result = self.ingest_reserved(build, hash, bytes);
+        let result = self.ingest_reserved(build, hashes, bytes);
         if result.is_err() {
             let _ = std::fs::remove_file(self.config.spool.join(spool_name(build, hash)));
         }
@@ -273,11 +308,12 @@ impl Service {
     fn ingest_reserved(
         &self,
         build: u64,
-        hash: u64,
+        hashes: UploadHashes,
         bytes: &[u8],
     ) -> Result<SubmitOutcome, String> {
         // Durable first: tmp + rename so the spool never holds a torn
         // trace, then analysis, then the committed log block.
+        let hash = hashes.content;
         let final_path = self.config.spool.join(spool_name(build, hash));
         let tmp_path = self.config.spool.join(format!(".b{build}-{hash:016x}.tmp"));
         std::fs::write(&tmp_path, bytes).map_err(|e| format!("{}: {e}", tmp_path.display()))?;
@@ -285,12 +321,18 @@ impl Service {
             .map_err(|e| format!("{}: {e}", final_path.display()))?;
 
         self.gate.acquire();
-        let analyzed = analyze_for_warehouse(bytes, &self.config.engine, self.detector_cfg);
+        let analyzed = self.analyze(bytes, hashes);
         self.gate.release();
         let (warnings, events) = analyzed?;
 
         self.commit(build, hash, events, &warnings)?;
         Ok(SubmitOutcome { build, hash, duplicate: false, events, warnings: warnings.len() as u64 })
+    }
+
+    /// Analyze an upload under the service's engine, checking its trace
+    /// checksum against the body hash taken with its content hash.
+    fn analyze(&self, bytes: &[u8], hashes: UploadHashes) -> Result<(TraceWarnings, u64), String> {
+        analyze_hashed(bytes, Some(hashes.body), &self.config.engine, self.detector_cfg)
     }
 
     /// Append the block to the log, then fold it into memory, atomically
@@ -370,5 +412,23 @@ mod tests {
         h.update(b"abc");
         assert_eq!(content_hash(b"abc"), h.0);
         assert_ne!(content_hash(b"abc"), content_hash(b"abd"));
+    }
+
+    /// The one pass yields the content hash of every byte and, on the way,
+    /// the hash of every byte before the trailer, whatever the length.
+    #[test]
+    fn one_pass_yields_content_and_body_hashes() {
+        let fnv = |b: &[u8]| {
+            let mut h = Fnv1a::default();
+            h.update(b);
+            h.0
+        };
+        let bytes: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..=bytes.len() {
+            let upload = &bytes[..len];
+            let hashes = upload_hashes(upload);
+            assert_eq!(hashes.content, fnv(upload), "len {len}");
+            assert_eq!(hashes.body, fnv(&upload[..len.saturating_sub(TRAILER_LEN)]), "len {len}");
+        }
     }
 }

@@ -7,6 +7,8 @@
 use std::path::PathBuf;
 
 use helgrind_core::DetectorConfig;
+use raceline_trace::format::TRAILER_LEN;
+use raceline_trace::reader::parse_trace;
 use raceline_trace::writer::TraceWriter;
 use raceline_warehouse::{
     analyze_for_warehouse, content_hash, render_catalogue, Service, ServiceConfig, WarehouseLog,
@@ -218,6 +220,32 @@ fn a_failed_log_append_commits_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An upload is hashed once: the pass that checks its trace checksum also
+/// yields its content hash, which the submit answers with, the spool file
+/// is named by and the log commits.
+#[test]
+fn submit_answers_and_commits_the_content_hash() {
+    let traces = record_cases(8);
+    let dir = fresh_dir("content_hash");
+    let svc = Service::open(config(dir.clone(), 1)).unwrap();
+    let mut hashes = Vec::new();
+    for trace in &traces {
+        let outcome = svc.submit(1, trace).unwrap();
+        assert!(!outcome.duplicate);
+        assert_eq!(outcome.hash, content_hash(trace));
+        let hash = format!("{:016x}", outcome.hash);
+        assert!(dir.join(format!("b1-{hash}.rltrace")).is_file(), "spool file of {hash}");
+        hashes.push(hash);
+    }
+    let log = std::fs::read_to_string(dir.join(LOG_FILE)).unwrap();
+    let mut logged: Vec<&str> =
+        log.lines().filter_map(|line| line.strip_prefix("trace 1\t")?.split('\t').next()).collect();
+    logged.sort_unstable();
+    hashes.sort_unstable();
+    assert_eq!(logged, hashes, "the log commits each upload under its content hash");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_upload_is_rejected_and_leaves_no_residue() {
     let traces = record_cases(1);
@@ -225,6 +253,7 @@ fn corrupt_upload_is_rejected_and_leaves_no_residue() {
     let svc = Service::open(config(dir.clone(), 1)).unwrap();
     svc.submit(1, &traces[0]).unwrap();
     let good = svc.query();
+    let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
 
     assert!(svc.submit(2, b"definitely not a trace").is_err());
     let mut torn = traces[0].clone();
@@ -234,8 +263,23 @@ fn corrupt_upload_is_rejected_and_leaves_no_residue() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0xFF;
     assert!(svc.submit(4, &flipped).is_err());
+    // One payload byte flipped under the old checksum: the body hash taken
+    // with the content hash no longer matches the stored checksum.
+    let mut flipped = traces[0].clone();
+    let desc = &parse_trace(&flipped).unwrap().epochs[0];
+    flipped[desc.payload_offset + desc.payload_len / 2] ^= 0x01;
+    let err = svc.submit(6, &flipped).unwrap_err();
+    assert!(err.contains("checksum mismatch"), "{err}");
+    // Shorter than the envelope (magic, version, trailer): refused with the
+    // error a full parse gives, before any checksum is read.
+    for len in 0..12 + TRAILER_LEN {
+        let short = &traces[0][..len];
+        let want = parse_trace(short).unwrap_err().to_string();
+        assert_eq!(svc.submit(5, short).unwrap_err(), want, "{len}-byte upload");
+    }
 
     assert_eq!(svc.query(), good, "rejected uploads must not change the catalogue");
+    assert_eq!(std::fs::read(dir.join(LOG_FILE)).unwrap(), log, "nor commit a log line");
     let residue = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use raceline_warehouse::json;
 use raceline_warehouse::server::MAX_HEADER;
+use raceline_warehouse::{content_hash, json};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_raceline")
@@ -99,6 +99,8 @@ fn served_catalogue_matches_offline_fold_under_concurrent_uploads() {
                     client(addr, &["submit", "--build", &build, trace.to_str().unwrap()]);
                 assert_eq!(code, 0, "submit {i}: {stderr}");
                 assert!(stdout.contains("\"ok\":true"), "{stdout}");
+                let hash = content_hash(&std::fs::read(trace).unwrap());
+                assert!(stdout.contains(&format!("\"hash\":\"{hash:016x}\"")), "{stdout}");
             });
         }
     });
@@ -178,11 +180,11 @@ fn corrupt_upload_never_kills_the_server() {
     let flip = tmp("flip.rltrace");
     std::fs::write(&flip, &flipped).unwrap();
 
-    for bad in [&junk, &torn, &flip] {
+    for (bad, error) in [(&junk, "bad magic"), (&torn, "truncated"), (&flip, "checksum mismatch")] {
         let (_, stderr, code) =
             client(&server.addr, &["submit", "--build", "2", bad.to_str().unwrap()]);
         assert_eq!(code, 2, "corrupt upload must fail the client, not the server\n{stderr}");
-        assert!(stderr.contains("server error"), "{stderr}");
+        assert!(stderr.contains("server error") && stderr.contains(error), "{stderr}");
     }
 
     // A header that reaches the cap without a newline is answered

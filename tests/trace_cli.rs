@@ -12,7 +12,7 @@ use raceline_trace::format::{
     TAG_EPOCH, TAG_FOOTER,
 };
 use raceline_trace::varint::put_uvarint;
-use raceline_trace::{EpochSnapshot, TraceBlock, TraceFooter, TraceTermination};
+use raceline_trace::{EpochSnapshot, ThreadSnap, TraceBlock, TraceFooter, TraceTermination};
 
 fn raceline(args: &[&str]) -> (String, String, i32) {
     let out =
@@ -59,9 +59,14 @@ fn analyze_output_is_byte_identical_to_check() {
 fn analyze_jobs_are_deterministic() {
     let trace = record_sample(SAMPLE, "jobs.rltrace", &["--epoch-events", "4"]);
     let p = trace.to_str().unwrap();
-    let baseline = raceline(&["analyze", p, "--jobs", "1"]);
-    for jobs in ["2", "8"] {
-        assert_eq!(raceline(&["analyze", p, "--jobs", jobs]), baseline, "jobs {jobs}");
+    // A window of 3 epochs divides neither the epoch count nor the other
+    // windows; a suffix analysis starts inside the first window of 8.
+    for from in ["0", "2"] {
+        let baseline = raceline(&["analyze", p, "--from-epoch", from, "--jobs", "1"]);
+        for jobs in ["2", "3", "8"] {
+            let got = raceline(&["analyze", p, "--from-epoch", from, "--jobs", jobs]);
+            assert_eq!(got, baseline, "from epoch {from}, jobs {jobs}");
+        }
     }
 }
 
@@ -103,26 +108,26 @@ fn analyze_rejects_corruption_with_structured_errors() {
     assert!(stderr.contains("bad magic"), "{stderr}");
 }
 
-/// A whole, checksummed trace of one heap block at 0x1000 (16 bytes) and
-/// one event: `req` from thread 0. Encoded by hand, because the VM stops
-/// a guest whose client request leaves guest memory, so no recorded trace
-/// carries one.
-fn client_request_trace(req: ClientEv) -> Vec<u8> {
+/// A whole, checksummed trace encoded by hand: one heap block at 0x1000
+/// (16 bytes), one epoch frame per `(snapshot, payload)` pair, and a
+/// footer claiming `events` events. Hand encoding reaches what no VM run
+/// records, such as a client request outside guest memory (the VM stops
+/// that guest) or a snapshot that disagrees with the stream.
+fn hand_trace(epochs: &[(EpochSnapshot, Vec<u8>)], events: u64) -> Vec<u8> {
     let block = TraceBlock { addr: 0x1000, size: 16, alloc_tid: 0, freed: false };
     let mut bytes = encode_header(&[""], &[block]);
-    let mut payload = Vec::new();
-    let ev = Event::Client { tid: ThreadId(0), req, loc: SrcLoc::UNKNOWN };
-    encode_event(&mut payload, &mut CodecState::default(), &ev);
-    bytes.push(TAG_EPOCH);
-    put_uvarint(&mut bytes, 0);
-    encode_snapshot(&mut bytes, &EpochSnapshot::default());
-    put_uvarint(&mut bytes, payload.len() as u64);
-    bytes.extend_from_slice(&payload);
+    for (index, (snapshot, payload)) in epochs.iter().enumerate() {
+        bytes.push(TAG_EPOCH);
+        put_uvarint(&mut bytes, index as u64);
+        encode_snapshot(&mut bytes, snapshot);
+        put_uvarint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+    }
     bytes.push(TAG_FOOTER);
     let footer = TraceFooter {
-        events: 1,
-        epochs: 1,
-        slots: 1,
+        events,
+        epochs: epochs.len() as u64,
+        slots: events,
         termination: TraceTermination::AllExited,
         faults: None,
     };
@@ -132,6 +137,31 @@ fn client_request_trace(req: ClientEv) -> Vec<u8> {
     bytes.extend_from_slice(&hash.0.to_le_bytes());
     bytes.extend_from_slice(END_MAGIC);
     bytes
+}
+
+/// One epoch payload: `events`, encoded from a fresh codec state.
+fn payload(events: &[Event]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut codec = CodecState::default();
+    for ev in events {
+        encode_event(&mut out, &mut codec, ev);
+    }
+    out
+}
+
+/// The snapshot entering an epoch after thread `i` emitted `seqs[i]`
+/// events, holding no locks.
+fn snapshot(seqs: &[u64]) -> EpochSnapshot {
+    EpochSnapshot {
+        index: 0,
+        threads: seqs.iter().map(|&seq| ThreadSnap { seq, held: Vec::new() }).collect(),
+    }
+}
+
+/// One epoch of one event: `req` from thread 0.
+fn client_request_trace(req: ClientEv) -> Vec<u8> {
+    let ev = Event::Client { tid: ThreadId(0), req, loc: SrcLoc::UNKNOWN };
+    hand_trace(&[(snapshot(&[]), payload(&[ev]))], 1)
 }
 
 #[test]
@@ -164,6 +194,63 @@ fn analyze_rejects_a_client_request_outside_the_heap() {
     let (_, stderr, code) = raceline(&["analyze", past.to_str().unwrap()]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("outside every heap block"), "{stderr}");
+}
+
+/// A corrupt trace reports its first defect in stream order, at every
+/// `--jobs`: here a client request outside the heap in epoch 0, ahead of
+/// an unknown record tag in epoch 1, though a window of two or more
+/// epochs decodes epoch 1 before epoch 0 is folded.
+#[test]
+fn analyze_reports_the_first_defect_in_stream_order_at_every_jobs() {
+    let hostile = Event::Client {
+        tid: ThreadId(0),
+        req: ClientEv::HgDestruct { addr: 0x1000, size: 1 << 40 },
+        loc: SrcLoc::UNKNOWN,
+    };
+    // Tag 0x7f names no record; the byte after it is the thread id.
+    let unknown_tag = vec![0x7f, 0x00];
+    let bytes =
+        hand_trace(&[(snapshot(&[]), payload(&[hostile])), (snapshot(&[1]), unknown_tag)], 2);
+    let path = tmp("first_defect.rltrace");
+    std::fs::write(&path, bytes).unwrap();
+    let p = path.to_str().unwrap();
+    let (_, baseline, code) = raceline(&["analyze", p, "--jobs", "1"]);
+    assert_eq!(code, 2, "{baseline}");
+    assert!(baseline.contains("epoch 0: client request names"), "{baseline}");
+    for jobs in ["2", "3", "8"] {
+        let (_, stderr, code) = raceline(&["analyze", p, "--jobs", jobs]);
+        assert_eq!((code, &stderr), (2, &baseline), "jobs {jobs}");
+    }
+}
+
+/// Each epoch snapshot lists every thread that has emitted an event: one
+/// that leaves such a thread out is corrupt, even though every thread it
+/// lists agrees with the stream.
+#[test]
+fn analyze_rejects_a_snapshot_that_omits_a_thread() {
+    let loc = SrcLoc::UNKNOWN;
+    let first = payload(&[
+        Event::ThreadCreate { parent: ThreadId(0), child: ThreadId(1), loc },
+        Event::ThreadExit { tid: ThreadId(1) },
+    ]);
+    let second = payload(&[Event::ThreadExit { tid: ThreadId(0) }]);
+    let trace = |seqs: &[u64]| {
+        hand_trace(&[(snapshot(&[]), first.clone()), (snapshot(seqs), second.clone())], 3)
+    };
+
+    let whole = tmp("snapshot_whole.rltrace");
+    std::fs::write(&whole, trace(&[1, 1])).unwrap();
+    let (_, stderr, code) = raceline(&["analyze", whole.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
+
+    let omits = tmp("snapshot_omits.rltrace");
+    std::fs::write(&omits, trace(&[1])).unwrap();
+    let (_, stderr, code) = raceline(&["analyze", omits.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("epoch 1 snapshot omits thread 1 which already emitted 1 events"),
+        "{stderr}"
+    );
 }
 
 #[test]

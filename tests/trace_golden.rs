@@ -112,7 +112,7 @@ fn sharded_analysis_is_bit_identical_to_sequential() {
         );
         for engine in ["hwlc-dr", "hybrid"] {
             let seq = analyze(&bytes, engine, 1);
-            for jobs in [2, 4, 8] {
+            for jobs in [2, 3, 4, 8] {
                 assert_eq!(
                     analyze(&bytes, engine, jobs),
                     seq,
@@ -273,7 +273,7 @@ fn repaired_sharded_analysis_matches_sequential() {
         outcome.reports.iter().map(Report::render).collect::<Vec<_>>()
     };
     let seq = render(1);
-    for jobs in [2, 4, 8] {
+    for jobs in [2, 3, 4, 8] {
         assert_eq!(render(jobs), seq, "jobs {jobs}");
     }
 }
