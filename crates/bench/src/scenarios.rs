@@ -1,6 +1,6 @@
-//! Guest-program builders shared by the `repro` binary, the Criterion
-//! benches, and the workspace integration tests. Each corresponds to a
-//! figure or section of the paper.
+//! Guest-program builders shared by the `repro` binary and the workspace
+//! integration tests. Each corresponds to a figure or section of the
+//! paper.
 
 use cxxmodel::pool::PoolAllocator;
 use cxxmodel::string::{emit_copy, emit_create, emit_drop, StringSite};

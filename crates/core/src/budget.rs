@@ -59,11 +59,9 @@ impl Default for DetectorBudget {
 /// to [`vexec::VmOptions`] / the explore driver rather than the detector
 /// but ride in the same flag for convenience.
 ///
-/// In a parallel sweep (`--jobs N`) the `total-slots` running total is a
-/// shared atomic meter (`vexec::vm::SlotMeter`) credited live by every
-/// worker; a worker consults it before claiming the next seed, so the
-/// watchdog cuts the sweep off at run granularity without perturbing any
-/// individual run's result.
+/// The `total-slots` running total is the explore fold's own sum of each
+/// run's slots, taken in run order, so the watchdog cuts the sweep off at
+/// the same run at any `--jobs N` without perturbing any run's result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetSpec {
     pub detector: DetectorBudget,

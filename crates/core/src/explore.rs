@@ -11,12 +11,12 @@
 
 use crate::commitlog::{committed, esc, unesc};
 use crate::detector::AnyDetector;
-use crate::pool::run_indexed;
+use crate::pool::fold_indexed;
 use crate::report::{Report, ReportKind, StackFrame};
 use std::cell::Cell;
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::Arc;
 use vexec::event::{Event, ThreadId};
 use vexec::faults::FaultPlan;
 use vexec::filter::FilterTool;
@@ -24,7 +24,7 @@ use vexec::ir::Program;
 use vexec::sched::{Scheduler, SeededRandom};
 use vexec::tool::Tool;
 use vexec::util::FxHashMap;
-use vexec::vm::{GuestError, PreparedProgram, SlotMeter, Termination, VmOptions, VmView};
+use vexec::vm::{GuestError, PreparedProgram, Termination, VmOptions, VmView};
 
 /// One distinct warning location across the exploration.
 #[derive(Clone, Debug)]
@@ -54,10 +54,10 @@ impl LocationHit {
 pub struct ExploreLimits {
     /// Per-run slot cap (fuel); `None` uses the VM default.
     pub max_slots_per_run: Option<u64>,
-    /// Total slot budget across the whole sweep; once consumed, remaining
-    /// seeds are skipped and the summary is partial. In parallel sweeps
-    /// the running total lives in a shared [`SlotMeter`], so workers stop
-    /// claiming new seeds promptly.
+    /// Total slot budget across the whole sweep; once the runs folded so
+    /// far have consumed it, remaining seeds are skipped and the summary
+    /// is partial. The sweep checks it in run order, so the cut-off is the
+    /// same at every `jobs`.
     pub total_slot_budget: Option<u64>,
     /// Fault plan injected into every run (same plan, per-run schedules).
     pub faults: Option<FaultPlan>,
@@ -262,8 +262,7 @@ fn run_index(
     }
 }
 
-/// Fold one run's outcome into the summary — the single accounting path
-/// shared by the sequential loop and the parallel merge.
+/// Fold run `i`'s outcome into the summary.
 fn fold_outcome(
     summary: &mut ExploreSummary,
     agg: &mut FxHashMap<(String, u32, String), LocationHit>,
@@ -312,24 +311,13 @@ fn fold_outcome(
 /// ## Deterministic parallel merge
 ///
 /// With `limits.jobs > 1` the runs go to the shared worker pool
-/// ([`crate::pool::run_indexed`]), and the result is still
-/// **bit-identical** to the sequential sweep. The protocol:
-///
-/// 1. The sweep hands the pool [`RUNS_PER_WORKER_CHUNK`] indices per
-///    worker at a time, so memory stays bounded by the chunk, not by
-///    `runs`; the next chunk starts only after the fold has consumed this
-///    one without a budget stop.
-/// 2. A claimed index first consults the shared [`SlotMeter`] (credited
-///    live by every VM, including in-flight runs); once it shows the
-///    `total_slot_budget` consumed, the index starts no run. Started
-///    runs always finish — bounded by their own per-run fuel.
-/// 3. Each run is deterministic given its index, so per-index outcomes are
-///    schedule-independent; they are merged by a sequential fold in index
-///    order that applies the budget cut-off exactly as the sequential
-///    loop would. The meter also counts later indices' slots, so an index
-///    can be skipped while the slots of the indices before it are still
-///    under budget; the fold runs such an index itself. That happens
-///    only next to the cut-off.
+/// ([`crate::pool::fold_indexed`]), which folds each outcome into the
+/// summary in index order as it arrives; every run is deterministic given
+/// its index, so the summary is **bit-identical** to the sequential sweep.
+/// The `total_slot_budget` watchdog is that fold's own slot sum: once the
+/// runs folded so far have spent it and runs remain, the fold stops the
+/// sweep where the sequential loop stops, and the outcomes of runs the
+/// workers started past the cut-off (at most the look-ahead) are dropped.
 pub fn explore_schedules(
     program: &Program,
     detector: impl Fn() -> AnyDetector + Sync,
@@ -358,35 +346,28 @@ pub fn explore_schedules(
     }
     let flat = program.lower();
     let prepared = PreparedProgram::new(&flat);
-    // Every VM credits the shared meter live, in-flight runs included, so
-    // once the budget is spent the remaining indices start no run.
-    let budget = limits.total_slot_budget.unwrap_or(u64::MAX);
-    let meter = Arc::new(SlotMeter::new(summary.slots_used));
     let opts = VmOptions {
         max_slots: limits.max_slots_per_run.unwrap_or(VmOptions::default().max_slots),
         faults: limits.faults,
-        slot_meter: limits.total_slot_budget.map(|_| meter.clone()),
         ..Default::default()
     };
-    let run = |i| run_index(&prepared, &detector, base_seed, i, &opts, &probes);
-    let chunk = limits.jobs.max(1) * RUNS_PER_WORKER_CHUNK;
-    let mut next = start;
-    'sweep: while next < runs {
-        let n = chunk.min(runs - next);
-        let outcomes =
-            run_indexed(limits.jobs, n, |k| (meter.total() < budget).then(|| run(next + k)));
-        for (k, outcome) in outcomes.into_iter().enumerate() {
-            if summary.slots_used >= budget {
-                summary.timed_out = true;
-                break 'sweep;
+    let run = |k| run_index(&prepared, &detector, base_seed, start + k, &opts, &probes);
+    // The watchdog stops the sweep before index `next` once the budget is
+    // spent; a resumed sweep may start spent.
+    let budget = limits.total_slot_budget.unwrap_or(u64::MAX);
+    let spent = |s: &ExploreSummary, next: usize| next < runs && s.slots_used >= budget;
+    if spent(&summary, start)
+        || fold_indexed(limits.jobs, runs - start, run, |k, o| {
+            fold_outcome(&mut summary, &mut agg, o, start + k);
+            if spent(&summary, start + k + 1) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            // The budget is not spent before this index, so the sequential
-            // sweep runs it: a worker that skipped it saw later indices'
-            // slots on the meter (see the merge notes above).
-            let o = outcome.unwrap_or_else(|| run(next + k));
-            fold_outcome(&mut summary, &mut agg, o, next + k);
-        }
-        next += n;
+        })
+        .is_break()
+    {
+        summary.timed_out = true;
     }
     let mut locations: Vec<LocationHit> = agg.into_values().collect();
     locations.sort_by(|a, b| {
@@ -398,9 +379,6 @@ pub fn explore_schedules(
     summary.locations = locations;
     summary
 }
-
-/// Run indices each worker gets per chunk of the sweep.
-const RUNS_PER_WORKER_CHUNK: usize = 16;
 
 /// Resumable snapshot of a (possibly interrupted) exploration sweep.
 ///
@@ -903,23 +881,35 @@ mod tests {
         }
     }
 
-    /// The cut-off lands in the first chunk, in the second, in the third
-    /// and after the last run, and the pool's workers race the meter at
-    /// each of them.
+    /// The cut-off lands early, in the middle, late and after the last
+    /// run. The watchdog starts no run past it at `jobs: 1`, and at most
+    /// the pool's look-ahead past it with workers; the summary is the same.
     #[test]
     fn parallel_budget_cutoff_matches_sequential() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let prog = mixed_program();
-        let runs = 3 * RUNS_PER_WORKER_CHUNK;
+        let runs = 48;
         let full = sweep(&prog, runs, 0xDEED, ExploreLimits::default(), None);
-        for tenth in 1..=10 {
-            let limits = ExploreLimits {
-                total_slot_budget: Some(full.slots_used * tenth / 10),
-                ..Default::default()
+        let counted = |jobs: usize, total_slot_budget| {
+            let started = AtomicUsize::new(0);
+            let factory = || {
+                started.fetch_add(1, Ordering::SeqCst);
+                engine("hwlc-dr")()
             };
-            let seq = sweep(&prog, runs, 0xDEED, limits, None);
+            let limits = ExploreLimits { total_slot_budget, jobs, ..Default::default() };
+            let s = explore_schedules(&prog, factory, runs, 0xDEED, limits, None, &[]);
+            let ahead = if jobs <= 1 { 0 } else { jobs * crate::pool::AHEAD_PER_WORKER };
+            let started = started.into_inner();
+            let done = s.completed_runs;
+            assert!((done..=done + ahead).contains(&started), "jobs {jobs}: {started} for {done}");
+            s
+        };
+        for tenth in 1..=10 {
+            let budget = Some(full.slots_used * tenth / 10);
+            let seq = counted(1, budget);
             assert_eq!(seq.timed_out, tenth < 10);
             for jobs in [2, 3, 8] {
-                let par = sweep(&prog, runs, 0xDEED, ExploreLimits { jobs, ..limits }, None);
+                let par = counted(jobs, budget);
                 assert_eq!(fingerprint(&seq), fingerprint(&par), "budget {tenth}/10, jobs {jobs}");
             }
         }

@@ -55,7 +55,7 @@ pub use explore::{
 pub use hb::{Conflict, EpochStats, HbEngine, HbRaceInfo};
 pub use lockorder::{CycleInfo, LockOrderGraph};
 pub use locksets::{LockId, LockSetId, LockSetTable};
-pub use pool::run_indexed;
+pub use pool::fold_indexed;
 pub use replay::{
     analyze_trace_bytes, analyze_trace_repair, warning_fingerprint, RepairInfo, ReplayCtx,
     ReplayOutcome,

@@ -9,17 +9,15 @@
 //! same code inline and offline; byte-identical reports follow by
 //! construction.
 //!
-//! Sharding: epoch payloads are codec-independent, so a *window* of
-//! `max(jobs, 1)` epochs decodes at once on the shared worker pool
-//! ([`with_workers`], spawned once per replay), and the detector folds
-//! that window in epoch order before the next one is decoded. Dispatch is one sequential fold in
-//! stream order, identical for any `--jobs N`, which is what makes
-//! parallel analysis bit-reproducible; decoded records never outnumber one
-//! window's. Each epoch's checks run in stream order too: its snapshot
-//! against the records before it, then its decode, then its records one
-//! by one. So a corrupt trace reports its first defect in stream order,
-//! whatever the window, and an epoch that fails to decode dispatches none
-//! of its records.
+//! Sharding: epoch payloads are codec-independent, so epochs decode on the
+//! shared worker pool ([`fold_indexed`]), and the detector folds each one
+//! in stream order as it arrives: one fold for any `--jobs N`, which makes
+//! parallel analysis bit-reproducible, holding at most the pool's
+//! look-ahead of decoded epochs (one at `--jobs 1`). Each epoch's checks
+//! run in stream order too: its snapshot against the records before it,
+//! then its decode, then its records one by one. So a corrupt trace
+//! reports its first defect in stream order at any `--jobs`, and an epoch
+//! that fails to decode dispatches none of its records.
 //!
 //! Starting mid-trace (`from_epoch > 0`) replays stack/block context from
 //! the beginning (cheap — no detector work) and primes the detector's
@@ -35,6 +33,7 @@
 //! compares sharded replays of both.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use raceline_trace::format::{TraceError, TraceFooter, TraceRecord};
 use raceline_trace::reader::{
@@ -45,7 +44,7 @@ use vexec::ir::SrcLoc;
 use vexec::util::Symbol;
 
 use crate::detector::{AnyDetector, EngineStats};
-use crate::pool::with_workers;
+use crate::pool::fold_indexed;
 use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
 
 /// What offline analysis hands back to the caller.
@@ -146,11 +145,11 @@ impl ReportCtx for ReplayCtx {
 
 /// Run `detector` over a complete `.rltrace` byte stream.
 ///
-/// `jobs` parallelises epoch *decoding* only, a window of `jobs` epochs
-/// at a time; dispatch is a sequential fold in epoch order, so the outcome
-/// is byte-identical for any `jobs`. `from_epoch` skips detector dispatch
-/// for earlier epochs (context is still replayed) and primes lock state
-/// from that epoch's snapshot.
+/// `jobs` parallelises epoch *decoding* only; dispatch is a sequential
+/// fold in epoch order, so the outcome is byte-identical for any `jobs`.
+/// `from_epoch` skips detector dispatch for earlier epochs (context is
+/// still replayed) and primes lock state from that epoch's snapshot; a
+/// `from_epoch` past the trace's last epoch is an error.
 pub fn analyze_trace_bytes(
     bytes: &[u8],
     detector: AnyDetector,
@@ -208,6 +207,9 @@ fn analyze_parsed(
     from_epoch: u64,
 ) -> Result<ReplayOutcome, TraceError> {
     let ParsedTrace { header, epochs, footer } = parsed;
+    if from_epoch > 0 && from_epoch >= epochs.len() as u64 {
+        return Err(TraceError::NoSuchEpoch { epoch: from_epoch, epochs: epochs.len() as u64 });
+    }
     let nsyms = header.symbols.len() as u32;
     let blocks: BTreeMap<u64, (u64, u32, bool)> =
         header.initial_blocks.iter().map(|b| (b.addr, (b.size, b.alloc_tid, b.freed))).collect();
@@ -218,19 +220,13 @@ fn analyze_parsed(
         dispatched: 0,
         from_epoch,
     };
-    // The workers are spawned once and decode only the window in hand, so
-    // decoded records never outnumber one window's.
-    let window = jobs.max(1);
     let decode = |i: usize| decode_epoch(bytes, &epochs[i], nsyms);
-    with_workers(jobs.min(epochs.len()), decode, |decode_window| {
-        for start in (0..epochs.len()).step_by(window) {
-            let end = (start + window).min(epochs.len());
-            for (desc, decoded) in epochs[start..end].iter().zip(decode_window(start..end)) {
-                fold.epoch(desc, decoded)?;
-            }
-        }
-        Ok::<_, TraceError>(())
-    })?;
+    let folded = fold_indexed(jobs, epochs.len(), decode, |i, decoded| {
+        fold.epoch(&epochs[i], decoded).map_or_else(ControlFlow::Break, ControlFlow::Continue)
+    });
+    if let ControlFlow::Break(e) = folded {
+        return Err(e);
+    }
     let Fold { mut detector, counts, dispatched, .. } = fold;
     let total: u64 = counts.iter().sum();
     if total != footer.events {

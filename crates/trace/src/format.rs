@@ -88,6 +88,11 @@ pub enum TraceError {
         expected: u64,
         found: u64,
     },
+    /// An analysis asked to start at an epoch the trace does not have.
+    NoSuchEpoch {
+        epoch: u64,
+        epochs: u64,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -109,6 +114,9 @@ impl std::fmt::Display for TraceError {
                     f,
                     "trace checksum mismatch (stored {expected:#018x}, computed {found:#018x})"
                 )
+            }
+            TraceError::NoSuchEpoch { epoch, epochs } => {
+                write!(f, "no epoch {epoch}: the trace has {epochs} epoch(s), numbered from 0")
             }
         }
     }

@@ -71,5 +71,5 @@ pub use sched::{Pct, PriorityOrder, Quantum, RoundRobin, Scheduler, SeededRandom
 pub use tool::{CountingTool, FanoutTool, NullTool, RecordingTool, Tool};
 pub use vm::{
     run_flat, run_program, GuestError, GuestErrorKind, InterpStats, PreparedProgram, RunResult,
-    RunStats, SlotMeter, Termination, Vm, VmOptions, VmView, SCHEDULE_REVISION,
+    RunStats, Termination, Vm, VmOptions, VmView, SCHEDULE_REVISION,
 };

@@ -23,30 +23,6 @@ use crate::tool::Tool;
 use crate::util::{Interner, Symbol};
 use std::cell::Cell;
 
-/// Shared slot meter for multi-worker sweeps. Each VM adds slots to it as
-/// they are consumed, so a coordinator fanning seeded runs out over a
-/// worker pool sees a live running total (including in-flight runs) and
-/// can stop claiming new runs the moment a shared watchdog budget
-/// (`total-slots`) is exhausted. Runs already started always finish —
-/// bounded by their own `max_slots` — which is what keeps every per-run
-/// result, and therefore the merged summary, deterministic.
-#[derive(Debug, Default)]
-pub struct SlotMeter(std::sync::atomic::AtomicU64);
-
-impl SlotMeter {
-    pub fn new(initial: u64) -> Self {
-        SlotMeter(std::sync::atomic::AtomicU64::new(initial))
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    pub fn total(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
 /// Revision of the VM's schedule semantics: bump when a VM change moves
 /// schedules. Files that replay a sweep from recorded seeds (explore
 /// checkpoints, soak logs) record it and are refused under another.
@@ -66,9 +42,6 @@ pub struct VmOptions {
     /// Optional fault-injection plan. `Some` builds a [`FaultInjector`]
     /// even when every rate is zero, so the hook cost stays measurable.
     pub faults: Option<FaultPlan>,
-    /// Optional shared meter credited with every slot this VM consumes,
-    /// live, for sweep-wide watchdogs across worker threads.
-    pub slot_meter: Option<std::sync::Arc<SlotMeter>>,
 }
 
 impl Default for VmOptions {
@@ -78,7 +51,6 @@ impl Default for VmOptions {
             silent_op_budget: 1_000_000,
             max_frames: 256,
             faults: None,
-            slot_meter: None,
         }
     }
 }
@@ -532,9 +504,6 @@ impl<'p> Vm<'p> {
             let idx = sched.pick(&self.runnable, self.stats.slots);
             let tid = self.runnable[idx];
             self.stats.slots += 1;
-            if let Some(m) = &self.opts.slot_meter {
-                m.add(1);
-            }
             if self.injector.is_some() && self.inject_pre_slot(tid) {
                 // The scheduled thread died abruptly: the slot is consumed.
                 self.drain(tool, &mut scratch);

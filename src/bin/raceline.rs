@@ -76,7 +76,7 @@ use helgrind_core::explore::{explore_schedules, DirectedTarget, ExploreCheckpoin
 use helgrind_core::replay::{analyze_trace_bytes, warning_fingerprint};
 use helgrind_core::ReportKind;
 use helgrind_core::{
-    commitlog, run_indexed, AnyDetector, BudgetSpec, DetectorConfig, Report, Suppression,
+    commitlog, fold_indexed, AnyDetector, BudgetSpec, DetectorConfig, Report, Suppression,
     SuppressionSet,
 };
 use minicpp::analysis::escape::EscapeFinding;
@@ -90,6 +90,7 @@ use raceline_warehouse::{
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use vexec::faults::{parse_u64, FaultPlan, FaultStats};
 use vexec::filter::{FilterStats, FilterTool};
 use vexec::ir::lower::FlatProgram;
@@ -1505,7 +1506,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         Mismatch,
         Panicked,
     }
-    let outcomes = run_indexed(jobs, runs, |i| {
+    let probe_run = |i: usize| {
         let plan = FaultPlan::from_seed(seed.wrapping_add(i as u64));
         let ci = i % cases.len();
         let sched_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
@@ -1515,7 +1516,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         // Determinism probe on a sample of runs: the same (plan, schedule)
         // must reproduce the exact report fingerprint.
         let probe = match &outcome {
-            Some(first) if i % 10 == 0 => {
+            Some(first) if i.is_multiple_of(10) => {
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
                     Ok(again) if again.fingerprint == first.fingerprint => None,
                     Ok(_) => Some(Probe::Mismatch),
@@ -1525,14 +1526,14 @@ fn run_chaos(args: Vec<String>) -> ! {
             _ => None,
         };
         (outcome, probe)
-    });
-    for (i, (outcome, probe)) in outcomes.into_iter().enumerate() {
+    };
+    let _ = fold_indexed(jobs, runs, probe_run, |i, (outcome, probe)| -> ControlFlow<()> {
         let plan_seed = seed.wrapping_add(i as u64);
         let ci = i % cases.len();
         let Some(outcome) = outcome else {
             panics += 1;
             eprintln!("PANIC: case {} plan seed {plan_seed:#x}", cases[ci].name);
-            continue;
+            return ControlFlow::Continue(());
         };
         match probe {
             None => {}
@@ -1558,7 +1559,8 @@ fn run_chaos(args: Vec<String>) -> ! {
         if outcome.real_hits > 0 {
             case_real_cover[ci] = true;
         }
-    }
+        ControlFlow::Continue(())
+    });
 
     // §4.1 catalogue under faults: each bug must still be detected under
     // at least one plan of the sweep. Bugs are independent of each other,
@@ -1566,7 +1568,7 @@ fn run_chaos(args: Vec<String>) -> ! {
     // order with the sequential early-exit, keeping the panic tally and
     // the missed list identical to --jobs 1.
     let all_bugs = sipsim::bugs::all_bugs();
-    let bug_results = run_indexed(jobs, all_bugs.len(), |bi| {
+    let hunt = |bi: usize| {
         let bug = &all_bugs[bi];
         let flat = bug.program.lower();
         let mut attempt_panics: usize = 0;
@@ -1595,14 +1597,15 @@ fn run_chaos(args: Vec<String>) -> ! {
             }
         }
         (found, attempt_panics)
-    });
+    };
     let mut bugs_missed: Vec<&'static str> = Vec::new();
-    for (bi, (found, attempt_panics)) in bug_results.into_iter().enumerate() {
+    let _ = fold_indexed(jobs, all_bugs.len(), hunt, |bi, (found, attempt_panics)| {
         panics += attempt_panics;
         if !found {
             bugs_missed.push(all_bugs[bi].name);
         }
-    }
+        ControlFlow::<()>::Continue(())
+    });
     drop(std::panic::take_hook());
     std::panic::set_hook(prev_hook);
 
@@ -1746,45 +1749,42 @@ fn run_soak(args: Vec<String>) -> ! {
         log = parsed;
     }
 
-    // Phases still to run, in chunks of `jobs`: each phase is independent,
-    // so the chunk fans out over the worker pool and the in-order fold
-    // (and the appended log) is identical to a sequential run.
-    let mut phase = log.next_phase();
-    while phase < spec.phases {
-        let chunk = jobs.min((spec.phases - phase) as usize);
-        let outcomes = run_indexed(jobs, chunk, |i| {
-            let det = AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
-            run_phase(&spec, phase + i as u32, Some(det), true, max_slots)
-        });
-        for out in outcomes {
-            if let Some(path) = &checkpoint_path {
-                if let Err(e) = commitlog::append(path, &SoakLog::phase_block(&out)) {
-                    eprintln!("soak: cannot append to {path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
+    // Phases still to run: each phase is independent, so they fan out over
+    // the worker pool, and the in-order fold (and the appended log) is
+    // identical to a sequential run.
+    let first = log.next_phase();
+    let run = |i: usize| {
+        let det = AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
+        run_phase(&spec, first + i as u32, Some(det), true, max_slots)
+    };
+    let _ = fold_indexed(jobs, spec.phases.saturating_sub(first) as usize, run, |_, out| {
+        if let Some(path) = &checkpoint_path {
+            if let Err(e) = commitlog::append(path, &SoakLog::phase_block(&out)) {
+                eprintln!("soak: cannot append to {path}: {e}");
+                std::process::exit(EXIT_ERROR);
             }
-            let s = &out.stats;
-            eprintln!(
-                "soak: phase {}/{}: {} dialog(s), {} event(s), {} kill(s), {} warning(s), \
-                 peak granules {}, {}",
-                s.phase + 1,
-                spec.phases,
-                s.dialogs,
-                s.events,
-                s.kills,
-                s.warnings,
-                s.peak_granules,
-                match &s.end {
-                    PhaseEnd::Clean => "clean".to_string(),
-                    PhaseEnd::Deadlock(n) => format!("DEADLOCK ({n} blocked)"),
-                    PhaseEnd::GuestError(e) => format!("guest error: {e}"),
-                    PhaseEnd::FuelExhausted => "slot budget exhausted".to_string(),
-                }
-            );
-            log.fold_phase(&out);
         }
-        phase += chunk as u32;
-    }
+        let s = &out.stats;
+        eprintln!(
+            "soak: phase {}/{}: {} dialog(s), {} event(s), {} kill(s), {} warning(s), \
+             peak granules {}, {}",
+            s.phase + 1,
+            spec.phases,
+            s.dialogs,
+            s.events,
+            s.kills,
+            s.warnings,
+            s.peak_granules,
+            match &s.end {
+                PhaseEnd::Clean => "clean".to_string(),
+                PhaseEnd::Deadlock(n) => format!("DEADLOCK ({n} blocked)"),
+                PhaseEnd::GuestError(e) => format!("guest error: {e}"),
+                PhaseEnd::FuelExhausted => "slot budget exhausted".to_string(),
+            }
+        );
+        log.fold_phase(&out);
+        ControlFlow::<()>::Continue(())
+    });
 
     print!("{}", log.render_summary(mem_report));
     let guest_err = log.phases.iter().any(|p| matches!(p.end, PhaseEnd::GuestError(_)));

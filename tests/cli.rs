@@ -451,6 +451,29 @@ fn explore_checkpoint_round_trips() {
     assert_eq!(stdout, stdout2, "resumed report must match the sweep");
 }
 
+/// The `total-slots` watchdog cuts the sweep at the same run at every
+/// `--jobs`, and the checkpoint it saves is byte-identical too.
+#[test]
+fn budget_cut_explore_is_bit_identical_across_jobs() {
+    let run = |jobs: &str| {
+        let path = std::env::temp_dir().join(format!("raceline_budget_cut_{jobs}.ck"));
+        let _ = std::fs::remove_file(&path);
+        let p = path.to_str().unwrap();
+        let budget = "total-slots=20000";
+        let args = ["check", SAMPLE, "--explore", "1000", "--budget", budget, "--checkpoint", p];
+        let (stdout, _, code) = raceline(&[&args[..], &["--jobs", jobs]].concat());
+        (stdout, code, std::fs::read(&path).expect("the sweep saves its checkpoint"))
+    };
+    let (stdout, code, saved) = run("1");
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("timed out: 314/1000 runs completed"), "{stdout}");
+    for jobs in ["2", "8"] {
+        let (out, c, ck) = run(jobs);
+        assert_eq!((out.as_str(), c), (stdout.as_str(), code), "jobs {jobs}");
+        assert!(ck == saved, "jobs {jobs}: the saved checkpoints differ");
+    }
+}
+
 #[test]
 fn chaos_smoke_run_is_resilient() {
     let (stdout, stderr, code) =

@@ -366,6 +366,38 @@ fn analyze_from_epoch_primes_held_locks() {
     assert!(a.2 == 0 || a.2 == 1, "suffix analysis is clean or findings, not an error");
 }
 
+/// `--from-epoch` names an epoch of the trace, the repaired trace's under
+/// `--repair`; one past the last is bad input, not an empty analysis.
+#[test]
+fn analyze_from_epoch_past_the_last_epoch_exits_2() {
+    let trace = tmp("t6_epochs.rltrace");
+    let p = trace.to_str().unwrap();
+    let (_, stderr, code) = raceline(&["record", "--case", "T6", "--out", p]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains(" in 4 epoch(s)"), "{stderr}");
+    for from in ["4", "999"] {
+        let (stdout, stderr, code) = raceline(&["analyze", p, "--from-epoch", from]);
+        assert_eq!(code, 2, "--from-epoch {from}\n{stdout}{stderr}");
+        assert!(stderr.contains("the trace has 4 epoch(s)"), "{stderr}");
+        assert!(stdout.is_empty() && !stderr.contains("analyzed"), "{stdout}{stderr}");
+    }
+    for from in ["0", "3"] {
+        let (_, stderr, code) = raceline(&["analyze", p, "--from-epoch", from]);
+        assert!(code == 0 || code == 1, "--from-epoch {from}\n{stderr}");
+    }
+
+    let bytes = std::fs::read(&trace).unwrap();
+    let torn = tmp("t6_epochs_torn.rltrace");
+    std::fs::write(&torn, &bytes[..bytes.len() * 3 / 4]).unwrap();
+    let t = torn.to_str().unwrap();
+    let (_, stderr, code) = raceline(&["analyze", t, "--repair", "--from-epoch", "1"]);
+    assert!(code == 0 || code == 1, "{stderr}");
+    assert!(stderr.contains("analyzing 2 intact epoch(s)"), "{stderr}");
+    let (_, stderr, code) = raceline(&["analyze", t, "--repair", "--from-epoch", "2"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("the trace has 2 epoch(s)"), "{stderr}");
+}
+
 #[test]
 fn record_passes_schedule_and_fault_options_through() {
     let trace = record_sample(
