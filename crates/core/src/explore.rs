@@ -276,7 +276,6 @@ fn fold_outcome(
         Termination::FuelExhausted => {
             summary.failed_runs += 1;
             summary.fuel_exhausted_runs += 1;
-            summary.timed_out = true;
         }
         Termination::GuestError(_) => summary.failed_runs += 1,
     }
@@ -356,7 +355,7 @@ pub fn explore_schedules(
     // spent; a resumed sweep may start spent.
     let budget = limits.total_slot_budget.unwrap_or(u64::MAX);
     let spent = |s: &ExploreSummary, next: usize| next < runs && s.slots_used >= budget;
-    if spent(&summary, start)
+    let cut = spent(&summary, start)
         || fold_indexed(limits.jobs, runs - start, run, |k, o| {
             fold_outcome(&mut summary, &mut agg, o, start + k);
             if spent(&summary, start + k + 1) {
@@ -365,10 +364,10 @@ pub fn explore_schedules(
                 ControlFlow::Continue(())
             }
         })
-        .is_break()
-    {
-        summary.timed_out = true;
-    }
+        .is_break();
+    // The count includes runs restored from `resume`, so a fuel-exhausted
+    // run saved before the cut still marks the resumed sweep.
+    summary.timed_out = cut || summary.fuel_exhausted_runs > 0;
     let mut locations: Vec<LocationHit> = agg.into_values().collect();
     locations.sort_by(|a, b| {
         b.hits

@@ -45,7 +45,7 @@ use vexec::util::Symbol;
 
 use crate::detector::{AnyDetector, EngineStats};
 use crate::pool::fold_indexed;
-use crate::report::{format_block_note, Report, ReportCtx, StackFrame};
+use crate::report::{format_block_note, Report, ReportCtx, ReportKind, StackFrame};
 
 /// What offline analysis hands back to the caller.
 pub struct ReplayOutcome {
@@ -368,5 +368,12 @@ fn check_snapshot(desc: &EpochDesc, counts: &[u64]) -> Result<(), TraceError> {
 /// kind + source location. Deliberately excludes the address (heap layout
 /// shifts between builds) and the stack (inlining and call paths churn).
 pub fn warning_fingerprint(r: &Report) -> String {
-    format!("{}|{}|{}|{}", r.kind.code(), r.file, r.line, r.func)
+    fingerprint(r.kind, &r.file, r.line, &r.func)
+}
+
+/// The `kind|file|line|func` bytes of [`warning_fingerprint`], from the
+/// parts a log record keeps. Warehouse `suppress` lines, `trace-diff
+/// --json` and the soak catalogue persist or print these bytes.
+pub fn fingerprint(kind: ReportKind, file: &str, line: u32, func: &str) -> String {
+    format!("{}|{file}|{line}|{func}", kind.code())
 }

@@ -30,6 +30,7 @@ use std::fmt::Write as _;
 
 use crate::workload::{phase_cells, DialogClass, SoakSpec};
 use helgrind_core::commitlog::{esc, unesc};
+use helgrind_core::replay::fingerprint;
 use helgrind_core::{warning_fingerprint, AnyDetector, Report, ReportKind};
 use vexec::faults::FaultPlan;
 use vexec::filter::FilterTool;
@@ -606,7 +607,7 @@ impl SoakLog {
     fn commit(&mut self, stats: PhaseStats, warns: Vec<WarnRecord>) {
         let phase = stats.phase;
         for (hits, kind, line, file, func) in warns {
-            let fp = format!("{}|{file}|{line}|{func}", kind.code());
+            let fp = fingerprint(kind, &file, line, &func);
             self.catalogue
                 .entry(fp)
                 .and_modify(|e| {

@@ -1,7 +1,8 @@
 //! Deterministic renderings of warehouse state: the catalogue text (the
-//! `query` body and the `serve --fold` stdout — the byte-compared
-//! equivalence artifact), the `diff` JSON (shared with `trace-diff --json`
-//! so the two are byte-identical by construction), and the `stats` JSON.
+//! `query` body, which the equivalence tests byte-compare with a
+//! sequential in-memory fold of the same uploads), the `diff` JSON (shared
+//! with `trace-diff --json` so the two are byte-identical by
+//! construction), and the `stats` JSON.
 //!
 //! Everything here is a pure function of [`WarehouseLog`] (plus in-memory
 //! session counters for stats), and `WarehouseLog` is a commutative fold —

@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use helgrind_core::commitlog::{esc, unesc};
+use helgrind_core::replay::fingerprint;
 use helgrind_core::ReportKind;
 
 pub const LOG_MAGIC: &str = "raceline-warehouse-log v1";
@@ -28,10 +29,6 @@ pub struct WarehouseEntry {
 }
 
 impl WarehouseEntry {
-    pub fn fingerprint(&self) -> String {
-        format!("{}|{}|{}|{}", self.kind.code(), self.file, self.line, self.func)
-    }
-
     pub fn first_build(&self) -> u64 {
         self.builds.first().copied().unwrap_or(0)
     }
@@ -128,7 +125,7 @@ impl WarehouseLog {
     /// first lists that build.
     pub fn fold_ingest(&mut self, build: u64, hash: u64, events: u64, warnings: &TraceWarnings) {
         for (kind, file, line, func) in warnings {
-            let fp = format!("{}|{file}|{line}|{func}", kind.code());
+            let fp = fingerprint(*kind, file, *line, func);
             let e = self.entries.entry(fp).or_insert_with(|| WarehouseEntry {
                 kind: *kind,
                 file: file.clone(),

@@ -10,7 +10,6 @@
 //! raceline soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--kill <permille>] [options]
 //! raceline trace-diff old.rltrace new.rltrace [--detector <name>] [--json]
 //! raceline serve --listen <addr> --spool <dir> [--detector <name>] [--jobs <n>]
-//! raceline serve --fold [--detector <name>] <build>=<trace.rltrace>...
 //! raceline client --connect <addr> <submit|query|diff|suppress|stats|ping|shutdown> ...
 //! raceline lint  app.mcpp [lib.mcpp ...] [--raw <file>] [--json]
 //! raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3] [--jobs <n>] [options]
@@ -65,8 +64,10 @@
 //!   --emit-ir               print the lowered guest IR (disassembly)
 //!
 //! Every run puts the redundant-access filter in front of the detector (in
-//! front of the trace writer for `record`); it never changes a report. A
-//! flag the chosen mode does not read is bad usage.
+//! front of the trace writer for `record`); it never changes a report.
+//! Every subcommand refuses a flag outside its usage line (`check
+//! --explore` has a line of its own) as bad usage. Numbers are decimal or
+//! `0x` hex.
 //!
 //! Exit codes: 0 = ran clean, 1 = findings reported, 2 = tool or guest
 //! error (unreadable input, compile error, bad usage, guest fault).
@@ -81,60 +82,148 @@ use helgrind_core::{
 };
 use minicpp::analysis::escape::EscapeFinding;
 use minicpp::analysis::AnalysisResult;
-use minicpp::pipeline::{run_pipeline, SourceFile};
+use minicpp::pipeline::{run_pipeline, PipelineOutput, SourceFile};
 use raceline_trace::format::{Fnv1a, TraceTermination};
 use raceline_trace::writer::TraceWriter;
 use raceline_warehouse::{
     client as wclient, render_diff_json, server as wserver, DiffEntry, Service, ServiceConfig,
-    WarehouseLog,
 };
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use vexec::faults::{parse_u64, FaultPlan, FaultStats};
 use vexec::filter::{FilterStats, FilterTool};
-use vexec::ir::lower::FlatProgram;
 use vexec::sched::{Pct, RoundRobin, Scheduler, SeededRandom};
 use vexec::vm::{run_flat, BlockOn, RunStats, Termination, VmOptions};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: raceline check <file.mcpp>... [--raw <file.mcpp>]... \
+/// Each mode's usage line, under the mode it describes. A mode accepts
+/// exactly the flags its lines list, and a flag whose token does not close
+/// its `[...]` (`[--jobs <n>]`, `--listen <addr>`) takes a value.
+const USAGE: &[(&str, &str)] = &[
+    (
+        "check",
+        "check <file.mcpp>... [--raw <file.mcpp>]... \
          [--detector original|hwlc|hwlc-dr|djit|hybrid|hybrid-queue] \
          [--schedule rr|random:<seed>|pct:<seed>:<depth>] \
          [--suppressions <file>] [--gen-suppressions] [--faults <spec>] [--budget <spec>] \
-         [--static-cross-check] [--stats] [--json] [--emit-annotated] [--emit-ir]\n\
-         \x20      raceline check <file.mcpp>... --explore <n> [--raw <file.mcpp>]... \
+         [--static-cross-check] [--stats] [--json] [--emit-annotated] [--emit-ir]",
+    ),
+    (
+        "check --explore",
+        "check <file.mcpp>... --explore <n> [--raw <file.mcpp>]... \
          [--detector <name>] [--suppressions <file>] [--faults <spec>] [--budget <spec>] \
          [--jobs <n>] [--checkpoint <file>] [--static-cross-check] [--directed] [--json] \
-         [--emit-annotated] [--emit-ir]\n\
-         \x20      raceline record <file.mcpp>... [--raw <file.mcpp>]... \
+         [--emit-annotated] [--emit-ir]",
+    ),
+    (
+        "record",
+        "record <file.mcpp>... [--raw <file.mcpp>]... \
          [--out <trace.rltrace>] [--epoch-events <n>] [--schedule ...] [--faults <spec>] \
-         [--budget <spec>] [--stats]\n\
-         \x20      raceline record --case <T1..T8> [--out <trace.rltrace>] \
-         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] [--stats]\n\
-         \x20      raceline analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
+         [--budget <spec>] [--stats]",
+    ),
+    (
+        "record",
+        "record --case <T1..T8> [--out <trace.rltrace>] \
+         [--epoch-events <n>] [--schedule ...] [--faults <spec>] [--budget <spec>] [--stats]",
+    ),
+    (
+        "analyze",
+        "analyze <trace.rltrace> [--detector <name>] [--jobs <n>] \
          [--from-epoch <k>] [--suppressions <file>] [--gen-suppressions] [--budget <spec>] \
-         [--repair] [--stats] [--json]\n\
-         \x20      raceline soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--workers <n>] \
+         [--repair] [--stats] [--json]",
+    ),
+    (
+        "soak",
+        "soak [--dialogs <n>] [--phases <n>] [--seed <s>] [--workers <n>] \
          [--resize <n>] [--hops <n>] [--churn <permille>] [--options <permille>] \
          [--reinvites <n>] [--kill <permille>] [--max-kills <n>] [--no-reclaim] \
          [--detector <name>] [--budget <spec>] [--jobs <n>] [--checkpoint <file>] \
-         [--max-slots <n>] [--mem-report]\n\
-         \x20      raceline trace-diff <old.rltrace> <new.rltrace> [--detector <name>] \
-         [--detector-a <name>] [--detector-b <name>] [--jobs <n>] [--json]\n\
-         \x20      raceline serve --listen <addr> --spool <dir> [--detector <name>] \
-         [--jobs <n>]\n\
-         \x20      raceline serve --fold [--detector <name>] <build>=<trace.rltrace>...\n\
-         \x20      raceline client --connect <addr> submit --build <n> <trace.rltrace>\n\
-         \x20      raceline client --connect <addr> query|stats|ping|shutdown\n\
-         \x20      raceline client --connect <addr> diff --a <build> --b <build>\n\
-         \x20      raceline client --connect <addr> suppress <fingerprint> [--off]\n\
-         \x20      raceline lint <file.mcpp>... [--raw <file.mcpp>]... [--json]\n\
-         \x20      raceline chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
-         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--json]"
-    );
-    std::process::exit(2);
+         [--mem-report]",
+    ),
+    (
+        "trace-diff",
+        "trace-diff <old.rltrace> <new.rltrace> [--detector <name>] \
+         [--detector-a <name>] [--detector-b <name>] [--jobs <n>] [--json]",
+    ),
+    ("serve", "serve --listen <addr> --spool <dir> [--detector <name>] [--jobs <n>]"),
+    ("client", "client --connect <addr> submit --build <n> <trace.rltrace>"),
+    ("client", "client --connect <addr> query|stats|ping|shutdown"),
+    ("client", "client --connect <addr> diff --a <build> --b <build>"),
+    ("client", "client --connect <addr> suppress <fingerprint> [--off]"),
+    ("lint", "lint <file.mcpp>... [--raw <file.mcpp>]... [--json]"),
+    (
+        "chaos",
+        "chaos [--runs <n>] [--seed <s>] [--cases T1,T3,...] \
+         [--detector <name>] [--max-slots <n>] [--jobs <n>] [--json]",
+    ),
+];
+
+fn usage() -> ! {
+    let lines: Vec<&str> = USAGE.iter().map(|(_, line)| *line).collect();
+    fail(format!("usage: raceline {}", lines.join("\n       raceline ")))
+}
+
+/// A command line read against its mode's usage lines: each flag with its
+/// value (empty for a switch) and each positional (flag `""`), in the
+/// order given, so `--raw` units and instrumented ones compile as listed.
+struct Cli {
+    args: Vec<(&'static str, String)>,
+}
+
+impl Cli {
+    /// Read `args` against `mode`'s flag list; any other flag is bad usage.
+    fn parse(mode: &str, args: &[String]) -> Cli {
+        let flags: Vec<(&'static str, bool)> = USAGE
+            .iter()
+            .filter(|(m, _)| *m == mode)
+            .flat_map(|(_, line)| line.split_whitespace())
+            .filter_map(|token| {
+                let flag = token.strip_prefix('[').unwrap_or(token);
+                flag.starts_with("--").then(|| (flag.trim_end_matches(']'), !token.ends_with(']')))
+            })
+            .collect();
+        let mut parsed = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                parsed.push(("", arg.clone()));
+                continue;
+            }
+            let Some(&(flag, takes_value)) = flags.iter().find(|(f, _)| f == arg) else {
+                eprintln!("{arg} does not apply to {mode}");
+                usage()
+            };
+            let value = if takes_value {
+                it.next().unwrap_or_else(|| usage()).clone()
+            } else {
+                String::new()
+            };
+            parsed.push((flag, value));
+        }
+        Cli { args: parsed }
+    }
+
+    /// The value of the last `flag` given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.args.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.args.iter().any(|(f, _)| *f == flag)
+    }
+
+    fn num(&self, flag: &str) -> Option<u64> {
+        self.value(flag).map(|v| {
+            parse_u64(v).unwrap_or_else(|e| {
+                eprintln!("{flag}: {e}");
+                usage()
+            })
+        })
+    }
+
+    fn positionals(&self) -> Vec<&str> {
+        self.args.iter().filter(|(f, _)| f.is_empty()).map(|(_, v)| v.as_str()).collect()
+    }
 }
 
 fn parse_detector(s: &str) -> DetectorConfig {
@@ -144,19 +233,87 @@ fn parse_detector(s: &str) -> DetectorConfig {
     })
 }
 
+/// The engine set-up of every mode that runs a detector: the named
+/// engine, `--budget`'s caps and `--suppressions`' set.
+struct Engine {
+    name: String,
+    cfg: DetectorConfig,
+    suppressions: SuppressionSet,
+    budget: Option<BudgetSpec>,
+}
+
+impl Engine {
+    fn new(cli: &Cli, name: &str) -> Engine {
+        let mut cfg = parse_detector(name);
+        let budget = budget(cli);
+        if let Some(b) = &budget {
+            cfg.budget = b.detector;
+        }
+        let suppressions = cli.value("--suppressions").map_or_else(SuppressionSet::new, |path| {
+            SuppressionSet::parse(&read_source(path))
+                .unwrap_or_else(|e| fail(format!("{path}: {e}")))
+        });
+        Engine { name: name.to_string(), cfg, suppressions, budget }
+    }
+
+    fn detector(&self) -> AnyDetector {
+        AnyDetector::by_name(&self.name, self.cfg, self.suppressions.clone())
+    }
+
+    /// The engine part of a checkpoint's spec, shared by the explore
+    /// checkpoint and the soak log: the detector name, its budget caps and
+    /// the VM's schedule revision, so a file saved under other schedules is
+    /// refused.
+    fn spec(&self) -> String {
+        let b = self.cfg.budget;
+        format!(
+            "detector={} shadow={} locksets={} reports={} schedules={}",
+            self.name,
+            b.max_shadow_words,
+            b.max_locksets,
+            b.max_reports,
+            vexec::SCHEDULE_REVISION
+        )
+    }
+
+    /// `--budget`'s per-run slot cap.
+    fn max_slots(&self) -> Option<u64> {
+        self.budget.and_then(|b| b.max_slots)
+    }
+}
+
+fn budget(cli: &Cli) -> Option<BudgetSpec> {
+    cli.value("--budget")
+        .map(|spec| BudgetSpec::parse(spec).unwrap_or_else(|e| fail(format!("--budget: {e}"))))
+}
+
+fn faults(cli: &Cli) -> Option<FaultPlan> {
+    cli.value("--faults")
+        .map(|spec| FaultPlan::parse(spec).unwrap_or_else(|e| fail(format!("--faults: {e}"))))
+}
+
+/// One run's VM options: `--faults` and a per-run slot cap.
+fn vm_options(faults: Option<FaultPlan>, max_slots: Option<u64>) -> VmOptions {
+    VmOptions {
+        faults,
+        max_slots: max_slots.unwrap_or(VmOptions::default().max_slots),
+        ..Default::default()
+    }
+}
+
 fn parse_schedule(s: &str) -> Box<dyn Scheduler> {
     if s == "rr" {
         return Box::new(RoundRobin::new());
     }
     if let Some(seed) = s.strip_prefix("random:") {
-        let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
+        let seed = parse_u64(seed).unwrap_or_else(|_| usage());
         return Box::new(SeededRandom::new(seed));
     }
     if let Some(rest) = s.strip_prefix("pct:") {
         let mut it = rest.split(':');
-        let seed: u64 = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-        let depth: u32 = it.next().and_then(|x| x.parse().ok()).unwrap_or(2);
-        return Box::new(Pct::new(seed, depth, 10_000));
+        let seed = it.next().and_then(|x| parse_u64(x).ok()).unwrap_or_else(|| usage());
+        let depth = it.next().map_or(Some(2), |x| parse_u64(x).ok()?.try_into().ok());
+        return Box::new(Pct::new(seed, depth.unwrap_or_else(|| usage()), 10_000));
     }
     eprintln!("unknown schedule: {s}");
     usage()
@@ -166,11 +323,37 @@ fn parse_schedule(s: &str) -> Box<dyn Scheduler> {
 const EXIT_FINDINGS: i32 = 1;
 const EXIT_ERROR: i32 = 2;
 
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(EXIT_ERROR);
+}
+
 fn read_source(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    })
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
+}
+
+/// The positionals as instrumented units and `--raw <file>` as
+/// uninstrumented ones, in the order given.
+fn sources(cli: &Cli) -> Vec<SourceFile> {
+    cli.args
+        .iter()
+        .filter_map(|(flag, path)| match *flag {
+            "" => Some(SourceFile::new(path, &read_source(path))),
+            "--raw" => Some(SourceFile::without_instrumentation(path, &read_source(path))),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Stages 1+2+3 of Fig 3: preprocess, parse + annotate, compile.
+fn compile(files: &[SourceFile]) -> PipelineOutput {
+    let out = run_pipeline(files).unwrap_or_else(|e| fail(format!("compile error: {e}")));
+    eprintln!(
+        "compiled {} unit(s); {} delete site(s) annotated",
+        files.len(),
+        out.deletes_annotated
+    );
+    out
 }
 
 /// The (kind, file, line) key the static/dynamic join uses. A
@@ -226,38 +409,21 @@ fn directed_targets(stat: &AnalysisResult) -> Vec<DirectedTarget> {
 /// larger `--explore N` extends a sweep.
 fn explore_spec(
     program: &vexec::ir::Program,
-    detector: &str,
-    cfg: &DetectorConfig,
-    suppressions: &SuppressionSet,
+    engine: &Engine,
     limits: &ExploreLimits,
     directed: bool,
 ) -> String {
     let mut h = Fnv1a::default();
     h.update(vexec::ir::disasm::disassemble(&program.lower()).as_bytes());
     let mut supp = Fnv1a::default();
-    supp.update(suppressions.render().as_bytes());
+    supp.update(engine.suppressions.render().as_bytes());
     format!(
         "program={:016x} {} suppressions={:016x} faults={:?} slots={:?} directed={directed}",
         h.0,
-        detector_spec(detector, cfg),
+        engine.spec(),
         supp.0,
         limits.faults,
         limits.max_slots_per_run,
-    )
-}
-
-/// The engine part of a checkpoint's spec, shared by the explore
-/// checkpoint and the soak log: the detector name, its budget caps and
-/// the VM's schedule revision, so a file saved under other schedules is
-/// refused.
-fn detector_spec(detector: &str, cfg: &DetectorConfig) -> String {
-    let b = cfg.budget;
-    format!(
-        "detector={detector} shadow={} locksets={} reports={} schedules={}",
-        b.max_shadow_words,
-        b.max_locksets,
-        b.max_reports,
-        vexec::SCHEDULE_REVISION
     )
 }
 
@@ -372,250 +538,79 @@ impl<'a> CrossCheck<'a> {
     }
 }
 
-/// The flags each mode of the shared `check`/`record`/`lint` parser reads,
-/// as its usage line lists them; any other flag is bad usage.
-const CHECK_FLAGS: &str = "--detector --raw --suppressions --faults --budget --static-cross-check \
-                           --json --emit-annotated --emit-ir --schedule --gen-suppressions --stats";
-const EXPLORE_FLAGS: &str =
-    "--detector --raw --suppressions --faults --budget --static-cross-check \
-     --json --emit-annotated --emit-ir --explore --jobs --checkpoint --directed";
-const RECORD_FLAGS: &str = "--raw --case --out --epoch-events --schedule --faults --budget --stats";
-const LINT_FLAGS: &str = "--raw --json";
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let cmd = match args.next().as_deref() {
-        Some("check") => "check",
-        Some("lint") => "lint",
-        Some("record") => "record",
-        Some("analyze") => {
-            run_analyze(args.collect());
-        }
-        Some("trace-diff") => {
-            run_trace_diff(args.collect());
-        }
-        Some("chaos") => {
-            run_chaos(args.collect());
-        }
-        Some("soak") => {
-            run_soak(args.collect());
-        }
-        Some("serve") => {
-            run_serve(args.collect());
-        }
-        Some("client") => {
-            run_client(args.collect());
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = args.split_first() else { usage() };
+    let mode = if cmd == "check" && rest.iter().any(|a| a == "--explore") {
+        "check --explore"
+    } else {
+        cmd.as_str()
+    };
+    let run: fn(&Cli) -> ! = match mode {
+        "check" | "check --explore" => run_check,
+        "record" => run_record,
+        "lint" => run_lint,
+        "analyze" => run_analyze,
+        "trace-diff" => run_trace_diff,
+        "serve" => run_serve,
+        "client" => run_client,
+        "chaos" => run_chaos,
+        "soak" => run_soak,
         _ => usage(),
     };
+    run(&Cli::parse(mode, rest))
+}
 
-    let mut files: Vec<SourceFile> = Vec::new();
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut schedule = "rr".to_string();
-    let mut suppressions = SuppressionSet::new();
-    let mut gen_suppressions = false;
-    let mut explore: Option<usize> = None;
-    let mut jobs: usize = 1;
-    let mut checkpoint_path: Option<String> = None;
-    let mut faults: Option<FaultPlan> = None;
-    let mut budget: Option<BudgetSpec> = None;
-    let mut emit_annotated = false;
-    let mut emit_ir = false;
-    let mut json = false;
-    let mut cross_check = false;
-    let mut directed = false;
-    let mut record_out: Option<String> = None;
-    let mut record_case: Option<String> = None;
-    let mut epoch_events: Option<u64> = None;
-    let mut stats = false;
-
-    let args: Vec<String> = args.collect();
-    let mut given: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with('-') {
-            given.push(a);
-        }
-        match a.as_str() {
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--schedule" => schedule = it.next().unwrap_or_else(|| usage()).clone(),
-            "--raw" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                files.push(SourceFile::without_instrumentation(path, &text));
-            }
-            "--suppressions" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                suppressions = SuppressionSet::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--faults" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                faults = Some(FaultPlan::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--budget" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--checkpoint" => checkpoint_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--case" => record_case = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--out" => record_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--epoch-events" => {
-                epoch_events =
-                    Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--gen-suppressions" => gen_suppressions = true,
-            "--emit-annotated" => emit_annotated = true,
-            "--emit-ir" => emit_ir = true,
-            "--json" => json = true,
-            "--stats" => stats = true,
-            "--static-cross-check" => cross_check = true,
-            "--directed" => directed = true,
-            "--explore" => {
-                explore = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            path if !path.starts_with('-') => {
-                let text = read_source(path);
-                files.push(SourceFile::new(path, &text));
-            }
-            _ => usage(),
-        }
-    }
-    let (mode, mode_flags) = match cmd {
-        "lint" => ("lint", LINT_FLAGS),
-        "record" => ("record", RECORD_FLAGS),
-        _ if explore.is_some() => ("check --explore", EXPLORE_FLAGS),
-        _ => ("check", CHECK_FLAGS),
-    };
-    if let Some(flag) = given.into_iter().find(|f| !mode_flags.split(' ').any(|m| m == *f)) {
-        eprintln!("{flag} does not apply to {mode}");
-        usage();
-    }
-    let opts = VmOptions {
-        faults,
-        max_slots: budget
-            .as_ref()
-            .and_then(|b| b.max_slots)
-            .unwrap_or(VmOptions::default().max_slots),
-        ..Default::default()
-    };
-    // `record --case NAME` records a built-in sipsim proxy scenario (the
-    // T1–T8 Fig 6 cases) instead of compiling sources — the trace corpus
-    // the serve gates and benches upload.
-    if let Some(case) = &record_case {
-        if !files.is_empty() {
-            usage();
-        }
-        let tc = sipsim::testcases().into_iter().find(|t| t.name == *case).unwrap_or_else(|| {
-            let names: Vec<&str> = sipsim::testcases().iter().map(|t| t.name).collect();
-            eprintln!("unknown case {case}; available: {}", names.join(","));
-            std::process::exit(EXIT_ERROR);
-        });
-        let flat = tc.build().program.lower();
-        run_record(
-            &flat,
-            parse_schedule(&schedule).as_mut(),
-            opts,
-            record_out,
-            epoch_events,
-            stats,
-        );
-    }
+/// `raceline check`: compile, then one run under `--schedule`, or with
+/// `--explore <n>` a sweep over `n` schedules.
+fn run_check(cli: &Cli) -> ! {
+    let files = sources(cli);
     if files.is_empty() {
         usage();
     }
-
-    if cmd == "lint" {
-        run_lint(&files, json);
-    }
-
-    // Stage 1+2+3 (Fig 3): preprocess, parse + annotate, compile.
-    let out = run_pipeline(&files).unwrap_or_else(|e| {
-        eprintln!("compile error: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    eprintln!(
-        "compiled {} unit(s); {} delete site(s) annotated",
-        files.len(),
-        out.deletes_annotated
-    );
+    let engine = Engine::new(cli, cli.value("--detector").unwrap_or("hwlc-dr"));
+    let faults = faults(cli);
+    let out = compile(&files);
     let flat = out.program.lower();
-    // Record mode: run the VM once with the trace writer as the tool and
-    // leave all detection for `raceline analyze`.
-    if cmd == "record" {
-        run_record(
-            &flat,
-            parse_schedule(&schedule).as_mut(),
-            opts,
-            record_out,
-            epoch_events,
-            stats,
-        );
-    }
-    if emit_annotated {
+    if cli.has("--emit-annotated") {
         for (name, src) in &out.annotated_sources {
             println!("// ---- {name} (annotated) ----");
             println!("{src}");
         }
     }
-
-    if emit_ir {
+    if cli.has("--emit-ir") {
         println!("{}", vexec::ir::disasm::disassemble(&flat));
     }
-
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    let stat = cross_check.then(|| minicpp::analysis::analyze(&out.units));
+    let stat = cli.has("--static-cross-check").then(|| minicpp::analysis::analyze(&out.units));
 
     // Exploration mode: aggregate warnings across many schedules.
-    if let Some(runs) = explore {
+    if let Some(runs) = cli.num("--explore") {
+        let runs = runs as usize;
+        let (directed, json) = (cli.has("--directed"), cli.has("--json"));
         let limits = ExploreLimits {
-            max_slots_per_run: budget.as_ref().and_then(|b| b.max_slots),
-            total_slot_budget: budget.as_ref().and_then(|b| b.total_slots),
+            max_slots_per_run: engine.max_slots(),
+            total_slot_budget: engine.budget.and_then(|b| b.total_slots),
             faults,
-            jobs,
+            jobs: cli.num("--jobs").unwrap_or(1) as usize,
         };
-        let spec =
-            explore_spec(&out.program, &detector_name, &cfg, &suppressions, &limits, directed);
-        let resume = checkpoint_path.as_ref().and_then(|p| {
+        let spec = explore_spec(&out.program, &engine, &limits, directed);
+        let checkpoint_path = cli.value("--checkpoint");
+        let resume = checkpoint_path.and_then(|p| {
             let bytes = match std::fs::read(p) {
                 Ok(bytes) => bytes,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-                Err(e) => {
-                    eprintln!("{p}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
+                Err(e) => fail(format!("{p}: {e}")),
             };
             match ExploreCheckpoint::load(&bytes) {
-                Ok((ck, _)) if ck.spec != spec => {
-                    eprintln!(
-                        "{p}: checkpoint was recorded by a different sweep\n  \
-                         checkpoint: {}\n  requested:  {spec}",
-                        ck.spec
-                    );
-                    std::process::exit(EXIT_ERROR);
-                }
-                Ok((ck, _)) if ck.next_index > runs => {
-                    eprintln!(
-                        "{p}: {} runs already done, more than --explore {runs}",
-                        ck.next_index
-                    );
-                    std::process::exit(EXIT_ERROR);
-                }
+                Ok((ck, _)) if ck.spec != spec => fail(format!(
+                    "{p}: checkpoint was recorded by a different sweep\n  \
+                     checkpoint: {}\n  requested:  {spec}",
+                    ck.spec
+                )),
+                Ok((ck, _)) if ck.next_index > runs => fail(format!(
+                    "{p}: {} runs already done, more than --explore {runs}",
+                    ck.next_index
+                )),
                 Ok((ck, cut)) => {
                     if cut {
                         eprintln!(
@@ -626,10 +621,7 @@ fn main() {
                     eprintln!("resuming from {p}: {}/{} runs done", ck.next_index, ck.runs);
                     Some(ck)
                 }
-                Err(e) => {
-                    eprintln!("{p}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }
+                Err(e) => fail(format!("{p}: {e}")),
             }
         });
         let targets = match (&stat, directed) {
@@ -640,11 +632,10 @@ fn main() {
                 targets
             }
             (None, true) => {
-                eprintln!("--directed requires --static-cross-check (it consumes static findings)");
-                std::process::exit(EXIT_ERROR);
+                fail("--directed requires --static-cross-check (it consumes static findings)")
             }
         };
-        let detector = || AnyDetector::by_name(&detector_name, cfg, suppressions.clone());
+        let detector = || engine.detector();
         let summary = explore_schedules(
             &out.program,
             detector,
@@ -654,11 +645,10 @@ fn main() {
             resume.as_ref(),
             &targets,
         );
-        if let Some(p) = &checkpoint_path {
+        if let Some(p) = checkpoint_path {
             let ck = ExploreCheckpoint { spec, ..summary.checkpoint() };
             if let Err(e) = commitlog::replace(p, &ck.render()) {
-                eprintln!("cannot write checkpoint {p}: {e}");
-                std::process::exit(EXIT_ERROR);
+                fail(format!("cannot write checkpoint {p}: {e}"));
             }
         }
         if !json {
@@ -721,10 +711,11 @@ fn main() {
 
     // Single-run mode: the detector's sink has already dropped every
     // suppressed report.
-    let mut tool = FilterTool::new(AnyDetector::by_name(&detector_name, cfg, suppressions));
-    let r = run_flat(&flat, &mut tool, parse_schedule(&schedule).as_mut(), opts);
+    let mut tool = FilterTool::new(engine.detector());
+    let mut sched = parse_schedule(cli.value("--schedule").unwrap_or("rr"));
+    let r = run_flat(&flat, &mut tool, sched.as_mut(), vm_options(faults, engine.max_slots()));
     let (mut det, filter_stats) = tool.into_parts();
-    if stats {
+    if cli.has("--stats") {
         print_engine_stats(&det.engine_stats());
         print_filter_stats(&filter_stats);
         print_interp_stats(&r.stats);
@@ -744,6 +735,7 @@ fn main() {
     });
 
     let (end, term_label) = end_of_termination(&r.termination);
+    let (gen_suppressions, json) = (cli.has("--gen-suppressions"), cli.has("--json"));
     finish_run(&dynamic, truncated, end, term_label, r.faults, cross, gen_suppressions, json);
 }
 
@@ -948,28 +940,36 @@ fn finish_run(
 
     eprintln!("{warnings} warning(s)");
     if guest_error.is_some() {
-        eprintln!("guest error: exiting with status {EXIT_ERROR}");
-        std::process::exit(EXIT_ERROR);
+        fail(format!("guest error: exiting with status {EXIT_ERROR}"));
     }
     std::process::exit(if warnings == 0 { 0 } else { EXIT_FINDINGS });
 }
 
-/// Record one program run to an `.rltrace` file — the body of
-/// `raceline record`, shared by the compile-from-source and `--case`
-/// (built-in sipsim scenario) paths.
-fn run_record(
-    flat: &FlatProgram,
-    sched: &mut dyn Scheduler,
-    opts: VmOptions,
-    record_out: Option<String>,
-    epoch_events: Option<u64>,
-    stats: bool,
-) -> ! {
-    let out_path = record_out.unwrap_or_else(|| "trace.rltrace".to_string());
-    let file = std::fs::File::create(&out_path).unwrap_or_else(|e| {
-        eprintln!("cannot create {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
+/// `raceline record`: run the VM once with the trace writer as the tool
+/// and leave all detection to `raceline analyze`. `--case NAME` records a
+/// built-in sipsim proxy scenario (the T1–T8 Fig 6 cases) instead of
+/// compiling sources — the trace corpus the serve tests and benches
+/// upload.
+fn run_record(cli: &Cli) -> ! {
+    let epoch_events = cli.num("--epoch-events");
+    let opts = vm_options(faults(cli), budget(cli).and_then(|b| b.max_slots));
+    let files = sources(cli);
+    let flat = match cli.value("--case") {
+        Some(case) if files.is_empty() => {
+            let tc =
+                sipsim::testcases().into_iter().find(|t| t.name == case).unwrap_or_else(|| {
+                    let names: Vec<&str> = sipsim::testcases().iter().map(|t| t.name).collect();
+                    fail(format!("unknown case {case}; available: {}", names.join(",")))
+                });
+            tc.build().program.lower()
+        }
+        None if !files.is_empty() => compile(&files).program.lower(),
+        _ => usage(),
+    };
+    let mut sched = parse_schedule(cli.value("--schedule").unwrap_or("rr"));
+    let out_path = cli.value("--out").unwrap_or("trace.rltrace");
+    let file = std::fs::File::create(out_path)
+        .unwrap_or_else(|e| fail(format!("cannot create {out_path}: {e}")));
     let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
     if let Some(n) = epoch_events {
         writer = writer.with_epoch_events(n);
@@ -978,13 +978,12 @@ fn run_record(
     // writer: smaller traces, same reports on replay (elided events
     // are state-transition no-ops).
     let mut tool = FilterTool::new(writer);
-    let r = run_flat(flat, &mut tool, sched, opts);
+    let r = run_flat(&flat, &mut tool, sched.as_mut(), opts);
     let (writer, filter_stats) = tool.into_parts();
-    let summary = writer.finish(&r.termination, &r.stats, r.faults.as_ref()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    if stats {
+    let summary = writer
+        .finish(&r.termination, &r.stats, r.faults.as_ref())
+        .unwrap_or_else(|e| fail(format!("cannot write {out_path}: {e}")));
+    if cli.has("--stats") {
         print_filter_stats(&filter_stats);
         print_interp_stats(&r.stats);
     }
@@ -1006,80 +1005,23 @@ fn run_record(
 }
 
 fn read_trace(path: &str) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(EXIT_ERROR);
-    })
+    std::fs::read(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
 }
 
 /// `raceline analyze`: feed a recorded trace through any detector
 /// configuration — no VM, no re-execution — and print exactly what
 /// `raceline check` would have printed inline.
-fn run_analyze(args: Vec<String>) -> ! {
-    let mut trace_path: Option<String> = None;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut jobs: usize = 1;
-    let mut from_epoch: u64 = 0;
-    let mut suppressions = SuppressionSet::new();
-    let mut gen_suppressions = false;
-    let mut budget: Option<BudgetSpec> = None;
-    let mut json = false;
-    let mut stats = false;
-    let mut repair = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--from-epoch" => {
-                from_epoch = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--stats" => stats = true,
-            "--repair" => repair = true,
-            "--suppressions" => {
-                let path = it.next().unwrap_or_else(|| usage());
-                let text = read_source(path);
-                suppressions = SuppressionSet::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--budget" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(spec).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--gen-suppressions" => gen_suppressions = true,
-            "--json" => json = true,
-            path if !path.starts_with('-') => {
-                if trace_path.is_some() {
-                    usage();
-                }
-                trace_path = Some(path.to_string());
-            }
-            _ => usage(),
-        }
-    }
-    let path = trace_path.unwrap_or_else(|| usage());
-    let bytes = read_trace(&path);
-
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    let detector = AnyDetector::by_name(&detector_name, cfg, suppressions);
-    let outcome = if repair {
+fn run_analyze(cli: &Cli) -> ! {
+    let [path] = cli.positionals()[..] else { usage() };
+    let engine = Engine::new(cli, cli.value("--detector").unwrap_or("hwlc-dr"));
+    let jobs = cli.num("--jobs").unwrap_or(1).max(1) as usize;
+    let from_epoch = cli.num("--from-epoch").unwrap_or(0);
+    let bytes = read_trace(path);
+    let detector = engine.detector();
+    let outcome = if cli.has("--repair") {
         let (outcome, info) =
-            helgrind_core::analyze_trace_repair(&bytes, detector, jobs.max(1), from_epoch)
-                .unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
+            helgrind_core::analyze_trace_repair(&bytes, detector, jobs, from_epoch)
+                .unwrap_or_else(|e| fail(format!("{path}: {e}")));
         if info.repaired {
             eprintln!(
                 "repaired: dropped {} torn byte(s), analyzing {} intact epoch(s)",
@@ -1088,22 +1030,21 @@ fn run_analyze(args: Vec<String>) -> ! {
         }
         outcome
     } else {
-        analyze_trace_bytes(&bytes, detector, jobs.max(1), from_epoch).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(EXIT_ERROR);
-        })
+        analyze_trace_bytes(&bytes, detector, jobs, from_epoch)
+            .unwrap_or_else(|e| fail(format!("{path}: {e}")))
     };
     eprintln!(
-        "analyzed {} event(s) from {} epoch(s) [{detector_name}]",
-        outcome.events, outcome.footer.epochs
+        "analyzed {} event(s) from {} epoch(s) [{}]",
+        outcome.events, outcome.footer.epochs, engine.name
     );
-    if stats {
+    if cli.has("--stats") {
         // Replay-side counters only: the trace is already filtered (or
         // not) at record time; analyze never re-filters.
         print_engine_stats(&outcome.engine_stats);
     }
 
     let (end, term_label) = end_of_trace(&outcome.footer.termination);
+    let (gen_suppressions, json) = (cli.has("--gen-suppressions"), cli.has("--json"));
     let faults = outcome.footer.faults;
     finish_run(
         &outcome.reports,
@@ -1121,43 +1062,21 @@ fn run_analyze(args: Vec<String>) -> ! {
 /// detector configurations) and report warnings by stable fingerprint —
 /// which are new, which are fixed. Exit 0 when the sets match, 1 when they
 /// differ, 2 on error.
-fn run_trace_diff(args: Vec<String>) -> ! {
-    let mut paths: Vec<String> = Vec::new();
-    let mut detector_a = "hwlc-dr".to_string();
-    let mut detector_b: Option<String> = None;
-    let mut jobs: usize = 1;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--detector" => detector_a = it.next().unwrap_or_else(|| usage()).clone(),
-            "--detector-a" => detector_a = it.next().unwrap_or_else(|| usage()).clone(),
-            "--detector-b" => detector_b = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--json" => json = true,
-            path if !path.starts_with('-') => paths.push(path.to_string()),
-            _ => usage(),
-        }
-    }
-    if paths.len() != 2 {
-        usage();
-    }
-    let detector_b = detector_b.unwrap_or_else(|| detector_a.clone());
+fn run_trace_diff(cli: &Cli) -> ! {
+    let [old_path, new_path] = cli.positionals()[..] else { usage() };
+    let detector_a = cli.value("--detector-a").or(cli.value("--detector")).unwrap_or("hwlc-dr");
+    let detector_b = cli.value("--detector-b").unwrap_or(detector_a);
+    let jobs = cli.num("--jobs").unwrap_or(1).max(1) as usize;
 
     let analyze_one = |path: &str, name: &str| -> BTreeMap<String, Report> {
         let bytes = read_trace(path);
-        let det = AnyDetector::by_name(name, parse_detector(name), SuppressionSet::new());
-        let outcome = analyze_trace_bytes(&bytes, det, jobs.max(1), 0).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(EXIT_ERROR);
-        });
+        let det = Engine::new(cli, name).detector();
+        let outcome = analyze_trace_bytes(&bytes, det, jobs, 0)
+            .unwrap_or_else(|e| fail(format!("{path}: {e}")));
         outcome.reports.into_iter().map(|r| (warning_fingerprint(&r), r)).collect()
     };
-    let old = analyze_one(&paths[0], &detector_a);
-    let new = analyze_one(&paths[1], &detector_b);
+    let old = analyze_one(old_path, detector_a);
+    let new = analyze_one(new_path, detector_b);
 
     let fresh: Vec<(&String, &Report)> =
         new.iter().filter(|(k, _)| !old.contains_key(*k)).collect();
@@ -1166,7 +1085,7 @@ fn run_trace_diff(args: Vec<String>) -> ! {
     let unchanged = new.keys().filter(|k| old.contains_key(*k)).count();
 
     let describe = |r: &Report| format!("{} at {}:{} ({})", r.kind.name(), r.file, r.line, r.func);
-    if json {
+    if cli.has("--json") {
         // The warehouse `diff` command renders through the same function,
         // so served regression edges byte-match this output.
         let to_entries = |rs: &[(&String, &Report)]| -> Vec<DiffEntry> {
@@ -1185,8 +1104,8 @@ fn run_trace_diff(args: Vec<String>) -> ! {
         print!(
             "{}",
             render_diff_json(
-                &detector_a,
-                &detector_b,
+                detector_a,
+                detector_b,
                 &to_entries(&fresh),
                 &to_entries(&fixed),
                 unchanged as u64
@@ -1204,82 +1123,27 @@ fn run_trace_diff(args: Vec<String>) -> ! {
     std::process::exit(if fresh.is_empty() && fixed.is_empty() { 0 } else { EXIT_FINDINGS });
 }
 
-/// `raceline serve`: the trace-ingest service (DESIGN.md §14). With
-/// `--listen`, run the threaded TCP front end over a spool-dir-backed
-/// report warehouse until a `shutdown` command arrives. With `--fold`,
-/// run the *offline oracle* instead: ingest the given `<build>=<path>`
-/// traces sequentially through the identical fold and print the catalogue
-/// — the byte-compare baseline for the equivalence gates.
-fn run_serve(args: Vec<String>) -> ! {
-    let mut listen: Option<String> = None;
-    let mut spool: Option<String> = None;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut jobs: usize = 1;
-    let mut fold = false;
-    let mut uploads: Vec<(u64, String)> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--spool" => spool = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--fold" => fold = true,
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            arg if !arg.starts_with('-') => {
-                let Some((build, path)) = arg.split_once('=') else { usage() };
-                let Ok(build) = build.parse::<u64>() else { usage() };
-                uploads.push((build, path.to_string()));
-            }
-            _ => usage(),
-        }
-    }
-    // Validate the engine name up front on both paths.
-    let _ = parse_detector(&detector_name);
-
-    if fold {
-        // Sequential offline fold: same analysis, same commutative state,
-        // same renderer as the server — only the transport is missing.
-        let cfg = parse_detector(&detector_name);
-        let mut log = WarehouseLog::new(&detector_name, false);
-        for (build, path) in &uploads {
-            let bytes = read_trace(path);
-            let hash = raceline_warehouse::content_hash(&bytes);
-            if log.traces.contains_key(&(*build, hash)) {
-                continue;
-            }
-            let (warnings, events) =
-                raceline_warehouse::analyze_for_warehouse(&bytes, &detector_name, cfg)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(EXIT_ERROR);
-                    });
-            log.fold_ingest(*build, hash, events, &warnings);
-        }
-        print!("{}", raceline_warehouse::render_catalogue(&log));
-        std::process::exit(0);
-    }
-
-    let (Some(listen), Some(spool)) = (listen, spool) else { usage() };
-    if !uploads.is_empty() {
-        usage();
-    }
+/// `raceline serve`: the trace-ingest service (DESIGN.md §14): the
+/// threaded TCP front end over a spool-dir-backed report warehouse, run
+/// until a `shutdown` command arrives.
+fn run_serve(cli: &Cli) -> ! {
+    let (Some(listen), Some(spool)) = (cli.value("--listen"), cli.value("--spool")) else {
+        usage()
+    };
+    let [] = cli.positionals()[..] else { usage() };
+    // The service builds its own detectors; refuse an unknown engine here.
+    let detector_name = cli.value("--detector").unwrap_or("hwlc-dr");
+    let _ = parse_detector(detector_name);
+    let jobs = cli.num("--jobs").unwrap_or(1) as usize;
     let service = Service::open(ServiceConfig {
         spool: spool.into(),
-        engine: detector_name,
+        engine: detector_name.to_string(),
         hb_reference: false,
         jobs,
     })
-    .unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
-    let listener = std::net::TcpListener::bind(&listen).unwrap_or_else(|e| {
-        eprintln!("serve: cannot listen on {listen}: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
+    .unwrap_or_else(|e| fail(format!("serve: {e}")));
+    let listener = std::net::TcpListener::bind(listen)
+        .unwrap_or_else(|e| fail(format!("serve: cannot listen on {listen}: {e}")));
     match listener.local_addr() {
         Ok(addr) => {
             // Stdout so harnesses that bind port 0 can parse the real
@@ -1288,14 +1152,10 @@ fn run_serve(args: Vec<String>) -> ! {
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
         }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            std::process::exit(EXIT_ERROR);
-        }
+        Err(e) => fail(format!("serve: {e}")),
     }
     if let Err(e) = wserver::serve(&service, listener) {
-        eprintln!("serve: {e}");
-        std::process::exit(EXIT_ERROR);
+        fail(format!("serve: {e}"));
     }
     eprintln!("serve: shutdown complete");
     std::process::exit(0);
@@ -1305,100 +1165,58 @@ fn run_serve(args: Vec<String>) -> ! {
 /// Response bodies (`query`, `diff`, `stats`) go to stdout verbatim so CI
 /// can `cmp` them; bodiless responses print their JSON header line.
 /// Exit 0 on `ok:true`, 2 on transport failure or `ok:false`.
-fn run_client(args: Vec<String>) -> ! {
-    let mut connect: Option<String> = None;
-    let mut verb: Option<String> = None;
-    let mut build: u64 = 0;
-    let mut diff_a: Option<u64> = None;
-    let mut diff_b: Option<u64> = None;
-    let mut off = false;
-    let mut positional: Vec<String> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--build" => {
-                build = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--a" => {
-                diff_a = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--b" => {
-                diff_b = Some(it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--off" => off = true,
-            arg if !arg.starts_with('-') => {
-                if verb.is_none() {
-                    verb = Some(arg.to_string());
-                } else {
-                    positional.push(arg.to_string());
-                }
-            }
-            _ => usage(),
+fn run_client(cli: &Cli) -> ! {
+    let addr = cli.value("--connect").unwrap_or_else(|| usage());
+    let result = match cli.positionals()[..] {
+        ["submit", path] => {
+            wclient::submit(addr, cli.num("--build").unwrap_or(0), &read_trace(path))
         }
-    }
-    let addr = connect.unwrap_or_else(|| usage());
-    let verb = verb.unwrap_or_else(|| usage());
-
-    let result = match verb.as_str() {
-        "submit" => {
-            let [path] = positional.as_slice() else { usage() };
-            let bytes = read_trace(path);
-            wclient::submit(&addr, build, &bytes)
+        [verb @ ("query" | "stats" | "ping" | "shutdown")] => {
+            wclient::request(addr, &wclient::cmd(verb), None)
         }
-        "query" | "stats" | "ping" | "shutdown" => {
-            wclient::request(&addr, &wclient::cmd(&verb), None)
-        }
-        "diff" => {
-            let (Some(a), Some(b)) = (diff_a, diff_b) else { usage() };
+        ["diff"] => {
+            let (Some(a), Some(b)) = (cli.num("--a"), cli.num("--b")) else { usage() };
             let header = Value::Object(vec![
                 ("cmd".to_string(), Value::Str("diff".to_string())),
                 ("a".to_string(), Value::UInt(a)),
                 ("b".to_string(), Value::UInt(b)),
             ]);
-            wclient::request(&addr, &header, None)
+            wclient::request(addr, &header, None)
         }
-        "suppress" => {
-            let [fingerprint] = positional.as_slice() else { usage() };
+        ["suppress", fingerprint] => {
             let header = Value::Object(vec![
                 ("cmd".to_string(), Value::Str("suppress".to_string())),
-                ("fingerprint".to_string(), Value::Str(fingerprint.clone())),
-                ("on".to_string(), Value::Bool(!off)),
+                ("fingerprint".to_string(), Value::Str(fingerprint.to_string())),
+                ("on".to_string(), Value::Bool(!cli.has("--off"))),
             ]);
-            wclient::request(&addr, &header, None)
+            wclient::request(addr, &header, None)
         }
         _ => usage(),
     };
 
-    let resp = result.unwrap_or_else(|e| {
-        eprintln!("client: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
+    let resp = result.unwrap_or_else(|e| fail(format!("client: {e}")));
     if !resp.ok() {
-        eprintln!("client: server error: {}", resp.error().unwrap_or("unknown"));
-        std::process::exit(EXIT_ERROR);
+        fail(format!("client: server error: {}", resp.error().unwrap_or("unknown")));
     }
     if resp.body.is_empty() {
         println!("{}", resp.header);
     } else {
         use std::io::Write as _;
-        std::io::stdout().write_all(&resp.body).unwrap_or_else(|e| {
-            eprintln!("client: {e}");
-            std::process::exit(EXIT_ERROR);
-        });
+        std::io::stdout().write_all(&resp.body).unwrap_or_else(|e| fail(format!("client: {e}")));
     }
     std::process::exit(0);
 }
 
 /// `raceline lint`: parse + annotate + static passes, no execution.
-fn run_lint(files: &[SourceFile], json: bool) -> ! {
-    let result = minicpp::analysis::analyze_files(files).unwrap_or_else(|e| {
-        eprintln!("compile error: {e}");
-        std::process::exit(EXIT_ERROR);
-    });
+fn run_lint(cli: &Cli) -> ! {
+    let files = sources(cli);
+    if files.is_empty() {
+        usage();
+    }
+    let result = minicpp::analysis::analyze_files(&files)
+        .unwrap_or_else(|e| fail(format!("compile error: {e}")));
     let n = result.reports.len();
-    if json {
+    if cli.has("--json") {
         let obj = Value::Object(vec![
             ("findings".to_string(), Value::UInt(n as u64)),
             ("reports".to_string(), reports_json(&result.reports)),
@@ -1424,57 +1242,23 @@ fn run_lint(files: &[SourceFile], json: bool) -> ! {
 ///
 /// Findings in the guest are *expected* here (that is the point); the exit
 /// code reflects only the invariants: 0 = all hold, 2 = a resilience bug.
-fn run_chaos(args: Vec<String>) -> ! {
-    let mut runs: usize = 100;
-    let mut seed: u64 = 0xC0FFEE;
-    let mut detector_name = "hwlc-dr".to_string();
-    let mut case_filter: Option<Vec<String>> = None;
-    let mut max_slots: Option<u64> = None;
-    let mut jobs: usize = 1;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                jobs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--runs" => {
-                runs = it.next().and_then(|x| x.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                seed = parse_u64(s).unwrap_or_else(|e| {
-                    eprintln!("--seed: {e}");
-                    std::process::exit(EXIT_ERROR);
-                });
-            }
-            "--cases" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                case_filter = Some(s.split(',').map(|c| c.trim().to_string()).collect());
-            }
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--max-slots" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                max_slots = Some(parse_u64(s).unwrap_or_else(|e| {
-                    eprintln!("--max-slots: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--json" => json = true,
-            _ => usage(),
-        }
-    }
-    let cfg = parse_detector(&detector_name);
-    let detector = || AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
+fn run_chaos(cli: &Cli) -> ! {
+    let [] = cli.positionals()[..] else { usage() };
+    let runs = cli.num("--runs").unwrap_or(100) as usize;
+    let seed = cli.num("--seed").unwrap_or(0xC0FFEE);
+    let case_filter: Option<Vec<&str>> =
+        cli.value("--cases").map(|s| s.split(',').map(str::trim).collect());
+    let engine = Engine::new(cli, cli.value("--detector").unwrap_or("hwlc-dr"));
+    let max_slots = cli.num("--max-slots");
+    let jobs = cli.num("--jobs").unwrap_or(1) as usize;
+    let detector = || engine.detector();
 
     let cases: Vec<sipsim::TestCase> = sipsim::testcases()
         .into_iter()
-        .filter(|tc| case_filter.as_ref().is_none_or(|f| f.iter().any(|n| n == tc.name)))
+        .filter(|tc| case_filter.as_ref().is_none_or(|f| f.contains(&tc.name)))
         .collect();
     if cases.is_empty() {
-        eprintln!("no test cases match {case_filter:?}");
-        std::process::exit(EXIT_ERROR);
+        fail(format!("no test cases match {case_filter:?}"));
     }
     eprintln!(
         "chaos: {} run(s), base seed {seed:#x}, {} case(s): {}",
@@ -1613,7 +1397,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         cases.iter().zip(&case_real_cover).filter(|&(_, &c)| !c).map(|(tc, _)| tc.name).collect();
     let ok = panics == 0 && mismatches == 0 && uncovered.is_empty() && bugs_missed.is_empty();
 
-    if json {
+    if cli.has("--json") {
         let obj = Value::Object(vec![
             ("runs".to_string(), Value::UInt(runs as u64)),
             ("panics".to_string(), Value::UInt(panics as u64)),
@@ -1663,67 +1447,45 @@ fn run_chaos(args: Vec<String>) -> ! {
 /// a harness crash mid-append loses only an uncommitted block that the
 /// resumed run recomputes bit-identically. Exit contract: 0 = clean run,
 /// 1 = catalogue non-empty or a phase deadlocked, 2 = tool/guest error.
-fn run_soak(args: Vec<String>) -> ! {
+fn run_soak(cli: &Cli) -> ! {
     use sipsim::{run_phase, PhaseEnd, SoakLog, SoakSpec};
 
-    let mut spec = SoakSpec::default();
-    let mut detector_name = "hybrid".to_string();
-    let mut budget: Option<BudgetSpec> = None;
-    let mut jobs: usize = 1;
-    let mut checkpoint_path: Option<String> = None;
-    let mut max_slots: Option<u64> = None;
-    let mut mem_report = false;
-
-    let mut it = args.iter();
-    let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|x| parse_u64(x).ok()).unwrap_or_else(|| usage())
+    let [] = cli.positionals()[..] else { usage() };
+    let d = SoakSpec::default();
+    let num = |flag: &str, default: u32| {
+        cli.num(flag).map_or(default, |n| {
+            u32::try_from(n).unwrap_or_else(|_| {
+                eprintln!("{flag}: {n} is out of range");
+                usage()
+            })
+        })
     };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dialogs" => spec.dialogs = num(&mut it),
-            "--phases" => spec.phases = num(&mut it).max(1) as u32,
-            "--seed" => spec.seed = num(&mut it),
-            "--workers" => spec.workers = num(&mut it).max(1) as u32,
-            "--resize" => spec.resize_workers = num(&mut it) as u32,
-            "--hops" => spec.hops = num(&mut it).clamp(1, 4) as u32,
-            "--churn" => spec.churn_permille = num(&mut it).min(1000) as u32,
-            "--options" => spec.options_permille = num(&mut it).min(1000) as u32,
-            "--reinvites" => spec.max_reinvites = num(&mut it) as u32,
-            "--kill" => spec.kill_permille = num(&mut it).min(1000) as u32,
-            "--max-kills" => spec.max_kills_per_phase = num(&mut it) as u32,
-            "--no-reclaim" => spec.reclaim = false,
-            "--detector" => detector_name = it.next().unwrap_or_else(|| usage()).clone(),
-            "--budget" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                budget = Some(BudgetSpec::parse(s).unwrap_or_else(|e| {
-                    eprintln!("--budget: {e}");
-                    std::process::exit(EXIT_ERROR);
-                }));
-            }
-            "--jobs" => jobs = num(&mut it).max(1) as usize,
-            "--checkpoint" => checkpoint_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--max-slots" => max_slots = Some(num(&mut it)),
-            "--mem-report" => mem_report = true,
-            _ => usage(),
-        }
-    }
-    let mut cfg = parse_detector(&detector_name);
-    if let Some(b) = &budget {
-        cfg.budget = b.detector;
-    }
-    if let Some(b) = &budget {
-        if let Some(slots) = b.max_slots {
-            max_slots.get_or_insert(slots);
-        }
-    }
+    let spec = SoakSpec {
+        dialogs: cli.num("--dialogs").unwrap_or(d.dialogs),
+        phases: num("--phases", d.phases).max(1),
+        seed: cli.num("--seed").unwrap_or(d.seed),
+        workers: num("--workers", d.workers).max(1),
+        resize_workers: num("--resize", d.resize_workers),
+        hops: num("--hops", d.hops).clamp(1, 4),
+        churn_permille: num("--churn", d.churn_permille).min(1000),
+        options_permille: num("--options", d.options_permille).min(1000),
+        max_reinvites: num("--reinvites", d.max_reinvites),
+        kill_permille: num("--kill", d.kill_permille).min(1000),
+        max_kills_per_phase: num("--max-kills", d.max_kills_per_phase),
+        reclaim: !cli.has("--no-reclaim"),
+    };
+    let engine = Engine::new(cli, cli.value("--detector").unwrap_or("hybrid"));
+    let max_slots = engine.max_slots();
+    let jobs = cli.num("--jobs").unwrap_or(1).max(1) as usize;
+    let checkpoint_path = cli.value("--checkpoint");
 
     // Resume from a checkpoint if one exists; otherwise start fresh (and
     // seed the log file with its header so appends have a base). The log
     // records the detector settings too, so a resume under another engine
     // cannot fold two configurations into one catalogue.
-    let settings = format!("{} slots={max_slots:?}", detector_spec(&detector_name, &cfg));
+    let settings = format!("{} slots={max_slots:?}", engine.spec());
     let mut log = SoakLog::new(&spec, &settings);
-    if let Some(path) = &checkpoint_path {
+    if let Some(path) = checkpoint_path {
         let (parsed, cut) = commitlog::recover(path, &log.header(), |text| {
             let parsed = SoakLog::parse(text)?;
             if (&parsed.params, &parsed.settings) != (&log.params, &log.settings) {
@@ -1734,10 +1496,7 @@ fn run_soak(args: Vec<String>) -> ! {
             }
             Ok(parsed)
         })
-        .unwrap_or_else(|e| {
-            eprintln!("soak: checkpoint {e}");
-            std::process::exit(EXIT_ERROR);
-        });
+        .unwrap_or_else(|e| fail(format!("soak: checkpoint {e}")));
         if cut {
             eprintln!(
                 "soak: checkpoint repaired (dropped uncommitted tail); resuming at phase {}",
@@ -1753,15 +1512,12 @@ fn run_soak(args: Vec<String>) -> ! {
     // the worker pool, and the in-order fold (and the appended log) is
     // identical to a sequential run.
     let first = log.next_phase();
-    let run = |i: usize| {
-        let det = AnyDetector::by_name(&detector_name, cfg, SuppressionSet::new());
-        run_phase(&spec, first + i as u32, Some(det), true, max_slots)
-    };
+    let run =
+        |i: usize| run_phase(&spec, first + i as u32, Some(engine.detector()), true, max_slots);
     let _ = fold_indexed(jobs, spec.phases.saturating_sub(first) as usize, run, |_, out| {
-        if let Some(path) = &checkpoint_path {
+        if let Some(path) = checkpoint_path {
             if let Err(e) = commitlog::append(path, &SoakLog::phase_block(&out)) {
-                eprintln!("soak: cannot append to {path}: {e}");
-                std::process::exit(EXIT_ERROR);
+                fail(format!("soak: cannot append to {path}: {e}"));
             }
         }
         let s = &out.stats;
@@ -1786,12 +1542,11 @@ fn run_soak(args: Vec<String>) -> ! {
         ControlFlow::<()>::Continue(())
     });
 
-    print!("{}", log.render_summary(mem_report));
+    print!("{}", log.render_summary(cli.has("--mem-report")));
     let guest_err = log.phases.iter().any(|p| matches!(p.end, PhaseEnd::GuestError(_)));
     let deadlocked = log.phases.iter().any(|p| matches!(p.end, PhaseEnd::Deadlock(_)));
     if guest_err {
-        eprintln!("soak: guest error: exiting with status {EXIT_ERROR}");
-        std::process::exit(EXIT_ERROR);
+        fail(format!("soak: guest error: exiting with status {EXIT_ERROR}"));
     }
     std::process::exit(if log.catalogue.is_empty() && !deadlocked { 0 } else { EXIT_FINDINGS });
 }

@@ -164,37 +164,65 @@ fn bad_usage_exits_2() {
         &["soak", "--hb-reference", "--dialogs", "10", "--phases", "1"],
         &["serve", "--hb-reference", "--fold"],
         &["serve", "--hb-reference"],
+        &["serve", "--fold", "1=x.rltrace"],
+        // `--budget slots=` is soak's one per-phase slot cap.
+        &["soak", "--max-slots", "5"],
         // No subcommand can turn the redundant-access filter off.
         &["check", SAMPLE, "--no-filter"],
         &["record", SAMPLE, "--no-filter", "--out", "unused.rltrace"],
         &["chaos", "--no-filter", "--runs", "1"],
         &["soak", "--no-filter", "--dialogs", "10", "--phases", "1"],
     ];
-    // Each mode reads only its own flags.
-    let foreign: &[&[&str]] = &[
-        &["lint", SAMPLE, "--explore", "3", "--detector", "djit"],
-        &["check", SAMPLE, "--explore", "2", "--schedule", "random:1"],
-        &["check", SAMPLE, "--explore", "2", "--stats"],
-        &["check", SAMPLE, "--explore", "2", "--gen-suppressions"],
-        &["check", SAMPLE, "--jobs", "2"],
-        &["check", SAMPLE, "--checkpoint", "unused.checkpoint"],
-        &["check", SAMPLE, "--static-cross-check", "--directed"],
-        &["record", SAMPLE, "--detector", "djit", "--out", "unused.rltrace"],
+    // A numeric flag takes a number in its range.
+    let not_numbers: &[&[&str]] = &[
+        &["analyze", "unused.rltrace", "--jobs", "x"],
+        &["soak", "--phases", "x"],
+        &["soak", "--phases", "4294967298"],
+        &["check", SAMPLE, "--schedule", "pct:7:x"],
     ];
-    for args in retired.iter().chain(foreign) {
+    for args in retired.iter().chain(not_numbers) {
         let (_, stderr, code) = raceline(args);
         assert_eq!(code, 2, "{args:?}\n{stderr}");
         assert!(stderr.contains("usage:"), "{args:?}\n{stderr}");
     }
-    // `record --explore` runs no sweep and writes no trace.
-    let trace = std::env::temp_dir().join("raceline_record_explore.rltrace");
-    let _ = std::fs::remove_file(&trace);
+    // Each mode reads only the flags on its usage line and names the one
+    // it refuses.
+    let foreign: &[(&str, &[&str])] = &[
+        ("lint", &["lint", SAMPLE, "--explore", "3", "--detector", "djit"]),
+        ("check --explore", &["check", SAMPLE, "--explore", "2", "--schedule", "random:1"]),
+        ("check --explore", &["check", SAMPLE, "--explore", "2", "--stats"]),
+        ("check --explore", &["check", SAMPLE, "--explore", "2", "--gen-suppressions"]),
+        ("check", &["check", SAMPLE, "--jobs", "2"]),
+        ("check", &["check", SAMPLE, "--checkpoint", "unused.checkpoint"]),
+        ("check", &["check", SAMPLE, "--static-cross-check", "--directed"]),
+        ("record", &["record", SAMPLE, "--detector", "djit", "--out", "unused.rltrace"]),
+        ("analyze", &["analyze", "unused.rltrace", "--explore", "2"]),
+        ("trace-diff", &["trace-diff", "a.rltrace", "b.rltrace", "--stats"]),
+        ("serve", &["serve", "--spool", "unused-spool", "--json"]),
+        ("client", &["client", "ping", "--json"]),
+        ("chaos", &["chaos", "--runs", "1", "--stats"]),
+        ("soak", &["soak", "--phases", "1", "--json"]),
+    ];
+    for (mode, args) in foreign {
+        let (_, stderr, code) = raceline(args);
+        assert_eq!(code, 2, "{args:?}\n{stderr}");
+        let refusal = format!("does not apply to {mode}");
+        assert!(stderr.lines().any(|l| l.ends_with(&refusal)), "{args:?}\n{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}\n{stderr}");
+    }
+    // Bad usage runs nothing and writes no trace: neither `record
+    // --explore` nor a non-number for `--epoch-events`.
+    let trace = std::env::temp_dir().join("raceline_record_bad_usage.rltrace");
     let t = trace.to_str().unwrap();
-    let (stdout, stderr, code) = raceline(&["record", SAMPLE, "--explore", "2", "--out", t]);
-    assert_eq!(code, 2, "{stdout}{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-    assert!(stdout.is_empty(), "no sweep runs: {stdout}");
-    assert!(!trace.exists(), "bad usage writes no trace");
+    for bad in [&["--explore", "2"], &["--epoch-events", "x"]] {
+        let _ = std::fs::remove_file(&trace);
+        let (stdout, stderr, code) =
+            raceline(&[&["record", SAMPLE, "--out", t], &bad[..]].concat());
+        assert_eq!(code, 2, "{bad:?}: {stdout}{stderr}");
+        assert!(stderr.contains("usage:"), "{bad:?}: {stderr}");
+        assert!(stdout.is_empty(), "{bad:?}: nothing runs: {stdout}");
+        assert!(!trace.exists(), "{bad:?}: bad usage writes no trace");
+    }
 }
 
 // -------------------------------------------------------------------

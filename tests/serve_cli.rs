@@ -1,8 +1,9 @@
 //! Integration tests for `raceline serve` / `raceline client`, driven
 //! through the real executable over real TCP: the served catalogue must
-//! byte-match the offline `serve --fold` oracle under concurrent uploads,
-//! survive kill -9 and torn-write crashes, reject corrupt uploads without
-//! dying, and round-trip suppression state (DESIGN.md §14).
+//! byte-match a sequential in-process fold of the same uploads under
+//! concurrent uploads, survive kill -9 and torn-write crashes, reject
+//! corrupt uploads without dying, and round-trip suppression state
+//! (DESIGN.md §14).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -10,8 +11,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use helgrind_core::DetectorConfig;
 use raceline_warehouse::server::MAX_HEADER;
-use raceline_warehouse::{content_hash, json};
+use raceline_warehouse::{
+    analyze_for_warehouse, content_hash, json, render_catalogue, WarehouseLog,
+};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_raceline")
@@ -44,16 +48,36 @@ fn record_cases(names: &[&str], tag: &str) -> Vec<PathBuf> {
         .collect()
 }
 
+/// The offline oracle: fold `(build, trace)` uploads sequentially in
+/// memory through the server's analysis, state and renderer — only the
+/// transport is missing.
+fn offline_fold(uploads: &[(u64, &Path)]) -> String {
+    let engine = "hwlc-dr";
+    let cfg = DetectorConfig::by_name(engine).expect("known engine");
+    let mut log = WarehouseLog::new(engine, false);
+    for (build, path) in uploads {
+        let bytes = std::fs::read(path).expect("read trace");
+        let hash = content_hash(&bytes);
+        if log.traces.contains_key(&(*build, hash)) {
+            continue;
+        }
+        let (warnings, events) = analyze_for_warehouse(&bytes, engine, cfg).expect("clean trace");
+        log.fold_ingest(*build, hash, events, &warnings);
+    }
+    render_catalogue(&log)
+}
+
 struct Server {
     child: Child,
     addr: String,
 }
 
-/// Spawn `raceline serve` on an ephemeral port and scrape the bound
-/// address from its first stdout line.
-fn spawn_server(spool: &Path, envs: &[(&str, &str)]) -> Server {
+/// Spawn `raceline serve` with `args` on an ephemeral port and scrape the
+/// bound address from its first stdout line.
+fn spawn_server(spool: &Path, args: &[&str], envs: &[(&str, &str)]) -> Server {
     let mut cmd = Command::new(bin());
     cmd.args(["serve", "--listen", "127.0.0.1:0", "--spool", spool.to_str().unwrap()])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
     for (k, v) in envs {
@@ -87,7 +111,7 @@ fn served_catalogue_matches_offline_fold_under_concurrent_uploads() {
     let traces = record_cases(&cases, "fold");
     let spool = tmp("fold_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &["--jobs", "4"], &[]);
 
     // Eight concurrent clients, builds interleaved across them.
     std::thread::scope(|s| {
@@ -109,16 +133,9 @@ fn served_catalogue_matches_offline_fold_under_concurrent_uploads() {
     assert_eq!(code, 0);
 
     // The offline oracle folds the same uploads sequentially.
-    let folds: Vec<String> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{}={}", 1 + i % 2, t.to_str().unwrap()))
-        .collect();
-    let mut args = vec!["serve", "--fold"];
-    args.extend(folds.iter().map(|s| s.as_str()));
-    let (folded, stderr, code) = raceline(&args);
-    assert_eq!(code, 0, "{stderr}");
-    assert_eq!(served, folded, "served catalogue must byte-match the offline fold");
+    let uploads: Vec<(u64, &Path)> =
+        traces.iter().enumerate().map(|(i, t)| (1 + i as u64 % 2, t.as_path())).collect();
+    assert_eq!(served, offline_fold(&uploads), "served catalogue must byte-match the offline fold");
 
     // Re-submitting an already-ingested trace is a dedup hit, not a new row.
     let (stdout, _, code) =
@@ -137,7 +154,7 @@ fn warehouse_diff_matches_trace_diff_json() {
     let (t1, t3) = (traces[0].to_str().unwrap(), traces[1].to_str().unwrap());
     let spool = tmp("diff_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
 
     // Single-trace builds so the build-level diff sees exactly the same
     // warning sets as the trace-level diff.
@@ -162,7 +179,7 @@ fn corrupt_upload_never_kills_the_server() {
     let good = traces[0].to_str().unwrap();
     let spool = tmp("corrupt_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
 
     assert_eq!(client(&server.addr, &["submit", "--build", "1", good]).2, 0);
     let (before, _, _) = client(&server.addr, &["query"]);
@@ -212,7 +229,7 @@ fn corrupt_upload_never_kills_the_server() {
 fn deeply_nested_request_is_refused_and_the_server_survives() {
     let spool = tmp("nested_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     // 60,000 `[` fit under the header cap; parsed without a depth limit
     // they overflowed the handler thread's stack and aborted the process.
     let mut line = vec![b'['; 60_000];
@@ -233,7 +250,7 @@ fn deeply_nested_request_is_refused_and_the_server_survives() {
 fn a_reused_connection_answers_without_delayed_ack_stalls() {
     let spool = tmp("reuse_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     let conn = TcpStream::connect(&server.addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(60))).expect("set read timeout");
     let mut writer = conn.try_clone().expect("clone the stream");
@@ -261,7 +278,7 @@ fn kill_nine_then_restart_resumes_to_identical_bytes() {
     let spool = tmp("kill_spool");
     let _ = std::fs::remove_dir_all(&spool);
 
-    let mut server = spawn_server(&spool, &[]);
+    let mut server = spawn_server(&spool, &[], &[]);
     for (i, t) in traces[..2].iter().enumerate() {
         let b = (i as u64 + 1).to_string();
         assert_eq!(client(&server.addr, &["submit", "--build", &b, t.to_str().unwrap()]).2, 0);
@@ -271,22 +288,16 @@ fn kill_nine_then_restart_resumes_to_identical_bytes() {
     let _ = server.child.wait();
 
     // Restart on the same spool: same bytes, and still ingesting.
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     let (resumed, _, code) = client(&server.addr, &["query"]);
     assert_eq!(code, 0);
     assert_eq!(resumed, before, "restart must resume to the pre-kill catalogue");
 
     assert_eq!(client(&server.addr, &["submit", "--build", "3", traces[2].to_str().unwrap()]).2, 0);
     let (served, _, _) = client(&server.addr, &["query"]);
-    let folds: Vec<String> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{}={}", i + 1, t.to_str().unwrap()))
-        .collect();
-    let mut args = vec!["serve", "--fold"];
-    args.extend(folds.iter().map(|s| s.as_str()));
-    let (folded, _, _) = raceline(&args);
-    assert_eq!(served, folded, "post-restart ingest still matches the fold");
+    let uploads: Vec<(u64, &Path)> =
+        traces.iter().enumerate().map(|(i, t)| (i as u64 + 1, t.as_path())).collect();
+    assert_eq!(served, offline_fold(&uploads), "post-restart ingest still matches the fold");
     shutdown(server);
 }
 
@@ -300,7 +311,7 @@ fn torn_write_crash_mid_commit_resumes_to_the_fold() {
     // Line 0-1 are the log header; the crash hook tears the commit block
     // of the first ingest mid-way through its warn lines, after the trace
     // has already been spooled.
-    let mut server = spawn_server(&spool, &[("RACELINE_TEST_TORN_WRITE", "10")]);
+    let mut server = spawn_server(&spool, &[], &[("RACELINE_TEST_TORN_WRITE", "10")]);
     let (_, _, code) = client(&server.addr, &["submit", "--build", "1", t]);
     assert_eq!(code, 2, "the upload's connection dies with the server");
     let status = server.child.wait().expect("server exit");
@@ -308,10 +319,10 @@ fn torn_write_crash_mid_commit_resumes_to_the_fold() {
 
     // Recovery re-ingests the spooled trace: the catalogue equals the
     // uninterrupted fold, byte for byte.
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     let (resumed, _, code) = client(&server.addr, &["query"]);
     assert_eq!(code, 0);
-    let (folded, _, _) = raceline(&["serve", "--fold", &format!("1={t}")]);
+    let folded = offline_fold(&[(1, &traces[0])]);
     assert_eq!(resumed, folded, "torn-write crash must resume to the fold");
     shutdown(server);
 }
@@ -333,11 +344,11 @@ fn torn_header_write_on_a_fresh_spool_restarts_to_the_fold() {
     assert_eq!(out.status.code(), Some(42), "torn-write hook exits 42");
     assert!(!spool.join("warehouse.log").exists(), "no half-written log");
 
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     assert_eq!(client(&server.addr, &["submit", "--build", "1", t]).2, 0);
     let (served, _, code) = client(&server.addr, &["query"]);
     assert_eq!(code, 0);
-    let (folded, _, _) = raceline(&["serve", "--fold", &format!("1={t}")]);
+    let folded = offline_fold(&[(1, &traces[0])]);
     assert_eq!(served, folded, "restart after a torn header resumes to the fold");
     shutdown(server);
     let _ = std::fs::remove_dir_all(&spool);
@@ -349,7 +360,7 @@ fn suppression_round_trips_over_the_wire() {
     let t = traces[0].to_str().unwrap();
     let spool = tmp("suppress_spool");
     let _ = std::fs::remove_dir_all(&spool);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     assert_eq!(client(&server.addr, &["submit", "--build", "1", t]).2, 0);
 
     // Harvest a live fingerprint from the diff endpoint (build 0 is empty,
@@ -372,7 +383,7 @@ fn suppression_round_trips_over_the_wire() {
 
     // Survives a restart, and --off reverses it.
     shutdown(server);
-    let server = spawn_server(&spool, &[]);
+    let server = spawn_server(&spool, &[], &[]);
     let (catalogue, _, _) = client(&server.addr, &["query"]);
     assert!(catalogue.contains("[suppressed]"), "suppression must persist\n{catalogue}");
     let (stdout, _, code) = client(&server.addr, &["suppress", &fp, "--off"]);

@@ -90,6 +90,17 @@ fn soak_rejects_bad_usage_with_exit_two() {
     assert_eq!(code, 2);
 }
 
+/// `--budget slots=` caps every phase's slots; a phase that runs out of
+/// fuel is committed like any other, not an error.
+#[test]
+fn soak_budget_slots_caps_each_phase() {
+    let args = ["soak", "--dialogs", "200", "--phases", "2", "--budget", "slots=50"];
+    let (stdout, stderr, code) = raceline(&args);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    let phases = "phases: 2 committed (0 clean, 0 deadlocked, 0 guest-error, 2 fuel-exhausted)";
+    assert!(stdout.contains(phases), "{stdout}");
+}
+
 #[test]
 fn soak_jobs_are_byte_identical() {
     let base = raceline(SOAK);
@@ -257,34 +268,58 @@ fn explore_checkpoint_crash_mid_write_resumes_identically() {
 
 /// A resumed sweep reports exactly what the uninterrupted sweep does, in
 /// text and in JSON: every stack frame, the heap-block note and each
-/// location's `first_run` come back from the checkpoint.
+/// location's `first_run` come back from the checkpoint, and so does a
+/// fuel-exhausted run's `timed_out` mark when that run came before the cut.
 #[test]
 fn explore_resume_reproduces_the_uninterrupted_sweep() {
-    for json in [false, true] {
-        let mut sweep = vec!["check", SAMPLE, "--explore", "6"];
-        if json {
-            sweep.push("--json");
-        }
-        let (ref_out, _, ref_code) = raceline(&sweep);
-        assert_eq!(ref_code, 1);
-        if !json {
-            assert!(ref_out.contains("by worker (examples/programs/session.mcpp:29)"), "{ref_out}");
-            assert!(ref_out.contains("Address 0x1040 is 0 bytes inside a block of size 8"));
-        }
+    // (runs, the whole sweep's --budget, the cut sweep's --budget)
+    let sweeps =
+        [("6", None, "total-slots=150"), ("20", Some("slots=64"), "slots=64,total-slots=800")];
+    for (runs, budget, cut) in sweeps {
+        for json in [false, true] {
+            let ck = tmp(&format!("exact_{runs}_{json}.checkpoint"));
+            let _ = std::fs::remove_file(&ck);
+            let p = ck.to_str().unwrap().to_string();
+            let sweep = |budget: Option<&str>, checkpoint: bool| {
+                let mut args = vec!["check", SAMPLE, "--explore", runs];
+                if json {
+                    args.push("--json");
+                }
+                if let Some(b) = budget {
+                    args.extend_from_slice(&["--budget", b]);
+                }
+                if checkpoint {
+                    args.extend_from_slice(&["--checkpoint", &p]);
+                }
+                raceline(&args)
+            };
+            let (ref_out, _, ref_code) = sweep(budget, false);
+            assert_eq!(ref_code, 1);
+            match (budget, json) {
+                (None, false) => {
+                    let frame = "by worker (examples/programs/session.mcpp:29)";
+                    assert!(ref_out.contains(frame), "{ref_out}");
+                    assert!(ref_out.contains("Address 0x1040 is 0 bytes inside a block of size 8"));
+                }
+                (Some(_), false) => {
+                    let line = "timed out: 20/20 runs completed (1 fuel-exhausted)";
+                    assert!(ref_out.contains(line), "{ref_out}");
+                }
+                (Some(_), true) => assert!(ref_out.contains("\"timed_out\":true"), "{ref_out}"),
+                (None, true) => {}
+            }
 
-        let ck = tmp(&format!("exact_{json}.checkpoint"));
-        let _ = std::fs::remove_file(&ck);
-        let p = ck.to_str().unwrap().to_string();
-        sweep.extend_from_slice(&["--checkpoint", &p]);
-        let mut budgeted = sweep.clone();
-        budgeted.extend_from_slice(&["--budget", "total-slots=150"]);
-        let (partial, _, _) = raceline(&budgeted);
-        assert_ne!(partial, ref_out, "the budget stops the sweep early");
+            let (partial, _, _) = sweep(Some(cut), true);
+            assert_ne!(partial, ref_out, "the budget stops the sweep early");
 
-        let (stdout, stderr, code) = raceline(&sweep);
-        assert!(stderr.contains("resuming from"), "{stderr}");
-        assert_eq!(code, ref_code);
-        assert_eq!(stdout, ref_out, "resumed output is the uninterrupted sweep's (json: {json})");
+            let (stdout, stderr, code) = sweep(budget, true);
+            assert!(stderr.contains("resuming from"), "{stderr}");
+            assert_eq!(code, ref_code);
+            assert_eq!(
+                stdout, ref_out,
+                "resumed output is the uninterrupted sweep's ({runs} runs, json: {json})"
+            );
+        }
     }
 }
 
