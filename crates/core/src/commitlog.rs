@@ -1,9 +1,10 @@
-//! Crash-safe line files: the escaper, the writer and its torn-write hook,
+//! Crash-safe files: the escaper, the writer and its torn-write hook,
 //! the commit rule, and the recovery sequence shared by every line-oriented
 //! file raceline keeps — the soak log (`sipsim::soak`), the warehouse log
-//! (`raceline-warehouse`) and the explore checkpoint ([`crate::explore`]).
-//! Those formats only say what their lines mean; how a line file survives
-//! a crash is decided here, once.
+//! (`raceline-warehouse`) and the explore checkpoint ([`crate::explore`]) —
+//! and the one binary file, the warehouse's upload spool ([`RecordFile`]).
+//! Those formats only say what their lines and records mean; how a file
+//! survives a crash is decided here, once.
 //!
 //! **The commit rule** ([`committed`]): a line exists only if its
 //! terminating newline was written, and a `warn` line is a body line that
@@ -18,6 +19,13 @@
 //! `path`, so a reader sees the old file or the new one, never a mix. File
 //! headers, repair rewrites and checkpoint saves all go through `replace`.
 //!
+//! **Record files.** A [`RecordFile`] holds binary bodies that lines
+//! cannot: each record is the head line `<head> <len>\n`, then `len` body
+//! bytes, then `\n`. Records are appended with the same undo rule as
+//! blocks, and a record exists only once its closing newline is written,
+//! so [`RecordFile::recover`] cuts a torn tail back to the last whole
+//! record. It reads the head lines and seeks past the bodies.
+//!
 //! **Durability.** Nothing here calls fsync. The guarantee is against a
 //! killed process (kill -9 at any instant): [`recover`] reads the file back
 //! to its committed prefix. A power loss can still drop or reorder writes
@@ -27,9 +35,10 @@
 //! the Nth line (0-based) written through this module, counted
 //! process-wide, is cut in half: the half is written and the process exits
 //! 42 — a reproducible crash in the middle of a write for the resume tests.
+//! Only line files count; records are not lines.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -114,7 +123,7 @@ pub fn append(path: impl AsRef<Path>, block: &str) -> std::io::Result<()> {
 
 /// Run `write` on `file`; if it fails, cut the file back to the length it
 /// had before, so what the failed write left is not the start of the next
-/// block.
+/// block or record.
 fn append_or_undo(
     file: &File,
     write: impl FnOnce(&mut &File) -> std::io::Result<()>,
@@ -170,6 +179,129 @@ pub fn recover<T>(
         replace(path, kept).map_err(|e| at(&e))?;
     }
     Ok((state, cut))
+}
+
+/// The longest head line a [`RecordFile`] reads, newline included; a
+/// longer one is not a record head.
+const MAX_HEAD: usize = 4096;
+
+/// One whole record of a [`RecordFile`]: its head (the head line without
+/// its length) and where its body lies in the file.
+#[derive(Debug)]
+pub struct Record {
+    pub head: String,
+    body_at: u64,
+    len: u64,
+}
+
+/// An append-only file of binary records (the module docs give the
+/// layout), open for appending records and reading their bodies back.
+pub struct RecordFile {
+    file: File,
+    path: PathBuf,
+}
+
+impl RecordFile {
+    /// Open the record file at `path`, creating it empty if it is missing,
+    /// and cut a torn tail back to the end of the last whole record. A head
+    /// line without a length, or a body not closed by `\n`, is not a torn
+    /// tail: the open is refused and the file left as it was. Returns the
+    /// whole records in file order. Errors name the path.
+    pub fn recover(path: impl AsRef<Path>) -> Result<(RecordFile, Vec<Record>), String> {
+        let path = path.as_ref().to_path_buf();
+        let at = |e: std::io::Error| format!("{}: {e}", path.display());
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)
+            .map_err(at)?;
+        let len = file.metadata().map_err(at)?.len();
+        let (records, whole) = scan_records(&file, len).map_err(at)?;
+        if whole < len {
+            file.set_len(whole).map_err(at)?;
+        }
+        Ok((RecordFile { file, path }, records))
+    }
+
+    /// The body of `record`, one of this file's whole records.
+    pub fn read(&self, record: &Record) -> std::io::Result<Vec<u8>> {
+        let len = usize::try_from(record.len).map_err(|e| self.at(std::io::Error::other(e)))?;
+        let mut body = vec![0; len];
+        let mut f = &self.file;
+        f.seek(SeekFrom::Start(record.body_at))
+            .and_then(|_| f.read_exact(&mut body))
+            .map_err(|e| self.at(e))?;
+        Ok(body)
+    }
+
+    /// Append the record `head` + `body`, then run `then`, the commit the
+    /// record belongs to. If the record's write or `then` fails, the file
+    /// is cut back to its old length: a record stays only once its commit
+    /// went through. `then`'s errors pass through as they are.
+    pub fn append(
+        &self,
+        head: &str,
+        body: &[u8],
+        then: impl FnOnce() -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        debug_assert!(!head.contains('\n'), "a record head is one line");
+        let line = format!("{head} {}\n", body.len());
+        append_or_undo(&self.file, |w| {
+            w.write_all(line.as_bytes())
+                .and_then(|()| w.write_all(body))
+                .and_then(|()| w.write_all(b"\n"))
+                .map_err(|e| self.at(e))?;
+            then()
+        })
+    }
+
+    fn at(&self, e: std::io::Error) -> std::io::Error {
+        std::io::Error::new(e.kind(), format!("{}: {e}", self.path.display()))
+    }
+}
+
+/// Walk the first `len` bytes of a record file: the whole records, and the
+/// offset where they end (`len`, unless the tail is torn).
+fn scan_records(file: &File, len: u64) -> std::io::Result<(Vec<Record>, u64)> {
+    let corrupt = |pos: u64, what: &str| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("record at byte {pos}: {what}"),
+        )
+    };
+    let mut r = BufReader::new(file);
+    let (mut records, mut pos, mut line) = (Vec::new(), 0u64, Vec::new());
+    while pos < len {
+        line.clear();
+        (&mut r).take(MAX_HEAD as u64).read_until(b'\n', &mut line)?;
+        let Some(text) = line.strip_suffix(b"\n") else {
+            if pos + line.len() as u64 == len {
+                break; // a torn head line
+            }
+            return Err(corrupt(pos, "head line too long"));
+        };
+        let (head, body_len) = std::str::from_utf8(text)
+            .ok()
+            .and_then(|t| t.rsplit_once(' '))
+            .and_then(|(head, n)| Some((head, n.parse::<u64>().ok()?)))
+            .ok_or_else(|| corrupt(pos, "head line has no length"))?;
+        let body_at = pos + line.len() as u64;
+        let end = body_at.checked_add(body_len).and_then(|e| e.checked_add(1));
+        let Some(end) = end.filter(|&end| end <= len) else {
+            break; // a torn body
+        };
+        let skip = i64::try_from(body_len).map_err(|_| corrupt(pos, "body too long"))?;
+        r.seek_relative(skip)?;
+        let mut close = [0u8];
+        r.read_exact(&mut close)?;
+        if close != *b"\n" {
+            return Err(corrupt(pos, "body not closed by a newline"));
+        }
+        records.push(Record { head: head.to_string(), body_at, len: body_len });
+        pos = end;
+    }
+    Ok((records, pos))
 }
 
 #[cfg(test)]
@@ -247,6 +379,80 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "magic\nwarn a\ncommit 1\nwarn b\ncommit 2\n");
         assert_eq!(committed(text.as_bytes()), text.as_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn heads(records: &[Record]) -> Vec<&str> {
+        records.iter().map(|r| r.head.as_str()).collect()
+    }
+
+    /// Bodies are bytes, newlines and all; a crash anywhere in the file
+    /// reopens to the records it holds whole, and the torn rest is cut.
+    #[test]
+    fn record_file_reads_back_and_cuts_torn_tails() {
+        let dir = scratch("records");
+        let path = dir.join("x.spool");
+        let (file, records) = RecordFile::recover(&path).unwrap();
+        assert!(records.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), b"", "created empty");
+        let bodies: [&[u8]; 3] = [b"one\ntwo\n", b"", &[0xFF, b'\n', 0, b' ']];
+        for (i, body) in bodies.iter().enumerate() {
+            file.append(&format!("rec {i}"), body, || Ok(())).unwrap();
+        }
+        drop(file);
+        let whole = std::fs::read(&path).unwrap();
+        assert_eq!(&whole[..17], b"rec 0 8\none\ntwo\n\n");
+
+        let (file, records) = RecordFile::recover(&path).unwrap();
+        assert_eq!(heads(&records), ["rec 0", "rec 1", "rec 2"]);
+        for (record, body) in records.iter().zip(bodies) {
+            assert_eq!(file.read(record).unwrap(), body);
+        }
+        drop(file);
+
+        let ends = [17, 17 + 9, whole.len()];
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let (_, records) = RecordFile::recover(&path).unwrap();
+            let n = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(records.len(), n, "cut at {cut}");
+            let kept = if n == 0 { 0 } else { ends[n - 1] };
+            assert_eq!(std::fs::read(&path).unwrap(), &whole[..kept], "cut at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record stays only when the commit it belongs to goes through.
+    #[test]
+    fn a_failed_commit_cuts_its_record_back() {
+        let dir = scratch("record_commit");
+        let path = dir.join("x.spool");
+        let (file, _) = RecordFile::recover(&path).unwrap();
+        file.append("kept", b"body", || Ok(())).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let err =
+            file.append("dropped", b"body", || Err(std::io::Error::other("log full"))).unwrap_err();
+        assert_eq!(err.to_string(), "log full", "the commit's error passes through");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        file.append("next", b"", || Ok(())).unwrap();
+        drop(file);
+        assert_eq!(heads(&RecordFile::recover(&path).unwrap().1), ["kept", "next"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Damage a crash cannot cause is not a torn tail: the open is refused
+    /// and the file left as it was.
+    #[test]
+    fn a_damaged_record_file_is_refused_untouched() {
+        let dir = scratch("record_damage");
+        let path = dir.join("x.spool");
+        let long_head = format!("{} 0\n\n", "h".repeat(MAX_HEAD));
+        for damaged in [&b"ok 1\na\nno length\nb\n"[..], b"ok 2\nab?", long_head.as_bytes()] {
+            std::fs::write(&path, damaged).unwrap();
+            let err = RecordFile::recover(&path).map(|_| ()).unwrap_err();
+            assert!(err.starts_with(&format!("{}: record at byte", path.display())), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), damaged);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,3 +22,6 @@ pub use wlog::WarehouseLog;
 
 /// The warehouse log's file name inside the spool directory.
 pub const LOG_FILE: &str = "warehouse.log";
+/// The upload spool's file name inside the spool directory: one record
+/// per upload, its bytes framed by `helgrind_core::commitlog::RecordFile`.
+pub const SPOOL_FILE: &str = "uploads.spool";

@@ -6,23 +6,26 @@
 //!
 //! How the pieces compose:
 //! - **Dedup + reservation** (under one lock): a submit whose `(build,
-//!   content-hash)` is already committed or in flight is answered from the
-//!   index without re-analysis.
-//! - **Spool before analyze**: the upload is durably renamed into the
-//!   spool dir *before* analysis starts, so a crash at any later point is
-//!   recovered by re-analyzing the spool on restart.
-//! - **Analyze outside the lock**: the expensive replay runs under a
-//!   counting gate (`--jobs`), many traces in flight at once. Analysis is
-//!   deterministic per trace, so concurrency cannot change results.
-//! - **Append, then fold, under the lock**: the log append is
-//!   newline-committed, and only a committed block is folded into the
-//!   warehouse state, a commutative fold keyed by content identity.
+//!   content-hash)` is already committed is answered from the index
+//!   without re-analysis; one whose key is in flight waits for that
+//!   ingest to settle first.
+//! - **Analyze outside the lock**: the expensive replay runs from memory
+//!   under a counting gate (`--jobs`), many traces in flight at once.
+//!   Analysis is deterministic per trace, so concurrency cannot change
+//!   results. An upload that fails analysis never reaches disk.
+//! - **Spool, append, then fold, under the lock**: the upload is appended
+//!   as one record to the spool file `uploads.spool`, then its block to the
+//!   newline-committed log; a failed log append cuts the record back. Only
+//!   a committed block is folded into the warehouse state, a commutative
+//!   fold keyed by content identity. A crash between the two appends
+//!   leaves a spooled upload the log lacks, which `Service::open`
+//!   re-ingests.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use helgrind_core::commitlog;
+use helgrind_core::commitlog::{self, Record, RecordFile};
 use helgrind_core::replay::{analyze_trace_hashed, warning_fingerprint};
 use helgrind_core::{AnyDetector, DetectorConfig, SuppressionSet};
 use raceline_trace::format::{Fnv1a, TRAILER_LEN};
@@ -31,15 +34,15 @@ use crate::render::{
     diff_builds, render_catalogue, render_diff_json, render_stats, SessionCounters,
 };
 use crate::wlog::{TraceWarnings, WarehouseLog};
-use crate::LOG_FILE;
+use crate::{LOG_FILE, SPOOL_FILE};
 
 /// How a `raceline serve` process is configured. The engine name and
 /// `hb_reference` flag are the provenance stamped into the warehouse log;
 /// a log recorded under a different configuration is rejected at open.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Spool directory: holds `warehouse.log` plus one
-    /// `b<build>-<hash>.rltrace` file per committed or in-flight upload.
+    /// Spool directory: holds `warehouse.log` and `uploads.spool`, which
+    /// keeps each committed upload's bytes as one record.
     pub spool: PathBuf,
     /// Detector preset name (`hwlc-dr`, `djit`, ...), resolved via
     /// [`DetectorConfig::by_name`].
@@ -121,17 +124,17 @@ fn analyze_hashed(
     Ok((by_fp.into_values().collect(), outcome.footer.events))
 }
 
-/// Spool file name for an upload. Lexicographic directory order equals
-/// `(build, hash)` order only within equal-width builds, so recovery sorts
-/// on the parsed key, not the name.
-fn spool_name(build: u64, hash: u64) -> String {
-    format!("b{build}-{hash:016x}.rltrace")
+/// The head of an upload's spool record, `upload <build> <hash>`; the
+/// record file adds the body's length.
+fn upload_head(build: u64, hash: u64) -> String {
+    format!("upload {build} {hash:016x}")
 }
 
-fn parse_spool_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix('b')?.strip_suffix(".rltrace")?;
-    let (build, hash) = rest.split_once('-')?;
-    Some((build.parse().ok()?, u64::from_str_radix(hash, 16).ok()?))
+fn parse_upload_head(head: &str) -> Option<(u64, u64)> {
+    let mut fields = head.strip_prefix("upload ")?.split(' ');
+    let build = fields.next()?.parse().ok()?;
+    let hash = u64::from_str_radix(fields.next()?, 16).ok()?;
+    fields.next().is_none().then_some((build, hash))
 }
 
 /// What a submit resolved to.
@@ -139,8 +142,9 @@ fn parse_spool_name(name: &str) -> Option<(u64, u64)> {
 pub struct SubmitOutcome {
     pub build: u64,
     pub hash: u64,
-    /// The `(build, hash)` pair was already committed or in flight; the
-    /// upload was answered from the index without re-analysis.
+    /// The `(build, hash)` pair was already committed, or was committed by
+    /// the submit in flight this one waited for; the upload was answered
+    /// from the index without re-analysis.
     pub duplicate: bool,
     pub events: u64,
     pub warnings: u64,
@@ -148,7 +152,11 @@ pub struct SubmitOutcome {
 
 struct Inner {
     log: WarehouseLog,
-    /// `(build, hash)` pairs spooled but not yet committed to the log.
+    /// The upload spool; its appends are ordered with the log's by this
+    /// lock.
+    spool: RecordFile,
+    /// `(build, hash)` pairs being ingested: reserved, not yet committed
+    /// or refused.
     pending: BTreeSet<(u64, u64)>,
     session: SessionCounters,
 }
@@ -186,15 +194,34 @@ pub struct Service {
     config: ServiceConfig,
     detector_cfg: DetectorConfig,
     inner: Mutex<Inner>,
+    /// Signalled whenever a key leaves `pending`.
+    settled: Condvar,
     gate: Gate,
+}
+
+/// A key held in `pending` by one ingest; dropping it, on success,
+/// failure or unwinding alike, releases the key and wakes the submits
+/// waiting on it.
+struct Reservation<'a> {
+    service: &'a Service,
+    key: (u64, u64),
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        lock_ok(&self.service.inner).pending.remove(&self.key);
+        self.service.settled.notify_all();
+    }
 }
 
 impl Service {
     /// Open (or create) the warehouse under `config.spool`, recovering
     /// from any prior crash: cut the log to its committed prefix
-    /// ([`commitlog::recover`]), then re-ingest any spooled trace the log
-    /// has not committed. After `open` returns, the in-memory state is
+    /// ([`commitlog::recover`]) and the spool to its whole records
+    /// ([`RecordFile::recover`]), then re-ingest any spooled upload the
+    /// log has not committed. After `open` returns, the in-memory state is
     /// exactly the fold of the committed log plus the recovered spool.
+    /// Files of the retired one-file-per-upload layout are left alone.
     pub fn open(config: ServiceConfig) -> Result<Service, String> {
         let detector_cfg = config.detector_config()?;
         std::fs::create_dir_all(&config.spool)
@@ -205,127 +232,90 @@ impl Service {
             WarehouseLog::parse(text, Some((&config.engine, config.hb_reference)))
         })?;
 
+        let (spool, records) = RecordFile::recover(config.spool.join(SPOOL_FILE))?;
+
         let jobs = config.jobs.max(1);
         let service = Service {
             detector_cfg,
             inner: Mutex::new(Inner {
                 log,
+                spool,
                 pending: BTreeSet::new(),
                 session: SessionCounters::default(),
             }),
+            settled: Condvar::new(),
             gate: Gate { slots: Mutex::new(jobs), cv: Condvar::new() },
             config,
         };
-        service.recover_spool()?;
+        service.recover_spool(&records)?;
         Ok(service)
     }
 
-    /// Re-ingest spooled traces the log has not committed (key-sorted so
-    /// recovery is deterministic) and sweep temp droppings. A spool file
-    /// that no longer analyzes (e.g. a crash landed between spooling a
-    /// corrupt upload and rejecting it) is removed, matching the submit
-    /// path's rejection.
-    fn recover_spool(&self) -> Result<(), String> {
-        let dir = std::fs::read_dir(&self.config.spool)
-            .map_err(|e| format!("{}: {e}", self.config.spool.display()))?;
-        let mut found: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for entry in dir {
-            let entry = entry.map_err(|e| format!("{}: {e}", self.config.spool.display()))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                let _ = std::fs::remove_file(entry.path());
+    /// Re-ingest, in spool order, the whole records the log has not
+    /// committed: a crash landed between an upload's record and its log
+    /// block. Committed records are passed over unread. A record that no
+    /// longer hashes to its head, or no longer analyzes, is skipped and
+    /// kept: it was never acknowledged, and nothing here deletes.
+    fn recover_spool(&self, records: &[Record]) -> Result<(), String> {
+        for record in records {
+            let Some((build, hash)) = parse_upload_head(&record.head) else {
                 continue;
-            }
-            if let Some(key) = parse_spool_name(&name) {
-                found.insert(key);
-            }
-        }
-        for (build, hash) in found {
-            let committed = lock_ok(&self.inner).log.traces.contains_key(&(build, hash));
-            if committed {
-                continue;
-            }
-            let path = self.config.spool.join(spool_name(build, hash));
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => return Err(format!("{}: {e}", path.display())),
             };
+            let inner = lock_ok(&self.inner);
+            if inner.log.traces.contains_key(&(build, hash)) {
+                continue;
+            }
+            let bytes = inner.spool.read(record).map_err(|e| e.to_string())?;
+            drop(inner);
             let hashes = upload_hashes(&bytes);
             if hashes.content != hash {
-                // A spool file that does not match its name cannot be
-                // trusted; drop it rather than commit a lie.
-                let _ = std::fs::remove_file(&path);
                 continue;
             }
-            match self.analyze(&bytes, hashes) {
-                Ok((warnings, events)) => {
-                    self.commit(build, hash, events, &warnings)?;
-                }
-                Err(_) => {
-                    let _ = std::fs::remove_file(&path);
-                }
+            if let Ok((warnings, events)) = self.analyze(&bytes, hashes) {
+                self.commit(build, hash, None, events, &warnings)?;
             }
         }
         Ok(())
     }
 
     /// Ingest one uploaded trace. Never panics on corrupt input: analysis
-    /// failures come back as `Err` (and the spooled copy is removed).
+    /// failures come back as `Err`, and nothing of the upload is written.
+    /// A submit of a `(build, hash)` another submit is ingesting waits
+    /// until that one commits (then it is a duplicate) or fails (then it
+    /// ingests the upload itself).
     pub fn submit(&self, build: u64, bytes: &[u8]) -> Result<SubmitOutcome, String> {
         let hashes = upload_hashes(bytes);
         let hash = hashes.content;
-        {
+        let key = (build, hash);
+        let _reservation = {
             let mut inner = lock_ok(&self.inner);
             inner.session.uploads += 1;
-            if let Some(meta) = inner.log.traces.get(&(build, hash)).copied() {
-                inner.session.dedup_hits += 1;
-                return Ok(SubmitOutcome {
-                    build,
-                    hash,
-                    duplicate: true,
-                    events: meta.events,
-                    warnings: meta.warnings,
-                });
+            loop {
+                if let Some(meta) = inner.log.traces.get(&key).copied() {
+                    inner.session.dedup_hits += 1;
+                    return Ok(SubmitOutcome {
+                        build,
+                        hash,
+                        duplicate: true,
+                        events: meta.events,
+                        warnings: meta.warnings,
+                    });
+                }
+                if !inner.pending.contains(&key) {
+                    break;
+                }
+                inner = self.settled.wait(inner).unwrap_or_else(|e| e.into_inner());
             }
-            if inner.pending.contains(&(build, hash)) {
-                // A concurrent submit of identical content is already in
-                // flight; its commit will be byte-identical, so this one
-                // is a pure duplicate.
-                inner.session.dedup_hits += 1;
-                return Ok(SubmitOutcome { build, hash, duplicate: true, events: 0, warnings: 0 });
-            }
-            inner.pending.insert((build, hash));
-        }
-
-        let result = self.ingest_reserved(build, hashes, bytes);
-        if result.is_err() {
-            let _ = std::fs::remove_file(self.config.spool.join(spool_name(build, hash)));
-        }
-        lock_ok(&self.inner).pending.remove(&(build, hash));
-        result
-    }
-
-    fn ingest_reserved(
-        &self,
-        build: u64,
-        hashes: UploadHashes,
-        bytes: &[u8],
-    ) -> Result<SubmitOutcome, String> {
-        // Durable first: tmp + rename so the spool never holds a torn
-        // trace, then analysis, then the committed log block.
-        let hash = hashes.content;
-        let final_path = self.config.spool.join(spool_name(build, hash));
-        let tmp_path = self.config.spool.join(format!(".b{build}-{hash:016x}.tmp"));
-        std::fs::write(&tmp_path, bytes).map_err(|e| format!("{}: {e}", tmp_path.display()))?;
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| format!("{}: {e}", final_path.display()))?;
+            inner.pending.insert(key);
+            Reservation { service: self, key }
+        };
 
         self.gate.acquire();
         let analyzed = self.analyze(bytes, hashes);
         self.gate.release();
         let (warnings, events) = analyzed?;
 
-        self.commit(build, hash, events, &warnings)?;
+        self.commit(build, hash, Some(bytes), events, &warnings)?;
         Ok(SubmitOutcome { build, hash, duplicate: false, events, warnings: warnings.len() as u64 })
     }
 
@@ -335,26 +325,38 @@ impl Service {
         analyze_hashed(bytes, Some(hashes.body), &self.config.engine, self.detector_cfg)
     }
 
-    /// Append the block to the log, then fold it into memory, atomically
-    /// with respect to other connections (one lock covers both, so
-    /// concurrent blocks never interleave in the log). A failed append
-    /// folds nothing: memory never holds what the log does not.
+    /// Spool the `upload` (`None` when its record is already spooled),
+    /// append its block to the log, then fold it into memory, atomically
+    /// with respect to other connections (one lock covers all three, so
+    /// concurrent records and blocks never interleave). A failed append
+    /// folds nothing and cuts the record back: memory never holds what the
+    /// log does not, and the spool holds no upload the log refused.
     fn commit(
         &self,
         build: u64,
         hash: u64,
+        upload: Option<&[u8]>,
         events: u64,
         warnings: &TraceWarnings,
     ) -> Result<(), String> {
         let mut inner = lock_ok(&self.inner);
-        self.append(&WarehouseLog::ingest_block(build, hash, events, warnings))?;
+        let block = WarehouseLog::ingest_block(build, hash, events, warnings);
+        match upload {
+            Some(bytes) => {
+                inner.spool.append(&upload_head(build, hash), bytes, || self.append(&block))
+            }
+            None => self.append(&block),
+        }
+        .map_err(|e| e.to_string())?;
         inner.log.fold_ingest(build, hash, events, warnings);
         Ok(())
     }
 
-    fn append(&self, block: &str) -> Result<(), String> {
+    /// Append to the log; errors name its path.
+    fn append(&self, block: &str) -> std::io::Result<()> {
         let path = self.config.spool.join(LOG_FILE);
-        commitlog::append(&path, block).map_err(|e| format!("{}: {e}", path.display()))
+        commitlog::append(&path, block)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 
     /// The catalogue text — the byte-compared equivalence artifact.
@@ -378,7 +380,7 @@ impl Service {
         if inner.log.suppressed.contains(fingerprint) == on {
             return Ok(false);
         }
-        self.append(&WarehouseLog::suppress_line(fingerprint, on))?;
+        self.append(&WarehouseLog::suppress_line(fingerprint, on)).map_err(|e| e.to_string())?;
         Ok(inner.log.fold_suppress(fingerprint, on))
     }
 
@@ -399,11 +401,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spool_name_round_trip() {
-        assert_eq!(parse_spool_name(&spool_name(7, 0xdead_beef)), Some((7, 0xdead_beef)));
-        assert_eq!(parse_spool_name("warehouse.log"), None);
-        assert_eq!(parse_spool_name("b3-xyz.rltrace"), None);
-        assert_eq!(parse_spool_name(".b3-0.tmp"), None);
+    fn upload_head_round_trip() {
+        assert_eq!(upload_head(7, 0xdead_beef), "upload 7 00000000deadbeef");
+        assert_eq!(parse_upload_head(&upload_head(7, 0xdead_beef)), Some((7, 0xdead_beef)));
+        assert_eq!(parse_upload_head("upload 3 xyz"), None);
+        assert_eq!(parse_upload_head("upload 3 00ff 9"), None);
+        assert_eq!(parse_upload_head("trace 3 00ff"), None);
     }
 
     #[test]
