@@ -10,7 +10,7 @@
 //! e9-deadlock e10-ablation e11-alloc e12-queue-hb all
 
 use race_bench::experiments::*;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use sipsim::native::WorkloadSpec;
 use std::io::Write;
 
@@ -21,7 +21,10 @@ fn maybe_json<T: Serialize>(json_path: &Option<String>, name: &str, value: &T) {
             .append(true)
             .open(path)
             .expect("open json output");
-        let line = serde_json::json!({ "experiment": name, "result": value });
+        let line = Value::Object(vec![
+            ("experiment".to_string(), Value::Str(name.to_string())),
+            ("result".to_string(), value.to_value()),
+        ]);
         writeln!(file, "{line}").expect("write json output");
     }
 }

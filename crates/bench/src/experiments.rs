@@ -3,7 +3,7 @@
 //! the `repro` binary prints and EXPERIMENTS.md records.
 
 use crate::scenarios::*;
-use helgrind_core::{DetectorConfig, DjitDetector, EraserDetector, HybridDetector, ReportKind};
+use helgrind_core::{AnyDetector, DetectorConfig, ReportKind, SuppressionSet};
 use minicpp::pipeline::{run_pipeline, SourceFile};
 use serde::Serialize;
 use sipsim::bugs::all_bugs;
@@ -21,7 +21,7 @@ fn eraser_locations(
     cfg: DetectorConfig,
     sched: &mut dyn Scheduler,
 ) -> (usize, Vec<helgrind_core::Report>) {
-    let mut det = EraserDetector::new(cfg);
+    let mut det = AnyDetector::new(cfg);
     let r = run_program(prog, &mut det, sched);
     assert!(r.termination.is_clean(), "{:?}", r.termination);
     (det.sink.race_location_count(), det.sink.take_reports())
@@ -100,7 +100,11 @@ pub fn e4_handoff() -> HandoffResult {
     let (pool_total, pool_reports) =
         eraser_locations(&pool.program, DetectorConfig::hwlc_dr(), &mut RoundRobin::new());
 
-    let mut qhb = HybridDetector::new(DetectorConfig::hybrid_queue_hb());
+    let mut qhb = AnyDetector::by_name(
+        "hybrid-queue",
+        DetectorConfig::hybrid_queue_hb(),
+        SuppressionSet::new(),
+    );
     run_program(&pool.program, &mut qhb, &mut RoundRobin::new());
     let qhb_reports = qhb.sink.take_reports();
 
@@ -249,15 +253,16 @@ pub fn e7_performance(spec: WorkloadSpec, repeats: u32) -> PerfResult {
         events = r.stats.events;
     });
     let vm_eraser_ms = time_ms(&mut || {
-        let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+        let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
         run_program(&prog, &mut det, &mut RoundRobin::new());
     });
     let vm_djit_ms = time_ms(&mut || {
-        let mut det = DjitDetector::new(DetectorConfig::djit());
+        let mut det = AnyDetector::by_name("djit", DetectorConfig::djit(), SuppressionSet::new());
         run_program(&prog, &mut det, &mut RoundRobin::new());
     });
     let vm_hybrid_ms = time_ms(&mut || {
-        let mut det = HybridDetector::new(DetectorConfig::hybrid());
+        let mut det =
+            AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
         run_program(&prog, &mut det, &mut RoundRobin::new());
     });
 
@@ -290,7 +295,7 @@ pub fn e8_true_positives() -> Vec<BugResult> {
     all_bugs()
         .into_iter()
         .map(|bug| {
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+            let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
             let mut sched: Box<dyn Scheduler> = match &bug.schedule {
                 Some(order) => {
                     Box::new(PriorityOrder::new(order.iter().map(|&t| ThreadId(t)).collect()))
@@ -326,7 +331,7 @@ pub struct DeadlockResult {
 }
 
 pub fn e9_deadlock() -> DeadlockResult {
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let r = run_program(&ab_ba_program(true), &mut det, &mut RoundRobin::new());
     assert!(r.termination.is_clean());
     let predicted = det.sink.count_kind(ReportKind::LockOrderCycle);
@@ -376,11 +381,16 @@ pub fn e10_ablation() -> AblationResult {
 
     let q = queue_handoff_program();
     let (lockset, _) = eraser_locations(&q, DetectorConfig::hwlc_dr(), &mut RoundRobin::new());
-    let mut djit = DjitDetector::new(DetectorConfig::djit());
+    let mut djit = AnyDetector::by_name("djit", DetectorConfig::djit(), SuppressionSet::new());
     run_program(&q, &mut djit, &mut RoundRobin::new());
-    let mut hybrid = HybridDetector::new(DetectorConfig::hybrid());
+    let mut hybrid =
+        AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
     run_program(&q, &mut hybrid, &mut RoundRobin::new());
-    let mut hybrid_qhb = HybridDetector::new(DetectorConfig::hybrid_queue_hb());
+    let mut hybrid_qhb = AnyDetector::by_name(
+        "hybrid-queue",
+        DetectorConfig::hybrid_queue_hb(),
+        SuppressionSet::new(),
+    );
     run_program(&q, &mut hybrid_qhb, &mut RoundRobin::new());
 
     AblationResult {
@@ -446,7 +456,6 @@ pub struct OfflineResult {
 /// large amount of data").
 pub fn e13_offline() -> OfflineResult {
     use helgrind_core::replay::analyze_trace_bytes;
-    use helgrind_core::AnyDetector;
     use raceline_trace::writer::TraceWriter;
 
     let tc = &sipsim::testcases()[2]; // T3
@@ -467,7 +476,7 @@ pub fn e13_offline() -> OfflineResult {
 
     // Analyse post mortem.
     let t1 = Instant::now();
-    let detector = AnyDetector::Eraser(EraserDetector::new(DetectorConfig::original()));
+    let detector = AnyDetector::new(DetectorConfig::original());
     let offline = analyze_trace_bytes(&bytes, detector, 1, 0).expect("well-formed trace");
     let analyze_ms = t1.elapsed().as_secs_f64() * 1e3;
 
@@ -508,9 +517,8 @@ pub struct ExploreResult {
 /// finds the flaky warning that a single run can miss.
 pub fn e14_explore() -> ExploreResult {
     use helgrind_core::explore::{explore_schedules, ExploreLimits};
-    use helgrind_core::AnyDetector;
     let prog = false_negative_program();
-    let hwlc_dr = || AnyDetector::Eraser(EraserDetector::new(DetectorConfig::hwlc_dr()));
+    let hwlc_dr = || AnyDetector::new(DetectorConfig::hwlc_dr());
     let summary =
         explore_schedules(&prog, hwlc_dr, 40, 0x5EED, ExploreLimits::default(), None, &[]);
     let (single, _) = eraser_locations(&prog, DetectorConfig::hwlc_dr(), &mut RoundRobin::new());

@@ -1,26 +1,27 @@
-//! Tool wrappers: detectors that plug the engines into the VM's
-//! [`vexec::tool::Tool`] interface and collect [`Report`]s in a
-//! [`ReportSink`].
+//! The detector: one [`AnyDetector`] plugs an engine set into the VM's
+//! [`vexec::tool::Tool`] interface and collects [`Report`]s in a
+//! [`ReportSink`]. [`AnyDetector::by_name`] picks the engine set:
 //!
-//! * [`EraserDetector`] — the paper's subject: Helgrind's lockset algorithm
-//!   (configure with [`DetectorConfig::original`], [`DetectorConfig::hwlc`]
-//!   or [`DetectorConfig::hwlc_dr`] for the three Fig 6 columns), plus the
-//!   lock-order deadlock predictor.
-//! * [`DjitDetector`] — the DJIT-style pure happens-before baseline (§2.2).
-//! * [`HybridDetector`] — lockset ∧ happens-before, in the spirit of
+//! * lockset (`original`, `hwlc`, `hwlc-dr`, the three Fig 6 columns) —
+//!   the paper's subject, Helgrind's lockset algorithm, plus the
+//!   lock-order deadlock predictor;
+//! * hb (`djit`) — the DJIT-style pure happens-before baseline (§2.2);
+//! * lockset ∧ hb (`hybrid`, `hybrid-queue`) — in the spirit of
 //!   O'Callahan & Choi's hybrid detection [12]: a warning is issued only if
 //!   the locking discipline is violated *and* the accesses are unordered.
+//!   Higher-level hand-off primitives (message queues) can feed the HB side
+//!   via `DetectorConfig::hybrid_queue_hb()`, implementing the paper's §5
+//!   proposal and eliminating the Fig 11 thread-pool false positives.
 //!
-//! Each detector exposes its event handling twice: `handle_event` takes
-//! any [`ReportCtx`] — the live VM inline, or a trace-replay context
-//! offline — and the [`Tool`] impl simply delegates with the [`VmView`].
-//! One code path means offline analysis reproduces inline reports
-//! byte-for-byte.
+//! Event handling is written once: `handle_event` takes any [`ReportCtx`] —
+//! the live VM inline, or a trace-replay context offline — and the [`Tool`]
+//! impl simply delegates with the [`VmView`]. One code path means offline
+//! analysis reproduces inline reports byte-for-byte.
 
 use crate::config::DetectorConfig;
-use crate::eraser::{LocksetEngine, RaceInfo};
-use crate::hb::{EpochStats, HbEngine, HbRaceInfo};
-use crate::lockorder::{CycleInfo, LockOrderGraph};
+use crate::eraser::LocksetEngine;
+use crate::hb::{EpochStats, HbEngine};
+use crate::lockorder::LockOrderGraph;
 use crate::report::{resolve_context, Report, ReportCtx, ReportKind, ReportSink};
 use crate::suppress::SuppressionSet;
 use vexec::event::{AccessKind, Event, ThreadId};
@@ -44,16 +45,21 @@ fn hb_report_kind(kind: AccessKind) -> ReportKind {
     }
 }
 
-fn build_report(
+/// Store a finding unless the sink has already seen its (kind, location).
+/// `details` runs only for a new location, so the many duplicate
+/// candidates render no text and allocate nothing.
+fn offer(
+    sink: &mut ReportSink,
     ctx: &dyn ReportCtx,
-    kind: ReportKind,
-    tid: ThreadId,
-    addr: u64,
-    loc: SrcLoc,
-    details: String,
-) -> Report {
+    (kind, tid, addr, loc): (ReportKind, ThreadId, u64, SrcLoc),
+    details: impl FnOnce() -> String,
+) {
+    if sink.seen(kind, loc) {
+        return;
+    }
+    let details = details();
     let (stack, block) = resolve_context(ctx, tid, addr);
-    Report {
+    let report = Report {
         kind,
         tid: tid.0,
         file: ctx.resolve_sym(loc.file).to_string(),
@@ -64,16 +70,8 @@ fn build_report(
         block,
         details,
         truncated: false,
-    }
-}
-
-/// Every engine's report sink: `supp` drops matching reports before the
-/// report cap counts them, so a suppressed location never takes the place
-/// of an unsuppressed one.
-fn sink(cfg: &DetectorConfig, supp: SuppressionSet) -> ReportSink {
-    let mut sink = ReportSink::with_suppressions(supp);
-    sink.set_max_reports(cfg.budget.max_reports);
-    sink
+    };
+    sink.add(loc, report);
 }
 
 /// Per-engine analysis counters, surfaced by `raceline check --stats` /
@@ -97,392 +95,179 @@ pub struct EngineStats {
     pub epoch: Option<EpochStats>,
 }
 
-/// The Eraser/Helgrind lockset detector with lock-order deadlock
-/// prediction.
-pub struct EraserDetector {
-    engine: LocksetEngine,
-    lockorder: LockOrderGraph,
+impl EngineStats {
+    fn lockset(e: &LocksetEngine) -> Self {
+        EngineStats {
+            name: "lockset",
+            accesses: e.accesses,
+            shadow_overflow: e.shadow_overflow(),
+            live_granules: e.shadowed_granules(),
+            peak_granules: e.peak_shadowed_granules(),
+            epoch: None,
+        }
+    }
+
+    fn hb(e: &HbEngine) -> Self {
+        EngineStats {
+            name: "hb",
+            accesses: e.accesses,
+            shadow_overflow: e.shadow_overflow(),
+            live_granules: e.shadowed_granules(),
+            peak_granules: e.peak_shadowed_granules(),
+            epoch: Some(e.epoch_stats()),
+        }
+    }
+}
+
+/// The engines one detector runs over the event stream.
+#[allow(clippy::large_enum_variant)] // one detector per run, never collections of them
+enum Engines {
+    /// Helgrind's lockset algorithm with lock-order deadlock prediction.
+    Lockset(LocksetEngine, LockOrderGraph),
+    /// DJIT-style happens-before.
+    Hb(HbEngine),
+    /// Lockset ∧ happens-before: both must flag an access.
+    Hybrid(LocksetEngine, HbEngine),
+}
+
+/// The race and deadlock detector, whichever engines it runs. Drivers pick
+/// the engine set at runtime (`check`, chaos, soak, trace replay, the
+/// warehouse, benches); inline it is a [`Tool`], and offline trace replay
+/// feeds it through the same `handle_event`, which is what keeps the two
+/// paths byte-identical.
+pub struct AnyDetector {
+    engines: Engines,
     pub sink: ReportSink,
-    /// Detect lock-order cycles too (on by default, like Helgrind).
-    pub detect_lock_order: bool,
     /// Rendered guest fault, if the run ended with one (diagnostic, not a
     /// warning — the guest crashed, the detector did not).
-    pub guest_fault: Option<String>,
-}
-
-impl EraserDetector {
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self::with_suppressions(cfg, SuppressionSet::default())
-    }
-
-    pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
-        EraserDetector {
-            engine: LocksetEngine::new(cfg),
-            lockorder: LockOrderGraph::new(),
-            sink: sink(&cfg, supp),
-            detect_lock_order: true,
-            guest_fault: None,
-        }
-    }
-
-    pub fn config(&self) -> &DetectorConfig {
-        self.engine.config()
-    }
-
-    pub fn engine(&self) -> &LocksetEngine {
-        &self.engine
-    }
-
-    /// Analysis counters for `--stats`.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        vec![EngineStats {
-            name: "lockset",
-            accesses: self.engine.accesses,
-            shadow_overflow: self.engine.shadow_overflow(),
-            live_granules: self.engine.shadowed_granules(),
-            peak_granules: self.engine.peak_shadowed_granules(),
-            epoch: None,
-        }]
-    }
-
-    /// True if any budget cap degraded this run's results.
-    pub fn truncated(&self) -> bool {
-        self.engine.truncated() || self.sink.truncated()
-    }
-
-    /// Feed one event; context-agnostic (inline VM or trace replay).
-    pub fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        if let Some(race) = self.engine.on_event(ev) {
-            self.report_race(ctx, race);
-        }
-        if self.detect_lock_order {
-            if let Some(cycle) = self.lockorder.on_event(ev) {
-                self.report_cycle(ctx, cycle);
-            }
-        }
-    }
-
-    /// End-of-stream flush (mirrors [`Tool::on_finish`]).
-    pub fn handle_finish(&mut self) {
-        if self.truncated() {
-            self.sink.mark_truncated();
-        }
-    }
-
-    fn report_race(&mut self, ctx: &dyn ReportCtx, race: RaceInfo) {
-        let kind = race_report_kind(race.kind);
-        if self.sink.seen(kind, race.loc) {
-            return;
-        }
-        let mut details =
-            format!("Previous state: {}", race.prev_state.describe(&self.engine.table));
-        if let Some((ptid, pkind, ploc)) = race.prev_access {
-            details.push_str(&format!(
-                "\n   This conflicts with a previous {} by thread {} at {}:{} ({})",
-                if pkind.is_write() { "write" } else { "read" },
-                ptid.0,
-                ctx.resolve_sym(ploc.file),
-                ploc.line,
-                ctx.resolve_sym(ploc.func),
-            ));
-        }
-        let report = build_report(ctx, kind, race.tid, race.addr, race.loc, details);
-        self.sink.add(race.loc, report);
-    }
-
-    fn report_cycle(&mut self, ctx: &dyn ReportCtx, cycle: CycleInfo) {
-        let kind = ReportKind::LockOrderCycle;
-        if self.sink.seen(kind, cycle.loc) {
-            return;
-        }
-        let report = build_report(ctx, kind, cycle.tid, 0, cycle.loc, cycle.describe());
-        self.sink.add(cycle.loc, report);
-    }
-}
-
-impl Tool for EraserDetector {
-    fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        self.handle_event(ev, vm);
-    }
-
-    fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
-        self.guest_fault = Some(err.to_string());
-    }
-
-    fn on_finish(&mut self, _vm: &VmView<'_>) {
-        self.handle_finish();
-    }
-}
-
-/// The DJIT-style happens-before detector.
-pub struct DjitDetector {
-    engine: HbEngine,
-    pub sink: ReportSink,
-    /// Rendered guest fault, if the run ended with one.
-    pub guest_fault: Option<String>,
-}
-
-impl DjitDetector {
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self::with_suppressions(cfg, SuppressionSet::default())
-    }
-
-    pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
-        DjitDetector { engine: HbEngine::new(cfg), sink: sink(&cfg, supp), guest_fault: None }
-    }
-
-    /// Analysis counters for `--stats`.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        vec![EngineStats {
-            name: "hb",
-            accesses: self.engine.accesses,
-            shadow_overflow: self.engine.shadow_overflow(),
-            live_granules: self.engine.shadowed_granules(),
-            peak_granules: self.engine.peak_shadowed_granules(),
-            epoch: Some(self.engine.epoch_stats()),
-        }]
-    }
-
-    /// True if any budget cap degraded this run's results.
-    pub fn truncated(&self) -> bool {
-        self.engine.truncated() || self.sink.truncated()
-    }
-
-    /// Feed one event; context-agnostic (inline VM or trace replay).
-    pub fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        if let Some(race) = self.engine.on_event(ev) {
-            self.report_race(ctx, race);
-        }
-    }
-
-    /// End-of-stream flush (mirrors [`Tool::on_finish`]).
-    pub fn handle_finish(&mut self) {
-        if self.truncated() {
-            self.sink.mark_truncated();
-        }
-    }
-
-    fn report_race(&mut self, ctx: &dyn ReportCtx, race: HbRaceInfo) {
-        let kind = hb_report_kind(race.kind);
-        if self.sink.seen(kind, race.loc) {
-            return;
-        }
-        let report =
-            build_report(ctx, kind, race.tid, race.addr, race.loc, race.conflict.to_string());
-        self.sink.add(race.loc, report);
-    }
-}
-
-impl Tool for DjitDetector {
-    fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        self.handle_event(ev, vm);
-    }
-
-    fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
-        self.guest_fault = Some(err.to_string());
-    }
-
-    fn on_finish(&mut self, _vm: &VmView<'_>) {
-        self.handle_finish();
-    }
-}
-
-/// Hybrid detection: a race is reported only when the lockset discipline is
-/// violated **and** the happens-before relation does not order the
-/// accesses. Higher-level hand-off primitives (message queues) can feed
-/// the HB side via `DetectorConfig::hybrid_queue_hb()`, implementing the
-/// paper's §5 proposal and eliminating the Fig 11 thread-pool false
-/// positives.
-pub struct HybridDetector {
-    lockset: LocksetEngine,
-    hb: HbEngine,
-    pub sink: ReportSink,
-    /// Rendered guest fault, if the run ended with one.
-    pub guest_fault: Option<String>,
-}
-
-impl HybridDetector {
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self::with_suppressions(cfg, SuppressionSet::default())
-    }
-
-    pub fn with_suppressions(cfg: DetectorConfig, supp: SuppressionSet) -> Self {
-        let mut lockset = LocksetEngine::new(cfg);
-        let mut hb = HbEngine::new(cfg);
-        // Both engines keep flagging (no per-granule latch); the sink
-        // deduplicates by location. Candidates carry no text, so the many
-        // it drops allocate nothing: `handle_event` renders only new ones.
-        lockset.set_report_once(false);
-        hb.set_report_once(false);
-        HybridDetector { lockset, hb, sink: sink(&cfg, supp), guest_fault: None }
-    }
-
-    /// Analysis counters for `--stats`.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        vec![
-            EngineStats {
-                name: "lockset",
-                accesses: self.lockset.accesses,
-                shadow_overflow: self.lockset.shadow_overflow(),
-                live_granules: self.lockset.shadowed_granules(),
-                peak_granules: self.lockset.peak_shadowed_granules(),
-                epoch: None,
-            },
-            EngineStats {
-                name: "hb",
-                accesses: self.hb.accesses,
-                shadow_overflow: self.hb.shadow_overflow(),
-                live_granules: self.hb.shadowed_granules(),
-                peak_granules: self.hb.peak_shadowed_granules(),
-                epoch: Some(self.hb.epoch_stats()),
-            },
-        ]
-    }
-
-    /// True if any budget cap degraded this run's results.
-    pub fn truncated(&self) -> bool {
-        self.lockset.truncated() || self.hb.truncated() || self.sink.truncated()
-    }
-
-    /// Feed one event; context-agnostic (inline VM or trace replay).
-    pub fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        let ls_race = self.lockset.on_event(ev);
-        let hb_race = self.hb.on_event(ev);
-        if let (Some(ls), Some(hb)) = (ls_race, hb_race) {
-            let kind = race_report_kind(ls.kind);
-            if self.sink.seen(kind, ls.loc) {
-                return;
-            }
-            let details = format!(
-                "Previous state: {}; hb: {}",
-                ls.prev_state.describe(&self.lockset.table),
-                hb.conflict
-            );
-            let report = build_report(ctx, kind, ls.tid, ls.addr, ls.loc, details);
-            self.sink.add(ls.loc, report);
-        }
-    }
-
-    /// End-of-stream flush (mirrors [`Tool::on_finish`]).
-    pub fn handle_finish(&mut self) {
-        if self.truncated() {
-            self.sink.mark_truncated();
-        }
-    }
-}
-
-impl Tool for HybridDetector {
-    fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        self.handle_event(ev, vm);
-    }
-
-    fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
-        self.guest_fault = Some(err.to_string());
-    }
-
-    fn on_finish(&mut self, _vm: &VmView<'_>) {
-        self.handle_finish();
-    }
-}
-
-/// A name-dispatched detector: any of the three engines behind one
-/// concrete type, for drivers that pick the engine at runtime (`check`,
-/// chaos, soak, trace replay, benches) without monomorphizing every call
-/// site. Inline it is a [`Tool`]; offline, trace replay feeds it through
-/// the same `handle_event` bodies, which is what keeps the two paths
-/// byte-identical. The name → engine mapping matches the CLI's (`djit` →
-/// HB, `hybrid*` → hybrid, everything else → lockset); every engine
-/// applies `supp` in its sink.
-#[allow(clippy::large_enum_variant)] // one detector per phase, never collections of them
-pub enum AnyDetector {
-    Eraser(EraserDetector),
-    Djit(DjitDetector),
-    Hybrid(HybridDetector),
+    guest_fault: Option<String>,
 }
 
 impl AnyDetector {
+    /// The lockset detector under `cfg`, with no suppressions.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Self::by_name("lockset", cfg, SuppressionSet::new())
+    }
+
+    /// The detector the CLI names `name`: `djit` runs happens-before,
+    /// `hybrid*` runs lockset ∧ happens-before, and everything else runs
+    /// lockset. The sink drops reports `supp` matches before the report
+    /// cap counts them, so a suppressed location never takes the place of
+    /// an unsuppressed one.
     pub fn by_name(name: &str, cfg: DetectorConfig, supp: SuppressionSet) -> Self {
-        match name {
-            "djit" => AnyDetector::Djit(DjitDetector::with_suppressions(cfg, supp)),
+        let engines = match name {
+            "djit" => Engines::Hb(HbEngine::new(cfg)),
             "hybrid" | "hybrid-queue" => {
-                AnyDetector::Hybrid(HybridDetector::with_suppressions(cfg, supp))
+                let mut lockset = LocksetEngine::new(cfg);
+                let mut hb = HbEngine::new(cfg);
+                // Both engines keep flagging (no per-granule latch); the
+                // sink deduplicates by location.
+                lockset.set_report_once(false);
+                hb.set_report_once(false);
+                Engines::Hybrid(lockset, hb)
             }
-            _ => AnyDetector::Eraser(EraserDetector::with_suppressions(cfg, supp)),
-        }
+            _ => Engines::Lockset(LocksetEngine::new(cfg), LockOrderGraph::new()),
+        };
+        let mut sink = ReportSink::with_suppressions(supp);
+        sink.set_max_reports(cfg.budget.max_reports);
+        AnyDetector { engines, sink, guest_fault: None }
     }
 
-    pub fn truncated(&self) -> bool {
-        match self {
-            AnyDetector::Eraser(d) => d.truncated(),
-            AnyDetector::Djit(d) => d.truncated(),
-            AnyDetector::Hybrid(d) => d.truncated(),
-        }
-    }
-
+    /// Analysis counters for `--stats`, one entry per engine.
     pub fn engine_stats(&self) -> Vec<EngineStats> {
-        match self {
-            AnyDetector::Eraser(d) => d.engine_stats(),
-            AnyDetector::Djit(d) => d.engine_stats(),
-            AnyDetector::Hybrid(d) => d.engine_stats(),
+        match &self.engines {
+            Engines::Lockset(ls, _) => vec![EngineStats::lockset(ls)],
+            Engines::Hb(hb) => vec![EngineStats::hb(hb)],
+            Engines::Hybrid(ls, hb) => vec![EngineStats::lockset(ls), EngineStats::hb(hb)],
         }
     }
 
+    /// True if any budget cap degraded this run's results.
+    pub fn truncated(&self) -> bool {
+        let engines = match &self.engines {
+            Engines::Lockset(ls, _) => ls.truncated(),
+            Engines::Hb(hb) => hb.truncated(),
+            Engines::Hybrid(ls, hb) => ls.truncated() || hb.truncated(),
+        };
+        engines || self.sink.truncated()
+    }
+
+    /// The guest fault the run ended with, if any.
     pub fn guest_fault(&self) -> Option<&str> {
-        match self {
-            AnyDetector::Eraser(d) => d.guest_fault.as_deref(),
-            AnyDetector::Djit(d) => d.guest_fault.as_deref(),
-            AnyDetector::Hybrid(d) => d.guest_fault.as_deref(),
-        }
+        self.guest_fault.as_deref()
     }
 
     pub fn take_reports(&mut self) -> Vec<Report> {
-        match self {
-            AnyDetector::Eraser(d) => d.sink.take_reports(),
-            AnyDetector::Djit(d) => d.sink.take_reports(),
-            AnyDetector::Hybrid(d) => d.sink.take_reports(),
+        self.sink.take_reports()
+    }
+
+    /// Feed one event; context-agnostic (inline VM or trace replay).
+    pub fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
+        let sink = &mut self.sink;
+        match &mut self.engines {
+            Engines::Lockset(ls, lockorder) => {
+                if let Some(race) = ls.on_event(ev) {
+                    let finding = (race_report_kind(race.kind), race.tid, race.addr, race.loc);
+                    offer(sink, ctx, finding, || {
+                        let mut details =
+                            format!("Previous state: {}", race.prev_state.describe(&ls.table));
+                        if let Some((ptid, pkind, ploc)) = race.prev_access {
+                            details.push_str(&format!(
+                                "\n   This conflicts with a previous {} by thread {} at {}:{} ({})",
+                                if pkind.is_write() { "write" } else { "read" },
+                                ptid.0,
+                                ctx.resolve_sym(ploc.file),
+                                ploc.line,
+                                ctx.resolve_sym(ploc.func),
+                            ));
+                        }
+                        details
+                    });
+                }
+                if let Some(cycle) = lockorder.on_event(ev) {
+                    let finding = (ReportKind::LockOrderCycle, cycle.tid, 0, cycle.loc);
+                    offer(sink, ctx, finding, || cycle.describe());
+                }
+            }
+            Engines::Hb(hb) => {
+                if let Some(race) = hb.on_event(ev) {
+                    let finding = (hb_report_kind(race.kind), race.tid, race.addr, race.loc);
+                    offer(sink, ctx, finding, || race.conflict.to_string());
+                }
+            }
+            Engines::Hybrid(ls, hb) => {
+                let ls_race = ls.on_event(ev);
+                let hb_race = hb.on_event(ev);
+                if let (Some(race), Some(hb_race)) = (ls_race, hb_race) {
+                    let finding = (race_report_kind(race.kind), race.tid, race.addr, race.loc);
+                    offer(sink, ctx, finding, || {
+                        let state = race.prev_state.describe(&ls.table);
+                        format!("Previous state: {state}; hb: {}", hb_race.conflict)
+                    });
+                }
+            }
         }
     }
 
-    pub(crate) fn handle_event(&mut self, ev: &Event, ctx: &dyn ReportCtx) {
-        match self {
-            AnyDetector::Eraser(d) => d.handle_event(ev, ctx),
-            AnyDetector::Djit(d) => d.handle_event(ev, ctx),
-            AnyDetector::Hybrid(d) => d.handle_event(ev, ctx),
-        }
-    }
-
-    pub(crate) fn handle_finish(&mut self) {
-        match self {
-            AnyDetector::Eraser(d) => d.handle_finish(),
-            AnyDetector::Djit(d) => d.handle_finish(),
-            AnyDetector::Hybrid(d) => d.handle_finish(),
+    /// End-of-stream flush (mirrors [`Tool::on_finish`]).
+    pub fn handle_finish(&mut self) {
+        if self.truncated() {
+            self.sink.mark_truncated();
         }
     }
 }
 
 impl Tool for AnyDetector {
     fn on_event(&mut self, ev: &Event, vm: &VmView<'_>) {
-        match self {
-            AnyDetector::Eraser(d) => d.on_event(ev, vm),
-            AnyDetector::Djit(d) => d.on_event(ev, vm),
-            AnyDetector::Hybrid(d) => d.on_event(ev, vm),
-        }
+        self.handle_event(ev, vm);
     }
 
-    fn on_guest_fault(&mut self, err: &GuestError, vm: &VmView<'_>) {
-        match self {
-            AnyDetector::Eraser(d) => d.on_guest_fault(err, vm),
-            AnyDetector::Djit(d) => d.on_guest_fault(err, vm),
-            AnyDetector::Hybrid(d) => d.on_guest_fault(err, vm),
-        }
+    fn on_guest_fault(&mut self, err: &GuestError, _vm: &VmView<'_>) {
+        self.guest_fault = Some(err.to_string());
     }
 
-    fn on_finish(&mut self, vm: &VmView<'_>) {
-        match self {
-            AnyDetector::Eraser(d) => d.on_finish(vm),
-            AnyDetector::Djit(d) => d.on_finish(vm),
-            AnyDetector::Hybrid(d) => d.on_finish(vm),
-        }
+    fn on_finish(&mut self, _vm: &VmView<'_>) {
+        self.handle_finish();
     }
 }
 
@@ -493,20 +278,30 @@ mod tests {
     // VM; here we only check construction invariants.
     use super::*;
 
+    /// Each CLI name runs its engine set: the three lockset configs run
+    /// lockset alone, `djit` runs hb alone, and both hybrids run both.
     #[test]
-    fn constructors_wire_configs() {
-        let e = EraserDetector::new(DetectorConfig::original());
-        assert!(!e.config().honor_destruct);
-        let e = EraserDetector::new(DetectorConfig::hwlc_dr());
-        assert!(e.config().honor_destruct);
-        let _ = DjitDetector::new(DetectorConfig::djit());
-        let _ = HybridDetector::new(DetectorConfig::hybrid_queue_hb());
+    fn names_pick_their_engines() {
+        let labels = |d: AnyDetector| d.engine_stats().iter().map(|s| s.name).collect::<Vec<_>>();
+        for (name, engines) in [
+            ("original", &["lockset"][..]),
+            ("hwlc", &["lockset"]),
+            ("hwlc-dr", &["lockset"]),
+            ("djit", &["hb"]),
+            ("hybrid", &["lockset", "hb"]),
+            ("hybrid-queue", &["lockset", "hb"]),
+        ] {
+            let cfg = DetectorConfig::by_name(name).expect("a CLI engine name");
+            let d = AnyDetector::by_name(name, cfg, SuppressionSet::new());
+            assert_eq!(labels(d), engines, "{name}");
+        }
+        assert_eq!(labels(AnyDetector::new(DetectorConfig::hwlc_dr())), ["lockset"]);
     }
 
     #[test]
     fn suppressions_attach() {
         let supp = SuppressionSet::parse("{\n s\n H:Race\n fun:ignored_*\n}").unwrap();
-        let e = EraserDetector::with_suppressions(DetectorConfig::hwlc(), supp);
+        let e = AnyDetector::by_name("hwlc", DetectorConfig::hwlc(), supp);
         assert_eq!(e.sink.location_count(), 0);
     }
 }

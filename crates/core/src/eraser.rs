@@ -157,10 +157,6 @@ impl LocksetEngine {
         self.report_once = v;
     }
 
-    pub fn config(&self) -> &DetectorConfig {
-        &self.cfg
-    }
-
     fn thread_mut(&mut self, tid: ThreadId) -> &mut ThreadLocks {
         let idx = tid.index();
         if self.threads.len() <= idx {
@@ -441,11 +437,6 @@ impl LocksetEngine {
         self.shadow.peek(addr).map(|s| s.state).unwrap_or(VarState::Virgin)
     }
 
-    /// Most recent access to the granule containing `addr`.
-    pub fn last_access_of(&self, addr: u64) -> Option<(ThreadId, AccessKind, SrcLoc)> {
-        self.shadow.peek(addr).and_then(|s| s.last)
-    }
-
     /// Number of shadowed granules.
     pub fn shadowed_granules(&self) -> usize {
         self.shadow.len()
@@ -466,11 +457,6 @@ impl LocksetEngine {
     /// Granules dropped by the shadow budget.
     pub fn shadow_overflow(&self) -> u64 {
         self.shadow_overflow
-    }
-
-    /// Access to the segment graph (for diagnostics).
-    pub fn segments(&self) -> &SegmentGraph {
-        &self.segments
     }
 }
 

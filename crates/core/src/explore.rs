@@ -262,13 +262,12 @@ fn run_index(
     }
 }
 
+/// Distinct warnings across the sweep, keyed like the report sink's
+/// dedup: [`Report::location_key`], so two kinds at one line stay apart.
+type Aggregate = FxHashMap<(ReportKind, String, u32, String), LocationHit>;
+
 /// Fold run `i`'s outcome into the summary.
-fn fold_outcome(
-    summary: &mut ExploreSummary,
-    agg: &mut FxHashMap<(String, u32, String), LocationHit>,
-    o: RunOutcome,
-    i: usize,
-) {
+fn fold_outcome(summary: &mut ExploreSummary, agg: &mut Aggregate, o: RunOutcome, i: usize) {
     summary.slots_used += o.slots;
     match o.termination {
         Termination::AllExited => summary.clean_runs += 1,
@@ -280,8 +279,7 @@ fn fold_outcome(
         Termination::GuestError(_) => summary.failed_runs += 1,
     }
     for report in o.reports {
-        let key = (report.file.clone(), report.line, report.func.clone());
-        agg.entry(key).and_modify(|l| l.hits += 1).or_insert(LocationHit {
+        agg.entry(report.location_key()).and_modify(|l| l.hits += 1).or_insert(LocationHit {
             report,
             hits: 1,
             first_run: i + 1,
@@ -327,7 +325,7 @@ pub fn explore_schedules(
     targets: &[DirectedTarget],
 ) -> ExploreSummary {
     let probes = build_probes(targets, runs);
-    let mut agg: FxHashMap<(String, u32, String), LocationHit> = FxHashMap::default();
+    let mut agg = Aggregate::default();
     let mut summary = ExploreSummary { runs, base_seed, ..Default::default() };
     let mut start = 0usize;
     if let Some(ck) = resume {
@@ -339,8 +337,7 @@ pub fn explore_schedules(
         summary.fuel_exhausted_runs = ck.fuel_exhausted_runs;
         summary.slots_used = ck.slots_used;
         for l in &ck.locations {
-            let key = (l.report.file.clone(), l.report.line, l.report.func.clone());
-            agg.insert(key, l.clone());
+            agg.insert(l.report.location_key(), l.clone());
         }
     }
     let flat = program.lower();
@@ -370,10 +367,10 @@ pub fn explore_schedules(
     summary.timed_out = cut || summary.fuel_exhausted_runs > 0;
     let mut locations: Vec<LocationHit> = agg.into_values().collect();
     locations.sort_by(|a, b| {
-        b.hits
-            .cmp(&a.hits)
-            .then_with(|| a.report.file.cmp(&b.report.file))
-            .then_with(|| a.report.line.cmp(&b.report.line))
+        let (x, y) = (&a.report, &b.report);
+        b.hits.cmp(&a.hits).then_with(|| {
+            (&x.file, x.line, x.kind, &x.func).cmp(&(&y.file, y.line, y.kind, &y.func))
+        })
     });
     summary.locations = locations;
     summary
@@ -408,7 +405,10 @@ pub struct ExploreCheckpoint {
     pub locations: Vec<LocationHit>,
 }
 
-const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v2";
+/// Older versions are refused: v2 counted hits per (file, line, function),
+/// so two warning kinds at one line shared one count and one report, and
+/// v1 kept only each location's top frame.
+const CHECKPOINT_MAGIC: &str = "raceline-explore-checkpoint v3";
 
 /// The last line of every saved checkpoint.
 const CHECKPOINT_END: &str = "\nend\n";
@@ -667,6 +667,39 @@ mod tests {
         }
     }
 
+    /// Two warning kinds at one line are two locations, each hit at most
+    /// once a run: under hybrid, line 6 (`g_a = g_b`) races as a write of
+    /// `g_a` in every run and as a read of `g_b` in some.
+    #[test]
+    fn kinds_at_one_line_are_counted_apart() {
+        let mut pb = ProgramBuilder::new();
+        let (a, b) = (pb.global("g_a", 8), pb.global("g_b", 8));
+        let mut w = ProcBuilder::new(0);
+        w.at(pb.loc("copy.cpp", 5, "worker"));
+        let v = w.load_new(a, 8);
+        w.store(b, Expr::Reg(v).add(1u64.into()), 8);
+        w.at(pb.loc("copy.cpp", 6, "worker"));
+        let v = w.load_new(b, 8);
+        w.store(a, Expr::Reg(v), 8);
+        let worker = pb.add_proc("worker", w);
+        let mut m = ProcBuilder::new(0);
+        m.at(pb.loc("copy.cpp", 10, "main"));
+        let joins = [m.spawn(worker, vec![]), m.spawn(worker, vec![])];
+        for h in joins {
+            m.join(h);
+        }
+        let main_id = pb.add_proc("main", m);
+        pb.set_entry(main_id);
+        let prog = pb.finish();
+
+        let s =
+            explore_schedules(&prog, engine("hybrid"), 10, 0xACE, Default::default(), None, &[]);
+        assert!(s.locations.iter().all(|l| l.hits <= s.runs), "{s:?}");
+        let line6 = s.locations.iter().filter(|l| l.report.line == 6);
+        let kinds: Vec<ReportKind> = line6.map(|l| l.report.kind).collect();
+        assert_eq!(kinds, [ReportKind::RaceWrite, ReportKind::RaceRead], "{s:?}");
+    }
+
     #[test]
     fn watchdog_budget_yields_partial_summary_and_resume_completes_it() {
         let prog = mixed_program();
@@ -718,8 +751,10 @@ mod tests {
         assert!(ExploreCheckpoint::parse(unsealed).is_err(), "no final end line");
         let inner_end = good.replace("\nloc", "\nend\nloc");
         assert!(ExploreCheckpoint::parse(&inner_end).is_err(), "end is the last line only");
-        let v1 = "raceline-explore-checkpoint v1\nbase_seed 1\nend\n";
-        assert!(ExploreCheckpoint::parse(v1).is_err(), "v1 kept only the top frame");
+        for old in ["v1", "v2"] {
+            let file = good.replace("checkpoint v3", &format!("checkpoint {old}"));
+            assert!(ExploreCheckpoint::parse(&file).is_err(), "{old} is refused");
+        }
     }
 
     /// A file cut anywhere, mid-line or at a line boundary, loads as a

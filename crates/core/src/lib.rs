@@ -9,20 +9,22 @@
 //! it discusses (DJIT-style happens-before detection, hybrid detection) and
 //! lock-order deadlock prediction.
 //!
-//! All detectors are pure consumers of [`vexec::Event`] streams: they
-//! implement [`vexec::tool::Tool`] and can be attached to any guest
-//! program execution.
+//! The one detector type, [`AnyDetector`], is a pure consumer of
+//! [`vexec::Event`] streams: it implements [`vexec::tool::Tool`] and can be
+//! attached to any guest program execution.
 //!
 //! ## The three configurations of the paper's evaluation (Fig 6)
 //!
 //! ```
-//! use helgrind_core::{DetectorConfig, EraserDetector};
+//! use helgrind_core::{AnyDetector, DetectorConfig, SuppressionSet};
 //!
-//! let original = EraserDetector::new(DetectorConfig::original());
-//! let hwlc     = EraserDetector::new(DetectorConfig::hwlc());
-//! let hwlc_dr  = EraserDetector::new(DetectorConfig::hwlc_dr());
-//! assert!(hwlc_dr.config().honor_destruct);
-//! # let _ = (original, hwlc);
+//! let original = AnyDetector::new(DetectorConfig::original());
+//! let hwlc     = AnyDetector::new(DetectorConfig::hwlc());
+//! let hwlc_dr  = AnyDetector::new(DetectorConfig::hwlc_dr());
+//! // The baselines run other engines over the same stream, picked by name.
+//! let djit     = AnyDetector::by_name("djit", DetectorConfig::djit(), SuppressionSet::new());
+//! assert_eq!(djit.engine_stats()[0].name, "hb");
+//! # let _ = (original, hwlc, hwlc_dr);
 //! ```
 
 pub mod budget;
@@ -44,9 +46,9 @@ pub mod vc;
 
 pub use budget::{BudgetSpec, DetectorBudget};
 pub use config::{BusLockModel, DetectorConfig};
-/// Another name for [`AnyDetector`], the detector trace replay takes.
-pub use detector::AnyDetector as ReplayDetector;
-pub use detector::{AnyDetector, DjitDetector, EngineStats, EraserDetector, HybridDetector};
+/// Other names for [`AnyDetector`], kept for the benchmark's callers only.
+pub use detector::{AnyDetector as EraserDetector, AnyDetector as ReplayDetector};
+pub use detector::{AnyDetector, EngineStats};
 pub use eraser::{LocksetEngine, RaceInfo, VarState};
 pub use explore::{
     explore_schedules, DirectedTarget, ExploreCheckpoint, ExploreLimits, ExploreSummary,

@@ -5,7 +5,7 @@
 //! events: the symbol table (header), per-thread backtraces (stack delta
 //! records + the top-frame-overwrite rule), and heap blocks (header
 //! snapshot + Alloc/Free events). [`ReplayCtx`] reconstructs all three and
-//! implements [`ReportCtx`], so `EraserDetector::handle_event` runs the
+//! implements [`ReportCtx`], so [`AnyDetector::handle_event`] runs the
 //! same code inline and offline; byte-identical reports follow by
 //! construction.
 //!

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use helgrind_core::{
-    DetectorConfig, DjitDetector, HbEngine, HybridDetector, LocksetEngine, ReportCtx, StackFrame,
+    AnyDetector, DetectorConfig, HbEngine, LocksetEngine, ReportCtx, StackFrame, SuppressionSet,
 };
 use vexec::event::{AccessKind, Event, ThreadId};
 use vexec::ir::SrcLoc;
@@ -122,7 +122,7 @@ fn hybrid_candidates_at_a_reported_location_allocate_nothing() {
     let warm: Vec<Event> = spawn_two().into_iter().chain(rounds(4)).collect();
     let measured = rounds(500);
 
-    let mut d = HybridDetector::new(cfg);
+    let mut d = AnyDetector::by_name("hybrid", cfg, SuppressionSet::new());
     for ev in &warm {
         d.handle_event(ev, &NoCtx);
     }
@@ -165,7 +165,7 @@ fn djit_candidates_from_a_reported_line_allocate_nothing() {
     // The same line then races on every other granule: one candidate each.
     let measured: Vec<Event> = (1..granules).map(|g| write(T2, BASE + 8 * g, line(20))).collect();
 
-    let mut d = DjitDetector::new(cfg);
+    let mut d = AnyDetector::by_name("djit", cfg, SuppressionSet::new());
     for ev in &warm {
         d.handle_event(ev, &NoCtx);
     }

@@ -4,15 +4,15 @@
 //! Fig 8 (string refcount), the destructor scenario, Fig 10/11 (ownership
 //! transfer), and the §4.3 schedule-dependent false negative.
 
-use helgrind_core::{DetectorConfig, DjitDetector, EraserDetector, HybridDetector, ReportKind};
+use helgrind_core::{AnyDetector, DetectorConfig, ReportKind, SuppressionSet};
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{Cond, Expr, Program, SyncKind, SyncOp};
 use vexec::sched::{PriorityOrder, RoundRobin};
 use vexec::vm::run_program;
 use vexec::ThreadId;
 
-fn run_eraser(prog: &Program, cfg: DetectorConfig) -> EraserDetector {
-    let mut det = EraserDetector::new(cfg);
+fn run_eraser(prog: &Program, cfg: DetectorConfig) -> AnyDetector {
+    let mut det = AnyDetector::new(cfg);
     let r = run_program(prog, &mut det, &mut RoundRobin::new());
     assert!(r.termination.is_clean(), "{:?}", r.termination);
     det
@@ -165,7 +165,7 @@ fn destructor_fp_without_dr_clean_with_dr() {
     // clean textbook interleaving).
     let prog = destructor_program(true);
     let run = |cfg| {
-        let mut det = EraserDetector::new(cfg);
+        let mut det = AnyDetector::new(cfg);
         let mut sched = PriorityOrder::new(vec![ThreadId(1), ThreadId(2), ThreadId(0)]);
         run_program(&prog, &mut det, &mut sched).expect_clean();
         det
@@ -187,7 +187,7 @@ fn destructor_fp_without_dr_clean_with_dr() {
 
     // Unannotated code (source not available, §3.1) still warns under DR.
     let prog_unannotated = destructor_program(false);
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let mut sched = PriorityOrder::new(vec![ThreadId(1), ThreadId(2), ThreadId(0)]);
     run_program(&prog_unannotated, &mut det, &mut sched).expect_clean();
     assert_eq!(det.sink.race_location_count(), 1);
@@ -277,11 +277,15 @@ fn e12_hybrid_with_queue_hb_clears_thread_pool_fp() {
     let prog = handoff_program(true);
     // Hybrid without queue knowledge still reports (both lockset and HB
     // flag the hand-off)...
-    let mut plain = HybridDetector::new(DetectorConfig::hybrid());
+    let mut plain = AnyDetector::by_name("hybrid", DetectorConfig::hybrid(), SuppressionSet::new());
     run_program(&prog, &mut plain, &mut RoundRobin::new()).expect_clean();
     assert!(plain.sink.race_location_count() >= 1);
     // ...while the §5 extension understands put/get edges.
-    let mut qhb = HybridDetector::new(DetectorConfig::hybrid_queue_hb());
+    let mut qhb = AnyDetector::by_name(
+        "hybrid-queue",
+        DetectorConfig::hybrid_queue_hb(),
+        SuppressionSet::new(),
+    );
     run_program(&prog, &mut qhb, &mut RoundRobin::new()).expect_clean();
     assert_eq!(qhb.sink.race_location_count(), 0, "{:?}", qhb.sink.reports());
 }
@@ -289,10 +293,11 @@ fn e12_hybrid_with_queue_hb_clears_thread_pool_fp() {
 #[test]
 fn djit_also_flags_thread_pool_without_queue_hb() {
     let prog = handoff_program(true);
-    let mut det = DjitDetector::new(DetectorConfig::djit());
+    let mut det = AnyDetector::by_name("djit", DetectorConfig::djit(), SuppressionSet::new());
     run_program(&prog, &mut det, &mut RoundRobin::new()).expect_clean();
     assert!(det.sink.race_location_count() >= 1);
-    let mut det = DjitDetector::new(DetectorConfig::hybrid_queue_hb());
+    let mut det =
+        AnyDetector::by_name("djit", DetectorConfig::hybrid_queue_hb(), SuppressionSet::new());
     run_program(&prog, &mut det, &mut RoundRobin::new()).expect_clean();
     assert_eq!(det.sink.race_location_count(), 0);
 }
@@ -340,13 +345,13 @@ fn e6_false_negative_depends_on_schedule() {
     // blocks at the first join, then the listed worker goes first).
     // Unlocked writer first: lockset initialised at the *locked* write —
     // no warning (the documented false negative).
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let mut s1 = PriorityOrder::new(vec![ThreadId(0), ThreadId(1), ThreadId(2)]);
     run_program(&prog, &mut det, &mut s1).expect_clean();
     assert_eq!(det.sink.race_location_count(), 0, "§4.3 false negative");
 
     // Locked writer first: the unlocked write empties the lockset — warns.
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let mut s2 = PriorityOrder::new(vec![ThreadId(0), ThreadId(2), ThreadId(1)]);
     run_program(&prog, &mut det, &mut s2).expect_clean();
     assert_eq!(det.sink.race_location_count(), 1, "other schedule exposes it");
@@ -437,11 +442,11 @@ fn lock_order_cycle_reported_through_detector() {
 #[test]
 fn suppression_file_silences_known_fp() {
     let prog = string_refcount_program();
-    let supp = helgrind_core::SuppressionSet::parse(
+    let supp = SuppressionSet::parse(
         "{\n   string-refcount\n   Helgrind:Race\n   fun:*_M_grab\n   ...\n}",
     )
     .unwrap();
-    let mut det = EraserDetector::with_suppressions(DetectorConfig::original(), supp);
+    let mut det = AnyDetector::by_name("original", DetectorConfig::original(), supp);
     run_program(&prog, &mut det, &mut RoundRobin::new()).expect_clean();
     assert_eq!(det.sink.race_location_count(), 0);
     assert_eq!(det.sink.suppressed, 1);
@@ -502,7 +507,7 @@ fn cond_wait_mutex_reacquire_counts_for_lockset() {
 
     // Force the consumer to park first so cond_wait's release/re-acquire
     // path is actually exercised.
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let mut sched = PriorityOrder::new(vec![ThreadId(1), ThreadId(2), ThreadId(0)]);
     run_program(&prog, &mut det, &mut sched).expect_clean();
     assert_eq!(det.sink.race_location_count(), 0, "{:?}", det.sink.reports());
@@ -533,7 +538,7 @@ fn reports_include_the_conflicting_access() {
     pb.set_entry(main_id);
     let prog = pb.finish();
 
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let mut sched = PriorityOrder::new(vec![ThreadId(0), ThreadId(1), ThreadId(2)]);
     run_program(&prog, &mut det, &mut sched).expect_clean();
     assert_eq!(det.sink.race_location_count(), 1);

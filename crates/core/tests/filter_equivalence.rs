@@ -15,13 +15,11 @@
 //! * **program-level**: an arbitrary small guest program run under an
 //!   arbitrary fault plan and a seeded random schedule yields byte-equal
 //!   termination + rendered reports with [`FilterTool`] wrapped around
-//!   each of the three full detectors.
+//!   the detector under each of its three engine sets.
 //! * **free → realloc**: recycling an address range must invalidate filter
 //!   slots, or stale "block alloc'd by" notes would leak into reports.
 
-use helgrind_core::{
-    DetectorConfig, DjitDetector, EraserDetector, HbEngine, HybridDetector, LocksetEngine,
-};
+use helgrind_core::{AnyDetector, DetectorConfig, HbEngine, LocksetEngine, SuppressionSet};
 use proptest::prelude::*;
 use vexec::event::{AccessKind, AcqMode, Event, SyncId, ThreadId};
 use vexec::filter::{FilterCache, FilterTool};
@@ -286,7 +284,7 @@ proptest! {
 
     /// Program-level: an arbitrary guest program under an arbitrary fault
     /// plan and seeded schedule renders byte-equal reports with and
-    /// without [`FilterTool`], for all three full detectors.
+    /// without [`FilterTool`], under all three engine sets.
     #[test]
     fn programs_render_identical_reports_through_the_filter(
         threads in 1u64..3,
@@ -313,32 +311,28 @@ proptest! {
         };
         let opts = VmOptions { faults: Some(plan), ..VmOptions::default() };
 
-        macro_rules! pair {
-            ($mk:expr) => {{
-                let observe = |use_filter: bool| {
-                    let mut sched = SeededRandom::new(sched_seed);
-                    let det = $mk;
-                    let (term, det) = if use_filter {
-                        let mut tool = FilterTool::new(det);
-                        let r = run_flat(&flat, &mut tool, &mut sched, opts.clone());
-                        (r.termination, tool.into_parts().0)
-                    } else {
-                        let mut det = det;
-                        let r = run_flat(&flat, &mut det, &mut sched, opts.clone());
-                        (r.termination, det)
-                    };
-                    let mut out = format!("{term:?}|{}", det.sink.truncated());
-                    for rep in det.sink.reports() {
-                        out.push_str(&rep.render());
-                    }
-                    out
+        for name in ["hwlc-dr", "djit", "hybrid"] {
+            let observe = |use_filter: bool| {
+                let mut sched = SeededRandom::new(sched_seed);
+                let cfg = DetectorConfig::by_name(name).unwrap();
+                let det = AnyDetector::by_name(name, cfg, SuppressionSet::new());
+                let (term, det) = if use_filter {
+                    let mut tool = FilterTool::new(det);
+                    let r = run_flat(&flat, &mut tool, &mut sched, opts.clone());
+                    (r.termination, tool.into_parts().0)
+                } else {
+                    let mut det = det;
+                    let r = run_flat(&flat, &mut det, &mut sched, opts.clone());
+                    (r.termination, det)
                 };
-                prop_assert_eq!(observe(true), observe(false));
-            }};
+                let mut out = format!("{term:?}|{}", det.sink.truncated());
+                for rep in det.sink.reports() {
+                    out.push_str(&rep.render());
+                }
+                out
+            };
+            prop_assert_eq!(observe(true), observe(false), "{}", name);
         }
-        pair!(EraserDetector::new(DetectorConfig::hwlc_dr()));
-        pair!(DjitDetector::new(DetectorConfig::djit()));
-        pair!(HybridDetector::new(DetectorConfig::hybrid()));
     }
 }
 

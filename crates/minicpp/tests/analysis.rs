@@ -5,7 +5,7 @@
 //! of the lockset any real execution actually holds there.
 
 use helgrind_core::explore::{explore_schedules, ExploreLimits};
-use helgrind_core::{AnyDetector, DetectorConfig, EraserDetector, ReportKind};
+use helgrind_core::{AnyDetector, DetectorConfig, ReportKind};
 use minicpp::analysis::{analyze, analyze_files};
 use minicpp::ast::Stmt;
 use minicpp::pipeline::{run_pipeline, SourceFile};
@@ -423,7 +423,7 @@ proptest! {
         // Dynamic side: any race an explored schedule confirms at one of
         // those dereference sites is covered by a static escape use site —
         // the no-false-negative property the cross-check labels rely on.
-        let hwlc_dr = || AnyDetector::Eraser(EraserDetector::new(DetectorConfig::hwlc_dr()));
+        let hwlc_dr = || AnyDetector::new(DetectorConfig::hwlc_dr());
         let limits = ExploreLimits::default();
         let summary = explore_schedules(&out.program, hwlc_dr, 8, seed, limits, None, &[]);
         for hit in &summary.locations {

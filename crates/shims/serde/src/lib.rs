@@ -1,5 +1,5 @@
-//! Offline stand-in for `serde`: a self-contained JSON value model and a
-//! `Serialize` trait rendered by `serde_json`. `derive(Serialize)` comes
+//! Offline stand-in for `serde`: a self-contained JSON value model, rendered
+//! by its `Display` impl, and a `Serialize` trait. `derive(Serialize)` comes
 //! from the sibling `serde_derive` proc-macro crate; `derive(Deserialize)`
 //! is accepted and inert (nothing in this workspace parses JSON back).
 

@@ -235,7 +235,7 @@ pub fn all_bugs() -> Vec<BugScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helgrind_core::{DetectorConfig, EraserDetector};
+    use helgrind_core::{AnyDetector, DetectorConfig};
     use vexec::sched::{PriorityOrder, RoundRobin, Scheduler};
     use vexec::vm::run_program;
     use vexec::ThreadId;
@@ -244,7 +244,7 @@ mod tests {
     fn every_bug_detected_under_hwlc_dr() {
         // The whole point of the improvements: real bugs keep being found.
         for bug in all_bugs() {
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+            let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
             let mut sched: Box<dyn Scheduler> = match &bug.schedule {
                 Some(order) => {
                     Box::new(PriorityOrder::new(order.iter().map(|&t| ThreadId(t)).collect()))
@@ -279,7 +279,7 @@ mod tests {
         // whether the scan interleaves with the critical section.
         for seed in 0..5 {
             let bug = racy_deadlock_detector();
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+            let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
             let mut sched = vexec::sched::SeededRandom::new(seed);
             run_program(&bug.program, &mut det, &mut sched).expect_clean();
             assert!(det.sink.race_location_count() >= 1, "seed {seed}");

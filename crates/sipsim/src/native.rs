@@ -165,21 +165,21 @@ mod tests {
 
     #[test]
     fn vm_workload_is_race_free_under_detector() {
-        use helgrind_core::{DetectorConfig, EraserDetector};
+        use helgrind_core::{AnyDetector, DetectorConfig};
         let spec = WorkloadSpec { threads: 3, iterations: 20, parse_reads: 8 };
         let prog = vm_workload_program(spec);
-        let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+        let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
         run_program(&prog, &mut det, &mut RoundRobin::new()).expect_clean();
         assert_eq!(det.sink.race_location_count(), 0, "{:?}", det.sink.reports());
     }
 
     #[test]
     fn vm_workload_parse_phase_is_filterable() {
-        use helgrind_core::{DetectorConfig, EraserDetector};
+        use helgrind_core::{AnyDetector, DetectorConfig};
         use vexec::filter::FilterTool;
         let spec = WorkloadSpec { threads: 3, iterations: 20, parse_reads: 8 };
         let prog = vm_workload_program(spec);
-        let mut filtered = FilterTool::new(EraserDetector::new(DetectorConfig::hwlc_dr()));
+        let mut filtered = FilterTool::new(AnyDetector::new(DetectorConfig::hwlc_dr()));
         run_program(&prog, &mut filtered, &mut RoundRobin::new()).expect_clean();
         let (det, stats) = filtered.into_parts();
         assert_eq!(det.sink.race_location_count(), 0, "{:?}", det.sink.reports());

@@ -13,7 +13,7 @@
 use crate::proxy::{build_proxy, BuiltProxy, Dispatch, ProxyConfig, SiteLabel};
 use crate::workload::ScenarioSpec;
 use helgrind_core::report::ReportKind;
-use helgrind_core::{AnyDetector, DetectorConfig, EraserDetector};
+use helgrind_core::{AnyDetector, DetectorConfig};
 use vexec::faults::{FaultPlan, FaultStats};
 use vexec::filter::FilterTool;
 use vexec::sched::{RoundRobin, SeededRandom};
@@ -112,7 +112,7 @@ pub struct CaseResult {
 /// Run a built proxy under a detector configuration and attribute every
 /// warning to its ground-truth label.
 pub fn run_case(built: &BuiltProxy, cfg: DetectorConfig) -> CaseResult {
-    let mut det = EraserDetector::new(cfg);
+    let mut det = AnyDetector::new(cfg);
     let r = run_program(&built.program, &mut det, &mut RoundRobin::new());
     assert!(r.termination.is_clean(), "proxy run failed: {:?}", r.termination);
     let mut out = CaseResult::default();

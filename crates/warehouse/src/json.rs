@@ -1,7 +1,7 @@
 //! Minimal JSON parser producing the `serde` shim's [`Value`] model.
 //!
-//! The workspace's vendored `serde`/`serde_json` shims only *render* JSON
-//! (nothing before `raceline serve` parsed it back), so the wire protocol
+//! The workspace's vendored `serde` shim only *renders* JSON (nothing
+//! before `raceline serve` parsed it back), so the wire protocol
 //! brings its own reader. It accepts exactly the JSON this workspace
 //! emits: objects, arrays, strings with the shim's escapes, integers,
 //! floats, booleans and null — enough to round-trip any request or

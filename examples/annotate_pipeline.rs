@@ -47,7 +47,7 @@ void main() {
 ";
 
 fn run_detected(program: &Program, cfg: DetectorConfig) -> usize {
-    let mut det = EraserDetector::new(cfg);
+    let mut det = AnyDetector::new(cfg);
     let r = run_program(program, &mut det, &mut RoundRobin::new());
     assert!(r.termination.is_clean(), "{:?}", r.termination);
     for rep in det.sink.reports() {

@@ -89,7 +89,7 @@ fn main() {
     // 1. Prediction: the serialized AB-BA run finishes cleanly, yet the
     //    lock-order graph reports the inversion.
     let program = ab_ba_program(true);
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let r = run_program(&program, &mut det, &mut RoundRobin::new());
     println!("serialized AB-BA run: {:?}", r.termination);
     for rep in det.sink.reports() {
@@ -101,7 +101,7 @@ fn main() {
     // 2. Actual deadlock: fine-grained interleaving stalls both workers;
     //    the VM reports who waits for whom.
     let program = ab_ba_program(false);
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let r = run_program(&program, &mut det, &mut RoundRobin::new());
     match &r.termination {
         Termination::Deadlock(waits) => {

@@ -52,7 +52,7 @@ fn main() {
         ("HWLC", DetectorConfig::hwlc()),
         ("HWLC+DR", DetectorConfig::hwlc_dr()),
     ] {
-        let mut detector = EraserDetector::new(cfg);
+        let mut detector = AnyDetector::new(cfg);
         let result = run_program(&program, &mut detector, &mut RoundRobin::new());
         println!("=== configuration: {name} ===");
         println!(
@@ -69,7 +69,7 @@ fn main() {
     // always caught (it empties the lockset in every interleaving).
     let mut found = 0;
     for seed in 0..10 {
-        let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+        let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
         run_program(&program, &mut det, &mut SeededRandom::new(seed));
         if det.sink.race_location_count() > 0 {
             found += 1;

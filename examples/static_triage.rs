@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example static_triage`
 
-use helgrind_core::{DetectorConfig, EraserDetector, Report};
+use helgrind_core::{AnyDetector, DetectorConfig, Report};
 use minicpp::pipeline::{run_pipeline, SourceFile};
 use std::collections::BTreeSet;
 use vexec::sched::RoundRobin;
@@ -59,7 +59,7 @@ fn main() {
     let out = run_pipeline(&[SourceFile::new("triage.cpp", APP)]).expect("compiles");
 
     // Dynamic side: one concrete schedule under HWLC+DR.
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     let result = run_program(&out.program, &mut det, &mut RoundRobin::new());
     let dynamic = det.sink.take_reports();
     println!("dynamic run: {:?}, {} report(s)", result.termination, dynamic.len());

@@ -60,7 +60,7 @@ fn build(broken_plain_write: bool) -> Program {
 }
 
 fn run(name: &str, program: &Program, cfg: DetectorConfig) -> usize {
-    let mut det = EraserDetector::new(cfg);
+    let mut det = AnyDetector::new(cfg);
     run_program(program, &mut det, &mut RoundRobin::new());
     println!("--- {name} ---");
     if det.sink.reports().is_empty() {

@@ -28,7 +28,7 @@ fn main() {
     let pool = build_proxy(&proxy(Dispatch::ThreadPool { workers: 3 }));
 
     println!("== Eraser (HWLC+DR) on thread-per-request (Fig 10) ==");
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     run_program(&tpr.program, &mut det, &mut RoundRobin::new());
     let tpr_handoff = det
         .sink
@@ -40,7 +40,7 @@ fn main() {
     assert_eq!(tpr_handoff, 0, "create/join hand-off is understood");
 
     println!("\n== Eraser (HWLC+DR) on thread pool (Fig 11) ==");
-    let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
     run_program(&pool.program, &mut det, &mut RoundRobin::new());
     let pool_handoff: Vec<_> = det
         .sink
@@ -59,7 +59,11 @@ fn main() {
     assert!(!pool_handoff.is_empty(), "queue hand-off is invisible to the lockset algorithm");
 
     println!("== Hybrid detector with queue happens-before (§5 extension, E12) ==");
-    let mut det = HybridDetector::new(DetectorConfig::hybrid_queue_hb());
+    let mut det = AnyDetector::by_name(
+        "hybrid-queue",
+        DetectorConfig::hybrid_queue_hb(),
+        SuppressionSet::new(),
+    );
     run_program(&pool.program, &mut det, &mut RoundRobin::new());
     let qhb_handoff = det
         .sink

@@ -36,7 +36,7 @@
 //! let program = pb.finish();
 //!
 //! // Run it under the HWLC+DR detector.
-//! let mut detector = EraserDetector::new(DetectorConfig::hwlc_dr());
+//! let mut detector = AnyDetector::new(DetectorConfig::hwlc_dr());
 //! run_program(&program, &mut detector, &mut RoundRobin::new());
 //! assert_eq!(detector.sink.race_location_count(), 1);
 //! ```
@@ -50,8 +50,7 @@ pub use vexec;
 /// The most common imports in one place.
 pub mod prelude {
     pub use helgrind_core::{
-        BusLockModel, DetectorConfig, DjitDetector, EraserDetector, HybridDetector, Report,
-        ReportKind, SuppressionSet,
+        AnyDetector, BusLockModel, DetectorConfig, Report, ReportKind, SuppressionSet,
     };
     pub use vexec::filter::{FilterCache, FilterStats, FilterTool};
     pub use vexec::ir::builder::{ProcBuilder, ProgramBuilder};

@@ -103,6 +103,29 @@ fn explore_runs_the_named_engine() {
     assert!(!lockset.contains("; hb: "), "{lockset}");
 }
 
+/// A sweep counts each warning kind at a line apart, once per run that
+/// reports it. On the racy global, djit reports the unordered read in
+/// some runs and the unordered write in the others, both at line 7.
+#[test]
+fn explore_counts_each_kind_at_a_line_apart() {
+    let args = ["check", "examples/programs/racy_global.mcpp", "--detector", "djit"];
+    let (stdout, stderr, code) = raceline(&[&args[..], &["--explore", "20"]].concat());
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    let hits: Vec<u32> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix('[')?.split_once('/'))
+        .map(|(h, _)| h.trim().parse().expect("a hit count"))
+        .collect();
+    assert_eq!(hits.len(), 2, "{stdout}");
+    assert!(
+        hits.iter().all(|&h| h <= 20),
+        "no location is hit more often than once a run\n{stdout}"
+    );
+    for kind in ["] Possible HbRace (read)", "] Possible HbRace (write)"] {
+        assert_eq!(stdout.matches(kind).count(), 1, "{kind}\n{stdout}");
+    }
+}
+
 /// The suppression `--gen-suppressions` prints silences the sweep too.
 #[test]
 fn explore_applies_suppressions() {
@@ -465,7 +488,7 @@ fn explore_checkpoint_round_trips() {
     let (stdout, _, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", p]);
     assert_eq!(code, 1, "{stdout}");
     let saved = std::fs::read_to_string(&path).unwrap();
-    assert!(saved.starts_with("raceline-explore-checkpoint v2"), "{saved}");
+    assert!(saved.starts_with("raceline-explore-checkpoint v3"), "{saved}");
 
     // Resuming a finished sweep re-runs nothing and reports exactly what
     // the sweep reported: the checkpoint keeps every report field.
@@ -537,6 +560,8 @@ fn stats_flag_reports_to_stderr_only() {
     assert!(!plain_err.contains("stats:"), "{plain_err}");
     assert!(stats_err.contains("stats: engine lockset processed"), "{stats_err}");
     assert!(stats_err.contains("stats: engine hb processed"), "{stats_err}");
+    assert!(stats_err.contains("stats: engine hb epochs:"), "{stats_err}");
+    assert!(stats_err.contains("stats: interp (compiled)"), "{stats_err}");
     assert!(stats_err.contains("stats: filter elided"), "{stats_err}");
     assert!(stats_err.contains("hit rate"), "{stats_err}");
 }

@@ -43,7 +43,7 @@ void main() {
             .unwrap();
 
     let run = |prog: &Program, cfg: DetectorConfig| {
-        let mut det = EraserDetector::new(cfg);
+        let mut det = AnyDetector::new(cfg);
         let r = run_program(prog, &mut det, &mut RoundRobin::new());
         assert!(r.termination.is_clean(), "{:?}", r.termination);
         det
@@ -61,7 +61,7 @@ void main() {
 
     // The destructor FP appears without DR (even when annotations are in
     // the binary) and with DR when the source was not instrumented.
-    let dtor_line_hits = |det: &EraserDetector| {
+    let dtor_line_hits = |det: &AnyDetector| {
         det.sink.reports().iter().filter(|r| r.func.contains("~Connection")).count()
     };
     assert_eq!(dtor_line_hits(&run(&instrumented.program, DetectorConfig::hwlc())), 1);
@@ -112,8 +112,7 @@ fn suppressions_silence_string_and_dtor_categories() {
 }",
     )
     .unwrap();
-    let mut det =
-        helgrind_core::EraserDetector::with_suppressions(DetectorConfig::original(), supp);
+    let mut det = AnyDetector::by_name("original", DetectorConfig::original(), supp);
     let r = run_program(&built.program, &mut det, &mut RoundRobin::new());
     assert!(r.termination.is_clean());
     // All 58 bus-lock FPs of T3 suppressed; destructor FPs + real remain.
@@ -162,10 +161,10 @@ fn lockset_vs_djit_schedule_sensitivity() {
     let mut djit_hits = 0;
     let n: u32 = 30;
     for seed in 0..n as u64 {
-        let mut er = EraserDetector::new(DetectorConfig::hwlc_dr());
+        let mut er = AnyDetector::new(DetectorConfig::hwlc_dr());
         run_program(&prog, &mut er, &mut SeededRandom::new(seed));
         eraser_hits += (er.sink.race_location_count() > 0) as u32;
-        let mut dj = DjitDetector::new(DetectorConfig::hwlc_dr());
+        let mut dj = AnyDetector::by_name("djit", DetectorConfig::hwlc_dr(), SuppressionSet::new());
         run_program(&prog, &mut dj, &mut SeededRandom::new(seed));
         djit_hits += (dj.sink.race_location_count() > 0) as u32;
     }
@@ -196,7 +195,7 @@ fn prelude_quickstart() {
     pb.set_entry(main_id);
     let program = pb.finish();
 
-    let mut detector = EraserDetector::new(DetectorConfig::hwlc_dr());
+    let mut detector = AnyDetector::new(DetectorConfig::hwlc_dr());
     let result = run_program(&program, &mut detector, &mut RoundRobin::new());
     assert!(result.termination.is_clean());
     assert_eq!(detector.sink.race_location_count(), 1);
@@ -212,7 +211,7 @@ fn full_pipeline_determinism() {
     let tc = &sipsim::testcases()[0];
     let run_once = || {
         let built = tc.build();
-        let mut det = EraserDetector::new(DetectorConfig::original());
+        let mut det = AnyDetector::new(DetectorConfig::original());
         run_program(&built.program, &mut det, &mut RoundRobin::new());
         det.sink
             .reports()

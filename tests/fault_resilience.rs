@@ -9,13 +9,12 @@
 //! the SIP proxy was chaos-tested with SIPp load; here the *tracer* is
 //! chaos-tested with deterministic fault injection.
 
-use helgrind_core::{DetectorConfig, DjitDetector, EraserDetector, HybridDetector};
+use helgrind_core::{AnyDetector, DetectorConfig, SuppressionSet};
 use proptest::prelude::*;
 use vexec::faults::FaultPlan;
 use vexec::ir::builder::{ProcBuilder, ProgramBuilder};
 use vexec::ir::{Cond, Expr, Program, SyncKind, SyncOp};
 use vexec::sched::SeededRandom;
-use vexec::tool::Tool;
 use vexec::vm::{run_flat, VmOptions};
 
 /// Producer/consumer over a condvar plus an unlocked counter: exercises
@@ -104,13 +103,7 @@ struct RunProbe {
     faults: String,
 }
 
-fn probe<T: Tool>(
-    program: &Program,
-    plan: FaultPlan,
-    sched_seed: u64,
-    mut det: T,
-    reports_of: impl Fn(&mut T) -> Vec<(String, String, u32, String, String)>,
-) -> RunProbe {
+fn probe(program: &Program, plan: FaultPlan, sched_seed: u64, mut det: AnyDetector) -> RunProbe {
     let flat = program.lower();
     let mut sched = SeededRandom::new(sched_seed);
     // A small fuel budget keeps pathological plans (high lock-failure
@@ -119,12 +112,12 @@ fn probe<T: Tool>(
     let r = run_flat(&flat, &mut det, &mut sched, opts);
     RunProbe {
         termination: format!("{:?}", r.termination),
-        reports: reports_of(&mut det),
+        reports: reports(&det),
         faults: format!("{:?}", r.faults),
     }
 }
 
-fn eraser_reports(det: &mut EraserDetector) -> Vec<(String, String, u32, String, String)> {
+fn reports(det: &AnyDetector) -> Vec<(String, String, u32, String, String)> {
     det.sink
         .reports()
         .iter()
@@ -145,10 +138,8 @@ proptest! {
         sched_seed in any::<u64>(),
     ) {
         let program = condvar_program();
-        let a = probe(&program, plan, sched_seed,
-            EraserDetector::new(DetectorConfig::hwlc_dr()), eraser_reports);
-        let b = probe(&program, plan, sched_seed,
-            EraserDetector::new(DetectorConfig::hwlc_dr()), eraser_reports);
+        let a = probe(&program, plan, sched_seed, AnyDetector::new(DetectorConfig::hwlc_dr()));
+        let b = probe(&program, plan, sched_seed, AnyDetector::new(DetectorConfig::hwlc_dr()));
         prop_assert_eq!(a, b);
     }
 
@@ -160,26 +151,12 @@ proptest! {
         sched_seed in any::<u64>(),
     ) {
         let program = condvar_program();
-        let djit = |det: &mut DjitDetector| {
-            det.sink.reports().iter()
-                .map(|r| (r.kind.name().to_string(), r.file.clone(), r.line,
-                          r.func.clone(), r.details.clone()))
-                .collect::<Vec<_>>()
-        };
-        let hybrid = |det: &mut HybridDetector| {
-            det.sink.reports().iter()
-                .map(|r| (r.kind.name().to_string(), r.file.clone(), r.line,
-                          r.func.clone(), r.details.clone()))
-                .collect::<Vec<_>>()
-        };
-        let d1 = probe(&program, plan, sched_seed, DjitDetector::new(DetectorConfig::djit()), djit);
-        let d2 = probe(&program, plan, sched_seed, DjitDetector::new(DetectorConfig::djit()), djit);
-        prop_assert_eq!(d1, d2);
-        let h1 = probe(&program, plan, sched_seed,
-            HybridDetector::new(DetectorConfig::hybrid_queue_hb()), hybrid);
-        let h2 = probe(&program, plan, sched_seed,
-            HybridDetector::new(DetectorConfig::hybrid_queue_hb()), hybrid);
-        prop_assert_eq!(h1, h2);
+        for name in ["djit", "hybrid-queue"] {
+            let cfg = DetectorConfig::by_name(name).unwrap();
+            let run = || probe(&program, plan, sched_seed,
+                AnyDetector::by_name(name, cfg, SuppressionSet::new()));
+            prop_assert_eq!(run(), run(), "{}", name);
+        }
     }
 
     /// A disabled plan must not change behaviour at all: faults=None and
@@ -189,11 +166,11 @@ proptest! {
         let program = condvar_program();
         let flat = program.lower();
         let run = |faults: Option<FaultPlan>| {
-            let mut det = EraserDetector::new(DetectorConfig::hwlc_dr());
+            let mut det = AnyDetector::new(DetectorConfig::hwlc_dr());
             let mut sched = SeededRandom::new(sched_seed);
             let opts = VmOptions { faults, max_slots: 200_000, ..Default::default() };
             let r = run_flat(&flat, &mut det, &mut sched, opts);
-            (format!("{:?}", r.termination), eraser_reports(&mut det))
+            (format!("{:?}", r.termination), reports(&det))
         };
         let off = run(None);
         let noop = run(Some(FaultPlan::disabled()));

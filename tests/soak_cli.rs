@@ -368,13 +368,17 @@ fn explore_refuses_another_sweeps_checkpoint() {
     assert!(stderr.contains("resuming from"), "{stderr}");
     assert_eq!(stdout, full, "a larger --explore N extends the sweep");
 
-    // The v1 format kept only each location's top frame: refused.
-    let v1 = String::from_utf8(saved).unwrap().replacen("checkpoint v2", "checkpoint v1", 1);
-    std::fs::write(&ck, &v1).unwrap();
-    let (_, stderr, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &p]);
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("bad checkpoint header"), "{stderr}");
-    assert_eq!(std::fs::read_to_string(&ck).unwrap(), v1);
+    // Older formats are refused: v1 kept only each location's top frame,
+    // and v2 merged two warning kinds at one line into one hit count.
+    for old in ["v1", "v2"] {
+        let text = String::from_utf8(saved.clone()).unwrap();
+        let text = text.replacen("checkpoint v3", &format!("checkpoint {old}"), 1);
+        std::fs::write(&ck, &text).unwrap();
+        let (_, stderr, code) = raceline(&["check", SAMPLE, "--explore", "6", "--checkpoint", &p]);
+        assert_eq!(code, 2, "{old}: {stderr}");
+        assert!(stderr.contains("bad checkpoint header"), "{old}: {stderr}");
+        assert_eq!(std::fs::read_to_string(&ck).unwrap(), text, "{old} must not be touched");
+    }
 }
 
 /// A soak log and an explore checkpoint both record the VM's schedule
